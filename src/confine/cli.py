@@ -191,9 +191,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_mem(args: argparse.Namespace) -> int:
-    sweep = _SWEEP_DEFAULT
-    if args.sweep_sizes:
-        sweep = tuple(parse_size(s) for s in args.sweep_sizes.split(","))
+    sweep = tuple(parse_size(s) for s in args.sweep_sizes.split(",")) if args.sweep_sizes else None
     summary = run_memory_experiment(
         args.preset,
         out_dir=args.out,
@@ -255,9 +253,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         path.write_text(serialize_log(sub), encoding="utf-8")
         print(f"{org}: {len(sub)} cases, {sub.event_count()} events -> {path}")
     return 0
-
-
-_SWEEP_DEFAULT = None  # resolved inside run_memory_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,15 +13,12 @@ from dataclasses import dataclass, field
 from .eventlog import CaseView, Event
 
 __all__ = [
-    "MergeSchema",
     "MergeKeyError",
     "MergeConflictError",
     "DeliveryError",
     "merge_case",
     "EligibilityLedger",
 ]
-
-_SUPPORTED_KEY_FIELDS = ("case_ref",)
 
 
 class MergeKeyError(ValueError):
@@ -36,29 +33,11 @@ class DeliveryError(ValueError):
     """A delivery or manifest violates the announced protocol state."""
 
 
-@dataclass(frozen=True, slots=True)
-class MergeSchema:
-    """Field roles for merging: match on key_fields, order by order_fields."""
-
-    key_fields: tuple[str, ...] = ("case_ref",)
-    order_fields: tuple[str, ...] = ("timestamp", "org", "seq_hint")
-
-    def __post_init__(self) -> None:
-        if not self.key_fields:
-            raise ValueError("key_fields must not be empty")
-        unsupported = [f for f in self.key_fields if f not in _SUPPORTED_KEY_FIELDS]
-        if unsupported:
-            raise ValueError(f"unsupported key field(s): {', '.join(unsupported)}")
-
-
-DEFAULT_SCHEMA = MergeSchema()
-
-
 def _record_id(ev: Event) -> tuple:
     return (ev.case_ref, ev.activity, ev.timestamp, ev.org, ev.seq_hint)
 
 
-def merge_case(parts: list[CaseView] | tuple[CaseView, ...], schema: MergeSchema = DEFAULT_SCHEMA) -> CaseView:
+def merge_case(parts: list[CaseView] | tuple[CaseView, ...]) -> CaseView:
     """Union the partial views of one case into its full ordered view.
 
     All parts must share the merge key and be pairwise disjoint at the
@@ -121,9 +100,6 @@ class EligibilityLedger:
     def is_eligible(self, case_ref: str) -> bool:
         holders = self.expected.get(case_ref)
         return bool(holders) and self.received.get(case_ref, set()) == holders
-
-    def eligible_refs(self) -> list[str]:
-        return sorted(ref for ref in self.expected if self.is_eligible(ref))
 
     def pending_refs(self) -> list[str]:
         return sorted(ref for ref in self.expected if not self.is_eligible(ref))

@@ -20,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .attest import EnclaveIdentity, make_report
 from .eventlog import CaseView
 from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, serialize_net
-from .merge import DeliveryError, EligibilityLedger, MergeSchema, DEFAULT_SCHEMA, merge_case
+from .merge import DeliveryError, EligibilityLedger, merge_case
 from .transport import TransportError
 from .wire import (
     Ack,
@@ -32,7 +32,6 @@ from .wire import (
     EnvelopeFormatError,
     MIB,
     SegmentEnvelope,
-    case_payload,
     decrypt_segment,
     parse_segment_payload,
 )
@@ -154,7 +153,6 @@ class MinerSession:
         miner_id: str = "miner1",
         timeout_s: float = 30.0,
         compute_enabled: bool = True,
-        schema: MergeSchema = DEFAULT_SCHEMA,
     ):
         if mode not in ("single_batch", "incremental"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -174,7 +172,6 @@ class MinerSession:
         self.miner_id = miner_id
         self.timeout_s = timeout_s
         self.compute_enabled = compute_enabled
-        self.schema = schema
 
         self.ledger = EligibilityLedger()
         self.stats = DfStats()
@@ -347,19 +344,18 @@ class MinerSession:
 
         payload = decrypt_segment(env, self.identity.enc_priv)
         self.budget.charge(len(payload))
-        part_log = parse_segment_payload(payload, source_org=env.org)
-        for ref in part_log.case_refs():
-            view = part_log.cases[ref]
+        part_log, part_sizes = parse_segment_payload(payload, source_org=env.org)
+        for ref, view in part_log.cases.items():
             newly_eligible = self.ledger.record_delivery(env.org, ref)
             entry = len(env.org) + DELIVERY_ENTRY_BYTES
             self.budget.charge(entry)
             self._ledger_charged += entry
-            size = len(case_payload(view)) + PART_OVERHEAD_BYTES
+            size = part_sizes[ref] + PART_OVERHEAD_BYTES
             self.budget.charge(size)
             self._case_bytes[ref] = self._case_bytes.get(ref, 0) + size
             self._parts.setdefault(ref, []).append(view)
             if newly_eligible:
-                merged = merge_case(self._parts.pop(ref), self.schema)
+                merged = merge_case(self._parts.pop(ref))
                 self._eligible.append(merged)
                 if self.mode == "incremental" and len(self._eligible) >= self.batch_cases:
                     self._flush()
@@ -425,10 +421,7 @@ class MinerSession:
         """Full protocol: initialization, acquisition, computation."""
         self.run_initialization()
         self.run_acquisition()
-        if self.compute_enabled:
-            return self.run_computation()
-        self.finish()
-        return None
+        return self.run_computation()
 
 
 # ---------------------------------------------------------------------------

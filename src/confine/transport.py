@@ -7,10 +7,13 @@ keeps experiment sweeps free of socket overhead.
 
 from __future__ import annotations
 
+import json
 import logging
+import urllib.error
+import urllib.parse
+import urllib.request
+from http.client import HTTPException
 from typing import Callable
-
-import requests
 
 __all__ = ["TransportError", "HttpTransport", "LoopbackHub"]
 
@@ -32,31 +35,43 @@ class HttpTransport:
 
     def __init__(self, timeout_s: float = 60.0):
         self.timeout_s = timeout_s
-        self._session = requests.Session()
 
-    def _check(self, url: str, resp: requests.Response) -> dict:
+    def _exchange(self, request: urllib.request.Request) -> tuple[int, bytes]:
         try:
-            body = resp.json()
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            # A 4xx or 5xx answer still carries the peer's JSON error body.
+            with exc:
+                return exc.code, exc.read()
+
+    def _call(self, url: str, request: urllib.request.Request) -> dict:
+        try:
+            status, raw = self._exchange(request)
+        except (OSError, HTTPException) as exc:  # URLError and timeouts are OSErrors
+            raise TransportError(url, str(exc)) from None
+        try:
+            body = json.loads(raw)
         except ValueError:
-            raise TransportError(url, f"non-JSON answer (HTTP {resp.status_code})", resp.status_code)
-        if resp.status_code >= 400:
-            raise TransportError(url, body.get("error", f"HTTP {resp.status_code}"), resp.status_code)
+            body = None
+        if not isinstance(body, dict):
+            raise TransportError(url, f"answer is not a JSON object (HTTP {status})", status)
+        if status >= 400:
+            raise TransportError(url, body.get("error", f"HTTP {status}"), status)
         return body
 
     def get_case_refs(self, base_url: str, miner_id: str) -> dict:
         url = base_url.rstrip("/") + "/caserefs"
-        try:
-            resp = self._session.get(url, params={"miner_id": miner_id}, timeout=self.timeout_s)
-        except requests.RequestException as exc:
-            raise TransportError(url, str(exc)) from None
-        return self._check(url, resp)
+        query = urllib.parse.urlencode({"miner_id": miner_id})
+        return self._call(url, urllib.request.Request(f"{url}?{query}"))
 
     def _post(self, url: str, body: dict) -> dict:
-        try:
-            resp = self._session.post(url, json=body, timeout=self.timeout_s)
-        except requests.RequestException as exc:
-            raise TransportError(url, str(exc)) from None
-        return self._check(url, resp)
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        return self._call(url, request)
 
     def post_cases(self, base_url: str, body: dict) -> dict:
         return self._post(base_url.rstrip("/") + "/cases", body)

@@ -119,18 +119,40 @@ def case_payload(view: CaseView) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def parse_segment_payload(payload: bytes, source_org: str | None = None) -> EventLog:
-    """Parse headerless rows back into a log (column order is fixed)."""
+def parse_segment_payload(
+    payload: bytes, source_org: str | None = None
+) -> tuple[EventLog, dict[str, int]]:
+    """Parse headerless rows back into a log (column order is fixed).
+
+    Also returns, per case ref, the payload bytes its rows arrived in. For a
+    payload built by ``segment_log`` that is ``len(case_payload(view))``.
+    """
+    consumed = 0
+
+    def lines():
+        # Split on b"\n" only, as StringIO does; UTF-8 never puts that byte
+        # inside a multi-byte character, so each line decodes on its own.
+        nonlocal consumed
+        for line in io.BytesIO(payload):
+            consumed += len(line)
+            yield line.decode("utf-8")
+
     events: list[Event] = []
-    reader = csv.reader(io.StringIO(payload.decode("utf-8")))
-    for seq, row in enumerate(reader):
+    sizes: dict[str, int] = {}
+    row_start = 0
+    # csv.reader pulls lines only until the current record is complete, so
+    # after each row `consumed` ends exactly at that row's last line.
+    for seq, row in enumerate(csv.reader(lines())):
+        row_bytes = consumed - row_start
+        row_start = consumed
         if not row:
             continue
         if len(row) != 4:
             raise LogParseError(f"payload row {seq}: expected 4 fields, got {len(row)}")
         case_ref, stamp, activity, org = row
         events.append(Event(case_ref, activity, parse_timestamp(stamp), org, seq_hint=seq))
-    return EventLog.from_events(events, source_org=source_org)
+        sizes[case_ref] = sizes.get(case_ref, 0) + row_bytes
+    return EventLog.from_events(events, source_org=source_org), sizes
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ hospital records 19 events across cases 312 and 711, the pharmaceutical
 company 6 and the specialized clinic 5 (case 312 only).
 """
 
+import http.client
+import urllib.parse
+
 import pytest
 
 from confine.attest import EnclaveIdentity
@@ -59,6 +62,19 @@ T_312 = (
 T_711 = (
     "PH", "COPA", "OD", "DOR", "PDL", "SD", "RD", "AD", "PRTA", "PCD", "DPH", "DP",
 )
+
+
+def http_request(method: str, url: str, body: bytes | None = None) -> tuple[int, bytes]:
+    """One raw HTTP exchange with a local test server: (status, body)."""
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+    try:
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        conn.request(method, parts.path, body=body, headers=headers)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
 
 
 @pytest.fixture(scope="session")

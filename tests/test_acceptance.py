@@ -193,7 +193,7 @@ def test_criterion_06_segmentation_invariants():
                     elif len(s.payload) > seg_size:
                         # only a case that alone exceeds seg_size may overflow
                         assert len(case_payload(log.cases[s.case_refs[0]])) > seg_size
-                    back = parse_segment_payload(s.payload, source_org="X")
+                    back, _ = parse_segment_payload(s.payload, source_org="X")
                     for ref in s.case_refs:
                         assert back.cases[ref].activities == log.cases[ref].activities
             # requesting a subset filters the packed union down to it

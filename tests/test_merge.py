@@ -8,26 +8,14 @@ from hypothesis import strategies as st
 
 from confine.eventlog import CaseView, Event, parse_timestamp
 from confine.merge import (
-    DEFAULT_SCHEMA,
     DeliveryError,
     EligibilityLedger,
     MergeConflictError,
     MergeKeyError,
-    MergeSchema,
     merge_case,
 )
 
 from conftest import T_312, T_711
-
-
-def test_schema_requires_key_fields():
-    with pytest.raises(ValueError):
-        MergeSchema(key_fields=())
-
-
-def test_schema_rejects_unsupported_key():
-    with pytest.raises(ValueError):
-        MergeSchema(key_fields=("activity",))
 
 
 def test_merge_case_312_ground_truth(hospital_log, pharma_log, clinic_log):
@@ -117,7 +105,6 @@ def test_ledger_published_example():
     assert led.record_delivery("S", "312") is True
     assert led.is_eligible("312")
     assert not led.is_eligible("711")
-    assert led.eligible_refs() == ["312"]
     assert led.pending_refs() == ["711"]
     assert led.missing() == {"711": {"H", "C"}}
 
@@ -174,9 +161,4 @@ def test_ledger_received_subset_of_expected_invariant():
             led.record_delivery(org, ref)
             assert led.received[ref] <= led.expected[ref]
     assert led.pending_refs() == []
-    assert led.eligible_refs() == sorted(led.expected)
-
-
-def test_default_schema_shape():
-    assert DEFAULT_SCHEMA.key_fields == ("case_ref",)
-    assert DEFAULT_SCHEMA.order_fields == ("timestamp", "org", "seq_hint")
+    assert all(led.is_eligible(ref) for ref in led.expected)

@@ -1,10 +1,10 @@
 """Miner session tests: budget accounting, staged runs, delivery edge cases."""
 
+import json
 import os
 import random
 
 import pytest
-import requests
 
 from confine.attest import ReferenceRegistry
 from confine.hminer import serialize_net
@@ -30,6 +30,8 @@ from confine.wire import (
     segment_log,
 )
 from confine.harness import standalone_net
+
+from conftest import http_request
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def test_initialization_builds_ledger(hospital_log, pharma_log, clinic_log, iden
     _, session = _setup(_org_logs(hospital_log, pharma_log, clinic_log), identity)
     session.run_initialization()
     assert sorted(session.ledger.pending_refs()) == ["312", "711"]
-    assert session.ledger.eligible_refs() == []
+    assert not any(session.ledger.is_eligible(ref) for ref in ("312", "711"))
     assert session.budget.in_use > 0  # ledger entries are charged
 
 
@@ -171,7 +173,8 @@ def test_full_run_matches_standalone(hospital_log, pharma_log, clinic_log,
     assert net is session.net
     expected = standalone_net(merged_log)
     assert serialize_net(net, "json") == serialize_net(expected, "json")
-    assert sorted(session.ledger.eligible_refs()) == ["312", "711"]
+    assert session.ledger.pending_refs() == []
+    assert all(session.ledger.is_eligible(ref) for ref in ("312", "711"))
 
 
 def test_incremental_equals_single_batch(hospital_log, pharma_log, clinic_log, identity):
@@ -406,23 +409,22 @@ def receiver(identity):
 
 
 def test_receiver_acks_bad_envelope(receiver):
-    resp = requests.post(f"{receiver.url}/segments", json={"org": "H"}, timeout=5)
-    assert resp.status_code == 200
-    assert resp.json()["status"] == "error"
+    status, body = http_request("POST", f"{receiver.url}/segments", b'{"org": "H"}')
+    assert status == 200
+    assert json.loads(body)["status"] == "error"
 
 
 def test_receiver_rejects_bad_json(receiver):
-    resp = requests.post(f"{receiver.url}/segments", data=b"not json",
-                         headers={"Content-Type": "application/json"}, timeout=5)
-    assert resp.status_code == 400
-    assert "bad JSON body" in resp.json()["error"]
+    status, body = http_request("POST", f"{receiver.url}/segments", b"not json")
+    assert status == 400
+    assert "bad JSON body" in json.loads(body)["error"]
 
 
 def test_receiver_rejects_non_object_body(receiver):
-    resp = requests.post(f"{receiver.url}/segments", json=[1, 2], timeout=5)
-    assert resp.status_code == 400
+    status, _body = http_request("POST", f"{receiver.url}/segments", b"[1, 2]")
+    assert status == 400
 
 
 def test_receiver_unknown_path(receiver):
-    resp = requests.post(f"{receiver.url}/elsewhere", json={}, timeout=5)
-    assert resp.status_code == 404
+    status, _body = http_request("POST", f"{receiver.url}/elsewhere", b"{}")
+    assert status == 404

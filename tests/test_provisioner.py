@@ -1,9 +1,14 @@
 """Provisioner service: access gate, challenges, delivery, HTTP front end."""
 
 import json
+import socket
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
-import requests
 
 from confine.attest import EnclaveIdentity, ReferenceRegistry, make_report
 from confine.codec import b64u_decode
@@ -19,6 +24,8 @@ from confine.wire import (
     decrypt_segment,
     parse_segment_payload,
 )
+
+from conftest import http_request
 
 
 class PushRecorder:
@@ -145,7 +152,7 @@ def test_trusted_report_delivers_envelopes(hospital_log, identity):
     assert len(push.envelopes) == 1
     env = SegmentEnvelope.from_dict(push.envelopes[0])
     assert env.org == "H" and env.seq_no == 0 and env.total == 1
-    back = parse_segment_payload(decrypt_segment(env, identity.enc_priv))
+    back, _ = parse_segment_payload(decrypt_segment(env, identity.enc_priv))
     assert back.case_refs() == ["312", "711"]
     assert back.event_count() == 19
 
@@ -301,21 +308,75 @@ def test_http_unknown_refs_is_400(server):
 
 def test_http_unknown_path_is_404(server):
     srv, _push = server
-    assert requests.get(f"{srv.url}/nowhere", timeout=5).status_code == 404
-    assert requests.post(f"{srv.url}/nowhere", json={}, timeout=5).status_code == 404
+    assert http_request("GET", f"{srv.url}/nowhere")[0] == 404
+    assert http_request("POST", f"{srv.url}/nowhere", b"{}")[0] == 404
 
 
 def test_http_bad_json_is_400(server):
     srv, _push = server
-    resp = requests.post(
-        f"{srv.url}/cases",
-        data=b"{not json",
-        headers={"Content-Type": "application/json"},
-        timeout=5,
-    )
-    assert resp.status_code == 400
+    status, _body = http_request("POST", f"{srv.url}/cases", b"{not json")
+    assert status == 400
 
 
 def test_http_missing_miner_id_is_400(server):
     srv, _push = server
-    assert requests.get(f"{srv.url}/caserefs", timeout=5).status_code == 400
+    assert http_request("GET", f"{srv.url}/caserefs")[0] == 400
+
+
+# -- HTTP client failures ------------------------------------------------------------
+
+
+def test_http_transport_refused_connection():
+    # a port that was bound and then released has no listener
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(TransportError) as err:
+        HttpTransport(timeout_s=5).post_cases(f"http://127.0.0.1:{port}", {})
+    assert err.value.status is None
+    assert err.value.url == f"http://127.0.0.1:{port}/cases"
+
+
+@pytest.mark.parametrize(
+    "status,body,detail",
+    [
+        (500, b"<html>internal error</html>", "answer is not a JSON object (HTTP 500)"),
+        (502, b"[1, 2]", "answer is not a JSON object (HTTP 502)"),
+    ],
+    ids=["html-500", "json-list-502"],
+)
+def test_http_transport_bad_error_answer(status, body, detail):
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):  # noqa: N802 (http.server API)
+            self.rfile.read(int(self.headers.get("Content-Length", "0")))
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, fmt, *args):
+            pass
+
+    httpd = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(TransportError) as err:
+            HttpTransport(timeout_s=5).post_attestation(f"http://127.0.0.1:{httpd.server_port}", {})
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert err.value.status == status
+    assert err.value.detail == detail
+
+
+def test_import_does_not_load_requests():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, confine; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=src, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -145,7 +145,7 @@ def test_segment_log_matches_packing_oracle(case_sizes, seg_size):
     for seg in segments:
         if len(seg.case_refs) > 1:
             assert len(seg.payload) <= seg_size
-        back = parse_segment_payload(seg.payload)
+        back, _ = parse_segment_payload(seg.payload)
         assert back.case_refs() == sorted(seg.case_refs)
     union = [r for s in segments for r in s.case_refs]
     assert sorted(union) == log.case_refs()
@@ -167,13 +167,34 @@ def test_segment_count_non_increasing_in_seg_size(case_sizes):
 def test_segment_payload_round_trip(hospital_log):
     segments = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")
     assert len(segments) == 1
-    back = parse_segment_payload(segments[0].payload, source_org="H")
+    back, _ = parse_segment_payload(segments[0].payload, source_org="H")
     assert back.case_refs() == ["312", "711"]
     assert back.cases["312"].activities == hospital_log.cases["312"].activities
     for ref in ("312", "711"):
         assert [e.timestamp for e in back.cases[ref].events] == [
             e.timestamp for e in hospital_log.cases[ref].events
         ]
+
+
+def test_parsed_case_sizes_equal_case_payload():
+    # the sizes the miner charges must equal the canonical rows of each case,
+    # also where csv quoting, line breaks inside fields or UTF-8 widen a row
+    stamp = parse_timestamp("2022-07-14T10:36:00.000250Z")
+    events = [
+        Event("c1", "admit, triage", stamp, "H", 0),
+        Event("c1", 'say "ok"', parse_timestamp("2022-07-14T11:00:00.000Z"), "H", 1),
+        Event("c2", "line one\nline two", stamp, "Klinik Zürich", 2),
+        Event("c2", "discharge", parse_timestamp("2022-07-15T09:30:00.120Z"), "Klinik Zürich", 3),
+        Event("c3", "plain", stamp, "München", 4),
+    ]
+    log = EventLog.from_events(events)
+    for seg_size in (1, 10_000):
+        for seg in segment_log(log, log.case_refs(), seg_size, "H"):
+            back, sizes = parse_segment_payload(seg.payload)
+            assert sorted(sizes) == sorted(seg.case_refs)
+            assert sum(sizes.values()) == len(seg.payload)
+            for ref, view in back.cases.items():
+                assert sizes[ref] == len(case_payload(view)) == len(case_payload(log.cases[ref]))
 
 
 # -- encryption ---------------------------------------------------------------
