@@ -138,7 +138,6 @@ def _cmd_miner(args: argparse.Namespace) -> int:
         capacity=parse_size(args.capacity),
         miner_config=_miner_config(args),
         miner_id=args.miner_id,
-        timeout_s=args.timeout,
     )
     receiver = MinerReceiver(session, host=args.host, port=args.port).start()
     session.callback_url = receiver.url
@@ -176,7 +175,6 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         networked=args.networked,
         mode=args.mode,
         batch_cases=args.batch_cases,
-        timeout_s=args.timeout,
     )
     print(
         f"converged={result.equal} cases={result.case_count} events={result.event_count} "
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-cases", type=int, default=100)
     p.add_argument("--capacity", default=str(DEFAULT_CAPACITY))
     p.add_argument("--miner-id", default="miner1")
-    p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--out", help="directory for net.json, net.dot, metrics.csv")
     _add_miner_config(p)
     _add_host_port(p, 0)
@@ -301,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--networked", action="store_true", help="use localhost HTTP instead of loopback")
     p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
     p.add_argument("--batch-cases", type=int, default=100)
-    p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--out", help="directory for both net JSON files")
     _add_scenario(p)
     p.set_defaults(func=_cmd_converge)

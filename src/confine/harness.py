@@ -153,7 +153,6 @@ def run_protocol(
     capacity: int = DEFAULT_CAPACITY,
     miner_config: MinerConfig = MinerConfig(),
     identity: EnclaveIdentity | None = None,
-    timeout_s: float = 30.0,
     compute_enabled: bool = True,
     miner_id: str = "miner1",
 ) -> MinerSession:
@@ -178,7 +177,6 @@ def run_protocol(
             miner_config=miner_config,
             identity=identity,
             miner_id=miner_id,
-            timeout_s=timeout_s,
             compute_enabled=compute_enabled,
         )
 
@@ -243,7 +241,6 @@ def run_convergence(
     mode: str = "single_batch",
     batch_cases: int = 100,
     miner_config: MinerConfig = MinerConfig(),
-    timeout_s: float = 30.0,
 ) -> ConvergenceResult:
     """Mine the same log standalone and via the protocol, compare exactly."""
     log_data, org_map = generate_scenario_log(params)
@@ -256,7 +253,6 @@ def run_convergence(
         mode=mode,
         batch_cases=batch_cases,
         miner_config=miner_config,
-        timeout_s=timeout_s,
     )
     elapsed = time.perf_counter() - t0
     reference = standalone_net(log_data, miner_config)
@@ -468,7 +464,6 @@ def run_scalability_suite(
     seg_sizes: tuple[int, ...] | None = None,
     cases: int = 1000,
     seed: int = 42,
-    timeout_s: float = 120.0,
 ) -> dict:
     """Sweep one scaling dimension over the segment-size grid.
 
@@ -487,7 +482,7 @@ def run_scalability_suite(
         reference = serialize_net(standalone_net(log_data))
         for seg in seg_sizes:
             t0 = time.perf_counter()
-            session = run_protocol(partitions, seg_size=seg, timeout_s=timeout_s)
+            session = run_protocol(partitions, seg_size=seg)
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             assert session.net is not None
             cells.append(

@@ -3,7 +3,9 @@
 The service itself is transport-neutral; an HTTP front end is provided for
 real deployments and tests alike. Segments are pushed to the miner's
 callback only after the evidence verified, so no case data ever leaves
-before a trusted verdict.
+before a trusted verdict, and the verdict is answered only once every push
+has been acknowledged or given up on: the miner opens each segment as it
+arrives, so by the answer it holds everything this org will deliver.
 """
 
 from __future__ import annotations

@@ -1,12 +1,21 @@
 """Miner session tests: budget accounting, staged runs, delivery edge cases."""
 
+import itertools
 import json
 import os
 import random
+import socket
+import sys
+import threading
+import time
+import urllib.parse
+from dataclasses import replace
 
 import pytest
 
 from confine.attest import ReferenceRegistry
+from confine.eventlog import partition_by_org
+from confine.harness import ScenarioParams, generate_scenario_log, standalone_net
 from confine.hminer import serialize_net
 from confine.merge import DeliveryError
 from confine.miner import (
@@ -19,17 +28,20 @@ from confine.miner import (
     MinerReceiver,
     MinerSession,
     STAGES,
+    _ReceiverHandler,
 )
-from confine.provisioner import ProvisionerService
-from confine.transport import LoopbackHub
+from confine.provisioner import ProvisionerServer, ProvisionerService
+from confine.transport import HttpTransport, LoopbackHub
 from confine.wire import (
+    KIB,
     Ack,
     AttestationChallenge,
     CaseRefResponse,
+    IntegrityError,
+    SegmentEnvelope,
     encrypt_segment,
     segment_log,
 )
-from confine.harness import standalone_net
 
 from conftest import http_request
 
@@ -228,6 +240,40 @@ def test_metrics_csv_shape(hospital_log, pharma_log, clinic_log, identity):
     assert lines[-1].split(",")[2] == "0"  # all buffers released at the end
 
 
+def test_metrics_stages_follow_org_order(hospital_log, pharma_log, clinic_log, identity):
+    # seg_size 64 packs one case per segment: C sends 1 segment, H and P 2
+    logs = _org_logs(hospital_log, pharma_log, clinic_log)
+    _, session = _setup(logs, identity, seg_size=64)
+    session.run()
+    stages = [row.split(",")[1] for row in session.metrics_csv().splitlines()[1:]]
+    runs = [(stage, len(list(rows))) for stage, rows in itertools.groupby(stages)]
+    assert [stage for stage, _n in runs] == ["init"] + ["attest", "transmit"] * 3 + ["compute"]
+    # one transmit row per opened segment, one more at the org's answer
+    segments = {org: len(segment_log(logs[org], logs[org].case_refs(), 64, org)) for org in logs}
+    assert [n for stage, n in runs if stage == "transmit"] == [
+        segments[org] + 1 for org in sorted(logs)
+    ]
+
+
+def test_budget_bounds_intake(identity):
+    # org H alone, 30 segments of 4 KiB, every merged case folded at once:
+    # apart from the ledger and the statistics, the enclave never holds
+    # more than a few segments' worth of bytes
+    log_data, org_map = generate_scenario_log(ScenarioParams(cases=300, seed=7))
+    hospital = partition_by_org(log_data, org_map)["H"]
+    segments = segment_log(hospital, hospital.case_refs(), 4 * KIB, "H")
+    assert len(segments) >= 10
+    largest = max(len(seg.payload) for seg in segments)
+    _, session = _setup({"H": hospital}, identity, seg_size=4 * KIB,
+                        mode="incremental", batch_cases=1)
+    session.run_initialization()
+    session.run_acquisition()
+    ledger = session._ledger_charged
+    session.run_computation()
+    held = session.budget.peak - ledger - session.stats.estimate_bytes()
+    assert held <= 4 * largest
+
+
 def test_exports_keys(hospital_log, identity):
     _, session = _setup({"H": hospital_log}, identity)
     assert set(session.exports()) == {"metrics.csv"}  # nothing mined yet
@@ -278,6 +324,55 @@ def test_capacity_below_first_segment_aborts(hospital_log, pharma_log, clinic_lo
     assert any('"status": "error"' in ack for ack in session.receiver_acks)
 
 
+def test_unreachable_callback_fails_fast(hospital_log, identity):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        closed = f"http://127.0.0.1:{sock.getsockname()[1]}"
+    service = ProvisionerService(
+        org_id="H",
+        log_data=hospital_log,
+        registry=ReferenceRegistry.of(identity.measurement),
+        allowed_miners={"*"},
+        push=HttpTransport().push_segment,
+    )
+    server = ProvisionerServer(service).start()
+    try:
+        session = MinerSession(providers=[server.url], transport=HttpTransport(),
+                               callback_url=closed, identity=identity)
+        t0 = time.monotonic()
+        with pytest.raises(IncompleteDeliveryError) as exc:
+            session.run()
+        elapsed = time.monotonic() - t0
+    finally:
+        server.close()
+    assert elapsed < 5
+    assert exc.value.missing == {"312": {"H"}, "711": {"H"}}
+    assert "waiting on H" in str(exc.value)
+
+
+def test_tampered_segment_refused_at_once(hospital_log, pharma_log, clinic_log, identity):
+    hub, session = _setup(_org_logs(hospital_log, pharma_log, clinic_log), identity)
+    answers = []
+
+    def flipping(raw):
+        if not answers:
+            env = SegmentEnvelope.from_dict(raw)
+            raw = replace(env, ciphertext=bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:]).to_dict()
+        answers.append(session.enqueue(raw))
+        return answers[-1]
+
+    hub.register_receiver("loop://miner", flipping)
+    with pytest.raises(IntegrityError):
+        session.run()
+    assert answers == [{"status": "error", "reason": "IntegrityError"}]
+    session.enqueue({"org": "C"})
+    for text in session.receiver_acks:
+        ack = json.loads(text)
+        assert set(ack) <= {"status", "reason"}
+        reason = ack.get("reason", "")
+        assert reason.isidentifier() or reason.startswith("bad segment envelope:")
+
+
 class _SilentProvisioner:
     """Announces cases, passes attestation, then never delivers anything."""
 
@@ -296,7 +391,7 @@ class _SilentProvisioner:
 
 
 def test_straggler_timeout(hospital_log, identity):
-    hub, session = _setup({"H": hospital_log}, identity, timeout_s=0.3)
+    hub, session = _setup({"H": hospital_log}, identity)
     hub.register_provisioner("loop://S", _SilentProvisioner("S", ["312"]))
     session.providers.append("loop://S")
     with pytest.raises(IncompleteDeliveryError) as exc:
@@ -310,7 +405,7 @@ def test_unannounced_org_rejected(hospital_log, identity):
     session.run_initialization()
     seg = segment_log(hospital_log, ["312"], 10**6, "Z")[0]
     env = encrypt_segment(seg, identity.enc_pub_der)
-    assert session.enqueue(env.to_dict())["status"] == "ok"
+    assert session.enqueue(env.to_dict()) == {"status": "error", "reason": "DeliveryError"}
     with pytest.raises(DeliveryError, match="unannounced org"):
         session.run_acquisition()
 
@@ -378,9 +473,30 @@ class _ShufflingReceiver:
             order = list(self.buffered)
             self.buffered.clear()
             self.rng.shuffle(order)
-            for body in order:
-                assert self.session.enqueue(body)["status"] == "ok"
+            self._replay(order)
         return {"status": "ok"}
+
+    def _replay(self, order):
+        for body in order:
+            assert self.session.enqueue(body)["status"] == "ok"
+
+
+class _ConcurrentReceiver(_ShufflingReceiver):
+    """Replays the buffered envelopes from eight threads at once."""
+
+    def _replay(self, order):
+        acks = []
+        threads = [
+            threading.Thread(target=lambda part: acks.extend(map(self.session.enqueue, part)),
+                             args=(order[i::8],))
+            for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert acks == [{"status": "ok"}] * len(order)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -393,6 +509,23 @@ def test_shuffled_arrival_matches_reference(hospital_log, pharma_log, clinic_log
     net = session.run()
     expected = standalone_net(merged_log)
     assert serialize_net(net, "json") == serialize_net(expected, "json")
+
+
+def test_concurrent_intake_matches_reference(identity):
+    # eight orgs hold parts of every case and each segment carries one
+    # case, so threads keep touching the same partial cases at once
+    log_data, org_map = generate_scenario_log(ScenarioParams(cases=100, org_count=8, seed=3))
+    logs = partition_by_org(log_data, org_map)
+    hub, session = _setup(logs, identity, seg_size=64, mode="incremental", batch_cases=3)
+    hub.register_receiver("loop://miner", _ConcurrentReceiver(session, logs, seed=0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        net = session.run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert serialize_net(net, "json") == serialize_net(standalone_net(log_data), "json")
+    assert session.budget.in_use == 0
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +545,17 @@ def test_receiver_acks_bad_envelope(receiver):
     status, body = http_request("POST", f"{receiver.url}/segments", b'{"org": "H"}')
     assert status == 200
     assert json.loads(body)["status"] == "error"
+
+
+def test_receiver_drops_stalled_client(receiver, monkeypatch):
+    # one thread serves every push, so a silent connection must not hold it
+    monkeypatch.setattr(_ReceiverHandler, "timeout", 0.2)
+    url = urllib.parse.urlsplit(receiver.url)
+    with socket.create_connection((url.hostname, url.port)):
+        t0 = time.monotonic()
+        status, _body = http_request("POST", f"{receiver.url}/segments", b'{"org": "H"}')
+        assert status == 200
+        assert time.monotonic() - t0 < 4
 
 
 def test_receiver_rejects_bad_json(receiver):
