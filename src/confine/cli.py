@@ -225,12 +225,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    log_data = parse_log(args.log)
-    if args.map:
-        scheme: str | dict = json.loads(Path(args.map).read_text(encoding="utf-8"))
-    else:
-        scheme = args.scheme
-    partitions = split_real_log(log_data, scheme)
+    partitions = split_real_log(parse_log(args.log), args.scheme)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for org, sub in sorted(partitions.items()):
@@ -322,10 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for summary JSON and cell CSV")
     p.set_defaults(func=_cmd_scale)
 
-    p = sub.add_parser("split", help="split a real log by a named scheme or custom map")
+    p = sub.add_parser("split", help="split a real log by a named scheme")
     p.add_argument("--log", required=True)
-    p.add_argument("--scheme", choices=list(SPLIT_SCHEMES))
-    p.add_argument("--map", help="JSON file mapping activity to org")
+    p.add_argument("--scheme", choices=list(SPLIT_SCHEMES), required=True)
     p.add_argument("--out", default="partitions")
     p.set_defaults(func=_cmd_split)
 
@@ -344,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, args.log_level.upper(), logging.WARNING),
         format="%(asctime)s %(levelname)s %(name)s %(message)s",
     )
-    if args.command == "split" and not args.map and not args.scheme:
-        print("split needs --scheme or --map", file=sys.stderr)
-        return 2
     return args.func(args)
 
 

@@ -539,16 +539,14 @@ SEPSIS_SCHEME_MAP = {
 SPLIT_SCHEMES = ("sepsis_care_paths", "bpic_departments")
 
 
-def split_real_log(log_data: EventLog, scheme: str | dict[str, str]) -> dict[str, EventLog]:
+def split_real_log(log_data: EventLog, scheme: str) -> dict[str, EventLog]:
     """Split a user-supplied log for multi-org experiments.
 
     sepsis_care_paths separates intensive care admissions from the normal
     care path by activity. bpic_departments groups events by their org
-    field and expects exactly three departments. A custom activity to org
-    map behaves like partition_by_org.
+    field and expects exactly three departments. For a custom activity to
+    org map, use partition_by_org.
     """
-    if isinstance(scheme, dict):
-        return partition_by_org(log_data, scheme)
     if scheme == "sepsis_care_paths":
         unmatched = sorted(log_data.activities() - set(SEPSIS_SCHEME_MAP))
         if unmatched:
@@ -569,7 +567,7 @@ def split_real_log(log_data: EventLog, scheme: str | dict[str, str]) -> dict[str
         for ev in log_data.events():
             buckets[ev.org].append(ev)
         return {org: EventLog.from_events(evs, source_org=org) for org, evs in buckets.items()}
-    raise ValueError(f"unknown scheme {scheme!r}, expected one of {SPLIT_SCHEMES} or a map")
+    raise ValueError(f"unknown scheme {scheme!r}, expected one of {SPLIT_SCHEMES}")
 
 
 def write_scenario_files(out_dir: str | Path, params: ScenarioParams = ScenarioParams()) -> tuple[Path, Path]:

@@ -91,7 +91,7 @@ class IncompleteDeliveryError(RuntimeError):
         stragglers = "; ".join(
             f"{ref} (waiting on {', '.join(sorted(orgs))})" for ref, orgs in sorted(missing.items())
         )
-        super().__init__(f"incomplete deliveries: {stragglers or 'missing segments'}")
+        super().__init__(f"incomplete deliveries: {stragglers}")
 
 
 @dataclass
@@ -260,6 +260,8 @@ class MinerSession:
                 resp = CaseRefResponse.from_dict(self.transport.get_case_refs(url, self.miner_id))
             except TransportError as exc:
                 raise InitializationError(f"provider {url} failed: {exc.detail}") from None
+            except ValueError as exc:
+                raise InitializationError(f"provider {url} answered badly: {exc}") from None
             if resp.org in self._org_urls:
                 raise InitializationError(f"duplicate org {resp.org!r} announced by {url}")
             self._org_urls[resp.org] = url
@@ -289,22 +291,18 @@ class MinerSession:
             answer = AttestationAnswer(report=report.to_dict())
             self._stage = "transmit"
             ack = Ack.from_dict(self._send("attestation", url, answer.to_dict()))
-            if ack.status != "trusted":
-                raise AttestationRejectedError(org, ack.reason)
+            # a segment this session refused keeps its own error type
             if self._fatal is not None:
                 raise self._fatal
+            if ack.status == "rejected":
+                raise AttestationRejectedError(org, ack.reason)
+            if ack.status != "trusted":
+                raise DeliveryError(f"org {org!r} could not deliver: {ack.reason}")
             self._metric()
         if self._fatal is not None:
             raise self._fatal
-        if not self._transfer_complete() or self.ledger.pending_refs():
+        if self.ledger.pending_refs():
             raise IncompleteDeliveryError(self.ledger.missing())
-
-    def _transfer_complete(self) -> bool:
-        for org, refs in self._org_refs.items():
-            total = self._org_total.get(org)
-            if refs and (total is None or len(self._org_received.get(org, ())) < total):
-                return False
-        return True
 
     def _process_envelope(self, env: SegmentEnvelope) -> None:
         held = _ct_size(env)

@@ -3,8 +3,9 @@
 The service itself is transport-neutral; an HTTP front end is provided for
 real deployments and tests alike. Segments are pushed to the miner's
 callback only after the evidence verified, so no case data ever leaves
-before a trusted verdict, and the verdict is answered only once every push
-has been acknowledged or given up on: the miner opens each segment as it
+before a trusted verdict. Each segment is pushed once before the verdict
+is answered: ``trusted`` if the miner acknowledged every one, else ``error``
+naming the first segment not delivered. The miner opens each segment as it
 arrives, so by the answer it holds everything this org will deliver.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import threading
-import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable
@@ -58,8 +58,6 @@ class ProvisionerService:
     registry: ReferenceRegistry
     allowed_miners: Iterable[str]
     push: Callable[[str, dict], dict]
-    push_retries: int = 3
-    retry_backoff_s: float = 0.05
     _pending: dict[bytes, _Pending] = field(default_factory=dict, init=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
@@ -98,7 +96,8 @@ class ProvisionerService:
 
         The nonce echoed inside the report selects the pending request. A
         report for an unknown or already consumed nonce is rejected as
-        stale, so replays never release data twice.
+        stale, so replays never release data twice. A trusted report is
+        answered ``trusted`` only when every segment was acknowledged.
         """
         try:
             report = AttestationReport.from_dict(body.get("report") or {})
@@ -117,12 +116,19 @@ class ProvisionerService:
             log.info("org %s rejected attestation: %s", self.org_id, verdict.reason)
             return Ack(status="rejected", reason=verdict.reason).to_dict()
 
-        self._deliver(pending, report.enc_pub)
+        failure = self._deliver(pending, report.enc_pub)
+        if failure is not None:
+            return Ack(status="error", reason=failure).to_dict()
         return Ack(status="trusted").to_dict()
 
     # -- stage 3: transmission ---------------------------------------------
 
-    def _deliver(self, pending: _Pending, enc_pub_der: bytes) -> None:
+    def _deliver(self, pending: _Pending, enc_pub_der: bytes) -> str | None:
+        """Push each segment once; the reason for the first failure, if any.
+
+        There is no retry: a push whose ack was lost may already have been
+        opened, and pushing it again would read as a duplicate segment.
+        """
         segments = segment_log(self.log_data, list(pending.refs), pending.seg_size, self.org_id)
         log.info(
             "org %s delivering %d case(s) in %d segment(s)",
@@ -130,28 +136,16 @@ class ProvisionerService:
         )
         for segment in segments:
             envelope = encrypt_segment(segment, enc_pub_der).to_dict()
-            if not self._push_with_retry(pending.callback, envelope):
-                log.error(
-                    "org %s aborting transfer at segment %d/%d: callback %s unreachable",
-                    self.org_id, segment.seq_no, segment.total, pending.callback,
-                )
-                return
-
-    def _push_with_retry(self, callback: str, envelope: dict) -> bool:
-        for attempt in range(self.push_retries):
             try:
-                ack = Ack.from_dict(self.push(callback, envelope))
+                ack = Ack.from_dict(self.push(pending.callback, envelope))
+                if ack.status == "ok":
+                    continue
+                failure = f"segment {segment.seq_no}/{segment.total} refused: {ack.reason}"
             except TransportError as exc:
-                log.warning("push attempt %d to %s failed: %s", attempt + 1, callback, exc)
-                time.sleep(self.retry_backoff_s * (attempt + 1))
-                continue
-            if ack.status == "ok":
-                return True
-            # The receiver answered but refused the segment; retrying the
-            # same bytes cannot help.
-            log.error("receiver at %s refused segment: %s", callback, ack.reason)
-            return False
-        return False
+                failure = f"segment {segment.seq_no}/{segment.total} undelivered: {exc.detail}"
+            log.error("org %s stopped delivery to %s: %s", self.org_id, pending.callback, failure)
+            return failure
+        return None
 
 
 # ---------------------------------------------------------------------------

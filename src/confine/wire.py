@@ -307,7 +307,12 @@ class CaseRefResponse:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CaseRefResponse":
-        return cls(org=str(raw["org"]), refs=tuple(raw["refs"]))
+        org, refs = raw.get("org"), raw.get("refs")
+        if not isinstance(org, str):
+            raise ValueError("bad case ref response: org must be a string")
+        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+            raise ValueError("bad case ref response: refs must be a list of strings")
+        return cls(org=org, refs=tuple(refs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,9 +327,12 @@ class CaseRequest:
     @classmethod
     def from_dict(cls, raw: dict) -> "CaseRequest":
         try:
+            refs = raw["refs"]
+            if not isinstance(refs, list):
+                raise TypeError(f"refs must be a list, got {type(refs).__name__}")
             return cls(
                 seg_size=int(raw["seg_size"]),
-                refs=tuple(str(r) for r in raw["refs"]),
+                refs=tuple(str(r) for r in refs),
                 callback=str(raw["callback"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -340,7 +348,10 @@ class AttestationChallenge:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AttestationChallenge":
-        return cls(nonce=b64u_decode(raw["nonce"]))
+        try:
+            return cls(nonce=b64u_decode(raw["nonce"]))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"bad attestation challenge: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -356,18 +356,6 @@ def test_split_departments_needs_org_values():
         split_real_log(log, "bpic_departments")
 
 
-def test_split_custom_map_partitions():
-    log = _toy_log([("c1", "A", ""), ("c1", "B", ""), ("c2", "A", "")])
-    parts = split_real_log(log, {"A": "X", "B": "Y"})
-    assert set(parts) == {"X", "Y"}
-    assert parts["X"].event_count() == 2
-    # identical to calling the partitioner directly
-    direct = partition_by_org(log, {"A": "X", "B": "Y"})
-    assert {o: p.event_count() for o, p in parts.items()} == {
-        o: p.event_count() for o, p in direct.items()
-    }
-
-
 def test_split_unknown_scheme():
     log = _toy_log([("c1", "A", "")])
     with pytest.raises(ValueError, match="unknown scheme"):

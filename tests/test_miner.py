@@ -31,7 +31,7 @@ from confine.miner import (
     _ReceiverHandler,
 )
 from confine.provisioner import ProvisionerServer, ProvisionerService
-from confine.transport import HttpTransport, LoopbackHub
+from confine.transport import HttpTransport, LoopbackHub, TransportError
 from confine.wire import (
     KIB,
     Ack,
@@ -171,6 +171,40 @@ def test_initialization_duplicate_org(hospital_log, identity):
     session.providers.append("loop://H2")
     with pytest.raises(InitializationError, match="duplicate org"):
         session.run_initialization()
+
+
+class _FixedAnswers:
+    """Announces a fixed case-ref answer and challenge, whatever they hold."""
+
+    def __init__(self, refs_answer, challenge=None):
+        self.refs_answer = refs_answer
+        self.challenge = challenge
+
+    def serve_case_refs(self, miner_id):
+        return self.refs_answer
+
+    def handle_case_request(self, body):
+        return self.challenge
+
+
+@pytest.mark.parametrize("answer", [{}, {"org": "H", "refs": None}, {"org": "H", "refs": "312"}])
+def test_initialization_malformed_case_refs(identity, answer):
+    hub = LoopbackHub()
+    hub.register_provisioner("loop://bad", _FixedAnswers(answer))
+    session = MinerSession(providers=["loop://bad"], transport=hub,
+                           callback_url="loop://miner", identity=identity)
+    with pytest.raises(InitializationError, match="loop://bad"):
+        session.run_initialization()
+
+
+def test_malformed_challenge_is_value_error(identity):
+    hub = LoopbackHub()
+    hub.register_provisioner("loop://bad", _FixedAnswers({"org": "H", "refs": ["312"]}, {}))
+    session = MinerSession(providers=["loop://bad"], transport=hub,
+                           callback_url="loop://miner", identity=identity)
+    session.run_initialization()
+    with pytest.raises(ValueError, match="bad attestation challenge"):
+        session.run_acquisition()
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +374,28 @@ def test_unreachable_callback_fails_fast(hospital_log, identity):
         session = MinerSession(providers=[server.url], transport=HttpTransport(),
                                callback_url=closed, identity=identity)
         t0 = time.monotonic()
-        with pytest.raises(IncompleteDeliveryError) as exc:
+        with pytest.raises(DeliveryError, match="org 'H' could not deliver: segment 0/1 undelivered"):
             session.run()
         elapsed = time.monotonic() - t0
     finally:
         server.close()
     assert elapsed < 5
-    assert exc.value.missing == {"312": {"H"}, "711": {"H"}}
-    assert "waiting on H" in str(exc.value)
+
+
+def test_lost_ack_ends_with_delivery_error(hospital_log, identity):
+    # the miner opens segment 0, but its ack never reaches the provider
+    hub, session = _setup({"H": hospital_log}, identity, seg_size=300)
+    pushed = []
+
+    def losing_ack(raw):
+        pushed.append(raw["seq_no"])
+        session.enqueue(raw)
+        raise TransportError("loop://miner", "ack lost")
+
+    hub.register_receiver("loop://miner", losing_ack)
+    with pytest.raises(DeliveryError, match="org 'H' could not deliver: segment 0/2 undelivered: ack lost"):
+        session.run()
+    assert pushed == [0]
 
 
 def test_tampered_segment_refused_at_once(hospital_log, pharma_log, clinic_log, identity):

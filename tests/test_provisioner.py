@@ -226,31 +226,32 @@ def test_unanswered_challenge_never_delivers(hospital_log, identity):
     assert push.envelopes == []
 
 
-def test_push_retries_on_transport_error_then_succeeds(hospital_log, identity):
-    push = PushRecorder(
-        responses=[TransportError("cb://x", "boom"), {"status": "ok"}]
-    )
-    service = _service(hospital_log, identity, push=push, retry_backoff_s=0.0)
-    ack = _attested_delivery(service, identity)
-    assert ack == {"status": "trusted"}
-    assert len(push.envelopes) == 1
+def _pushed_seq_nos(push):
+    return [SegmentEnvelope.from_dict(e).seq_no for e in push.envelopes]
 
 
-def test_push_aborts_after_retry_budget(hospital_log, identity):
-    boom = [TransportError("cb://x", "down")] * 3
-    push = PushRecorder(responses=boom)
-    service = _service(hospital_log, identity, push=push, retry_backoff_s=0.0)
+def test_push_transport_error_answers_undelivered(hospital_log, identity):
+    push = PushRecorder(responses=[TransportError("cb://x", "down")])
+    service = _service(hospital_log, identity, push=push)
     ack = _attested_delivery(service, identity, seg_size=300)
-    # the transfer is aborted quietly; the attestation itself succeeded
-    assert ack == {"status": "trusted"}
-    assert push.envelopes == []
+    assert ack == {"status": "error", "reason": "segment 0/2 undelivered: down"}
+    assert push.envelopes == []  # one attempt, no retry
+
+
+def test_push_stops_at_first_undelivered_segment(hospital_log, identity):
+    push = PushRecorder(responses=[{"status": "ok"}, TransportError("cb://x", "reset")])
+    service = _service(hospital_log, identity, push=push)
+    ack = _attested_delivery(service, identity, seg_size=300)
+    assert ack == {"status": "error", "reason": "segment 1/2 undelivered: reset"}
+    assert _pushed_seq_nos(push) == [0]  # segment 0 is never pushed again
 
 
 def test_push_does_not_retry_on_receiver_refusal(hospital_log, identity):
     push = PushRecorder(responses=[{"status": "error", "reason": "full"}])
-    service = _service(hospital_log, identity, push=push, retry_backoff_s=0.0)
-    _attested_delivery(service, identity, seg_size=300)
-    assert len(push.envelopes) == 1  # first refused envelope, no retries, abort
+    service = _service(hospital_log, identity, push=push)
+    ack = _attested_delivery(service, identity, seg_size=300)
+    assert ack == {"status": "error", "reason": "segment 0/2 refused: full"}
+    assert _pushed_seq_nos(push) == [0]  # first refused envelope, no retries, abort
 
 
 # -- HTTP front end ----------------------------------------------------------------

@@ -308,6 +308,12 @@ def test_case_request_validation():
         CaseRequest.from_dict({"refs": ["1"], "callback": "x"})
 
 
+def test_case_request_refs_must_be_a_list():
+    # a string would otherwise be taken as one case per character
+    with pytest.raises(ValueError, match="bad case request"):
+        CaseRequest.from_dict({"seg_size": 10, "refs": "312", "callback": "x"})
+
+
 def test_ack_reason_omitted_when_absent():
     assert "reason" not in Ack(status="trusted").to_dict()
 
