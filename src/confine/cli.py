@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .attest import ReferenceRegistry, default_measurement
-from .eventlog import parse_log, partition_by_org, serialize_log
+from .eventlog import EventLog, parse_log, partition_by_org, serialize_log
 from .harness import (
     MEMORY_PRESETS,
     SCALABILITY_TESTS,
@@ -224,27 +224,24 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
-    partitions = split_real_log(parse_log(args.log), args.scheme)
-    out = Path(args.out)
+def _write_partitions(partitions: dict[str, EventLog], out: Path) -> None:
+    """Write one canonical CSV per org into out and report each."""
     out.mkdir(parents=True, exist_ok=True)
     for org, sub in sorted(partitions.items()):
         path = out / f"{org}.csv"
         path.write_text(serialize_log(sub), encoding="utf-8")
         print(f"{org}: {len(sub)} cases, {sub.event_count()} events -> {path}")
+
+
+def _cmd_split(args: argparse.Namespace) -> int:
+    _write_partitions(split_real_log(parse_log(args.log), args.scheme), Path(args.out))
     return 0
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     log_data = parse_log(args.log)
     org_map = json.loads(Path(args.map).read_text(encoding="utf-8"))
-    partitions = partition_by_org(log_data, org_map)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for org, sub in sorted(partitions.items()):
-        path = out / f"{org}.csv"
-        path.write_text(serialize_log(sub), encoding="utf-8")
-        print(f"{org}: {len(sub)} cases, {sub.event_count()} events -> {path}")
+    _write_partitions(partition_by_org(log_data, org_map), Path(args.out))
     return 0
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import base64
+import re
 
 __all__ = ["b64u_encode", "b64u_decode"]
+
+_B64U_CHARS = re.compile(r"[A-Za-z0-9_-]*")
 
 
 def b64u_encode(data: bytes) -> str:
@@ -17,7 +20,7 @@ def b64u_decode(text: str) -> bytes:
     if not isinstance(text, str):
         raise ValueError("base64url field must be a string")
     stripped = text.rstrip("=")
-    if not all(c.isalnum() or c in "-_" for c in stripped):
+    if not _B64U_CHARS.fullmatch(stripped):
         raise ValueError("bad base64url field: invalid characters")
     pad = -len(stripped) % 4
     try:

@@ -71,9 +71,13 @@ def format_timestamp(ts: datetime) -> str:
     """
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    else:
+    elif ts.tzinfo is not timezone.utc:
         ts = ts.astimezone(timezone.utc)
-    base = ts.strftime("%Y-%m-%dT%H:%M:%S")
+    # zero-padded fields: strftime("%Y") does not pad years before 1000
+    base = (
+        f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+        f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}"
+    )
     if ts.microsecond % 1000 == 0:
         return f"{base}.{ts.microsecond // 1000:03d}Z"
     return f"{base}.{ts.microsecond:06d}Z"

@@ -30,10 +30,12 @@ from .wire import (
     CaseRequest,
     DEFAULT_SEG_SIZE,
     EnvelopeFormatError,
+    IntegrityError,
     MIB,
     SegmentEnvelope,
     decrypt_segment,
     parse_segment_payload,
+    unwrap_key,
 )
 
 __all__ = [
@@ -186,6 +188,9 @@ class MinerSession:
         self._org_refs: dict[str, tuple[str, ...]] = {}
         self._org_total: dict[str, int] = {}
         self._org_received: dict[str, set[int]] = {}
+        # each org seals its whole delivery under one key: unwrapped on the
+        # org's first envelope, then every later envelope must carry it
+        self._org_keys: dict[str, tuple[bytes, bytes]] = {}
         # Enclave-tagged store: raw case data is reachable only through
         # these private buffers and is never exported.
         self._parts: dict[str, list[CaseView]] = {}
@@ -319,7 +324,7 @@ class MinerSession:
             if env.seq_no in received:
                 raise DeliveryError(f"org {env.org!r} pushed segment {env.seq_no} twice")
 
-            payload = decrypt_segment(env, self.identity.enc_priv)
+            payload = decrypt_segment(env, self._delivery_secret(env))
             self.budget.charge(len(payload))
             held += len(payload)
             part_log, part_sizes = parse_segment_payload(payload, source_org=env.org)
@@ -341,6 +346,20 @@ class MinerSession:
         finally:
             self.budget.release(held)
         self._metric()
+
+    def _delivery_secret(self, env: SegmentEnvelope) -> bytes:
+        """The org's unwrapped delivery key; unwrapped once, on its first envelope."""
+        pinned = self._org_keys.get(env.org)
+        if pinned is None:
+            secret = unwrap_key(env.wrapped_key, self.identity.enc_priv)
+            self._org_keys[env.org] = (env.wrapped_key, secret)
+            return secret
+        wrapped, secret = pinned
+        if env.wrapped_key != wrapped:
+            raise IntegrityError(
+                f"org {env.org!r} segment {env.seq_no}/{env.total} carries a different wrapped key"
+            )
+        return secret
 
     def _flush(self) -> None:
         """Fold buffered merged cases into the statistics, free their bytes."""
@@ -380,6 +399,7 @@ class MinerSession:
             self.budget.release(leftover)
         self._case_bytes.clear()
         self._parts.clear()
+        self._org_keys.clear()
         self._eligible.clear()
         if self._stats_charged:
             self.budget.release(self._stats_charged)

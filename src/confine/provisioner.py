@@ -20,7 +20,6 @@ from typing import Callable, Iterable
 from urllib.parse import parse_qs, urlparse
 
 from .attest import AttestationReport, ReferenceRegistry, new_nonce, verify_report
-from .codec import b64u_encode
 from .eventlog import EventLog
 from .transport import TransportError
 from .wire import (
@@ -28,6 +27,7 @@ from .wire import (
     AttestationChallenge,
     CaseRefResponse,
     CaseRequest,
+    SealingKey,
     UnknownCaseRefsError,
     encrypt_segment,
     segment_log,
@@ -128,14 +128,17 @@ class ProvisionerService:
 
         There is no retry: a push whose ack was lost may already have been
         opened, and pushing it again would read as a duplicate segment.
+        The whole delivery is sealed under one key, wrapped once for the
+        enclave and dropped when the loop ends.
         """
         segments = segment_log(self.log_data, list(pending.refs), pending.seg_size, self.org_id)
         log.info(
             "org %s delivering %d case(s) in %d segment(s)",
             self.org_id, len(pending.refs), len(segments),
         )
+        sealing = SealingKey.for_enclave(enc_pub_der)
         for segment in segments:
-            envelope = encrypt_segment(segment, enc_pub_der).to_dict()
+            envelope = encrypt_segment(segment, sealing).to_dict()
             try:
                 ack = Ack.from_dict(self.push(pending.callback, envelope))
                 if ack.status == "ok":

@@ -2,9 +2,13 @@
 
 Segments carry whole cases only. The wire payload is the headerless
 canonical CSV of the segment's cases; payload size is measured on exactly
-those bytes. Each segment is sealed with a fresh AES-256-GCM key, and the
-key together with the GCM nonce is wrapped for the receiving enclave with
-RSA-OAEP(SHA-256).
+those bytes. Each delivery (one attestation) is sealed under one fresh
+AES-256-GCM key and a random base nonce, wrapped once for the receiving
+enclave with RSA-OAEP(SHA-256). Segment ``i`` is sealed with nonce
+``base XOR i``, and its header ``(org, seq_no, total)`` is bound as GCM
+associated data, so a relabeled envelope fails authentication. Every
+envelope of a delivery carries the same wrapped key; the enclave unwraps
+it once and opens each segment with AES-GCM alone.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -35,7 +39,9 @@ __all__ = [
     "case_payload",
     "segment_log",
     "parse_segment_payload",
+    "SealingKey",
     "encrypt_segment",
+    "unwrap_key",
     "decrypt_segment",
     "CaseRefResponse",
     "CaseRequest",
@@ -258,39 +264,76 @@ class SegmentEnvelope:
             raise EnvelopeFormatError(f"bad segment envelope: {exc}") from None
 
 
-def encrypt_segment(segment: Segment, enc_pub_der: bytes) -> SegmentEnvelope:
-    """Seal one segment: fresh AES-256-GCM key, key+nonce wrapped with OAEP."""
-    key = os.urandom(_GCM_KEY_BYTES)
-    nonce = os.urandom(_GCM_NONCE_BYTES)
-    sealed = AESGCM(key).encrypt(nonce, segment.payload, None)
-    ciphertext, tag = sealed[:-_GCM_TAG_BYTES], sealed[-_GCM_TAG_BYTES:]
-    enc_pub = serialization.load_der_public_key(enc_pub_der)
-    if not isinstance(enc_pub, rsa.RSAPublicKey):
-        raise ValueError("enclave encryption key is not an RSA public key")
-    wrapped = enc_pub.encrypt(key + nonce, _OAEP)
+@dataclass(frozen=True, slots=True)
+class SealingKey:
+    """One delivery's AES-256-GCM key and base nonce, wrapped for the enclave."""
+
+    key: bytes = field(repr=False)
+    base_nonce: bytes = field(repr=False)
+    wrapped: bytes
+
+    @classmethod
+    def for_enclave(cls, enc_pub_der: bytes) -> "SealingKey":
+        enc_pub = serialization.load_der_public_key(enc_pub_der)
+        if not isinstance(enc_pub, rsa.RSAPublicKey):
+            raise ValueError("enclave encryption key is not an RSA public key")
+        key = os.urandom(_GCM_KEY_BYTES)
+        base_nonce = os.urandom(_GCM_NONCE_BYTES)
+        return cls(key=key, base_nonce=base_nonce, wrapped=enc_pub.encrypt(key + base_nonce, _OAEP))
+
+
+def _nonce(base_nonce: bytes, seq_no: int) -> bytes:
+    mask = int.from_bytes(base_nonce, "big") ^ seq_no
+    return mask.to_bytes(_GCM_NONCE_BYTES, "big")
+
+
+def _header_aad(org: str, seq_no: int, total: int) -> bytes:
+    # the org comes last and takes the remainder, so the encoding is unambiguous
+    return f"{seq_no}/{total}/{org}".encode("utf-8")
+
+
+def encrypt_segment(segment: Segment, sealing: SealingKey) -> SegmentEnvelope:
+    """Seal one segment under its delivery's key; the header is authenticated."""
+    sealed = AESGCM(sealing.key).encrypt(
+        _nonce(sealing.base_nonce, segment.seq_no),
+        segment.payload,
+        _header_aad(segment.org, segment.seq_no, segment.total),
+    )
     return SegmentEnvelope(
         org=segment.org,
         seq_no=segment.seq_no,
         total=segment.total,
-        wrapped_key=wrapped,
-        ciphertext=ciphertext,
-        auth_tag=tag,
+        wrapped_key=sealing.wrapped,
+        ciphertext=sealed[:-_GCM_TAG_BYTES],
+        auth_tag=sealed[-_GCM_TAG_BYTES:],
     )
 
 
-def decrypt_segment(envelope: SegmentEnvelope, enc_priv: rsa.RSAPrivateKey) -> bytes:
-    """Unwrap and open an envelope; any tampering raises IntegrityError."""
+def unwrap_key(wrapped: bytes, enc_priv: rsa.RSAPrivateKey) -> bytes:
+    """RSA-OAEP unwrap of a delivery's key and base nonce."""
     try:
-        secret = enc_priv.decrypt(envelope.wrapped_key, _OAEP)
+        secret = enc_priv.decrypt(wrapped, _OAEP)
     except ValueError as exc:
         raise IntegrityError(f"key unwrap failed: {exc}") from None
     if len(secret) != _GCM_KEY_BYTES + _GCM_NONCE_BYTES:
         raise IntegrityError("key unwrap failed: wrong secret length")
-    key, nonce = secret[:_GCM_KEY_BYTES], secret[_GCM_KEY_BYTES:]
+    return secret
+
+
+def decrypt_segment(envelope: SegmentEnvelope, secret: bytes) -> bytes:
+    """Open an envelope with its unwrapped secret; any tampering raises IntegrityError."""
+    key, base_nonce = secret[:_GCM_KEY_BYTES], secret[_GCM_KEY_BYTES:]
     try:
-        return AESGCM(key).decrypt(nonce, envelope.ciphertext + envelope.auth_tag, None)
+        return AESGCM(key).decrypt(
+            _nonce(base_nonce, envelope.seq_no),
+            envelope.ciphertext + envelope.auth_tag,
+            _header_aad(envelope.org, envelope.seq_no, envelope.total),
+        )
     except InvalidTag:
-        raise IntegrityError("segment failed authentication") from None
+        raise IntegrityError(
+            f"org {envelope.org!r} segment {envelope.seq_no}/{envelope.total} "
+            "failed authentication"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -42,3 +42,6 @@ def test_rig_session_succeeds(bench, identity, networked):
     result = bench.one_session(cf, w, inputs, identity, registry, {}, traced=True)
     assert result.error is None
     assert result.layers["transport.push_s"] > 0
+    # the traced seal and open names must still be called by these names
+    assert result.layers["provisioner.seal_s"] > 0
+    assert result.layers["wire.decrypt_s"] > 0

@@ -64,8 +64,8 @@ def test_format_timestamp_submillisecond_keeps_microseconds():
 
 @given(
     st.datetimes(
-        min_value=datetime(1971, 1, 1),
-        max_value=datetime(2200, 1, 1),
+        min_value=datetime.min,
+        max_value=datetime.max,
         timezones=st.just(UTC),
     )
 )

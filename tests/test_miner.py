@@ -38,9 +38,11 @@ from confine.wire import (
     AttestationChallenge,
     CaseRefResponse,
     IntegrityError,
+    SealingKey,
     SegmentEnvelope,
     encrypt_segment,
     segment_log,
+    unwrap_key,
 )
 
 from conftest import http_request
@@ -421,6 +423,71 @@ def test_tampered_segment_refused_at_once(hospital_log, pharma_log, clinic_log, 
         assert reason.isidentifier() or reason.startswith("bad segment envelope:")
 
 
+def test_one_unwrap_per_org(identity, monkeypatch):
+    calls = []
+
+    def counting(wrapped, enc_priv):
+        calls.append(wrapped)
+        return unwrap_key(wrapped, enc_priv)
+
+    monkeypatch.setattr("confine.miner.unwrap_key", counting)
+    log_data, org_map = generate_scenario_log(ScenarioParams(cases=30, seed=7))
+    logs = partition_by_org(log_data, org_map)
+    assert len(logs) == 3
+    hub, session = _setup(logs, identity, seg_size=KIB)
+    opened = []
+
+    def counting_orgs(raw):
+        opened.append(raw["org"])
+        return session.enqueue(raw)
+
+    hub.register_receiver("loop://miner", counting_orgs)
+    session.run()
+    assert all(opened.count(org) > 1 for org in logs)
+    assert len(calls) == len(set(calls)) == 3
+    assert session._org_keys == {}  # finish() drops the unwrapped secrets
+
+
+def test_second_wrapped_key_from_pinned_org_rejected(hospital_log, identity):
+    hub, session = _setup({"H": hospital_log}, identity, seg_size=300)
+    answers = []
+
+    def rekeying(raw):
+        if answers:
+            # a later segment sealed under another key, validly on its own
+            env = SegmentEnvelope.from_dict(raw)
+            seg = segment_log(hospital_log, ["711"], 10**6, "H")[0]
+            forged = encrypt_segment(
+                replace(seg, seq_no=env.seq_no, total=env.total),
+                SealingKey.for_enclave(identity.enc_pub_der),
+            )
+            raw = forged.to_dict()
+        answers.append(session.enqueue(raw))
+        return answers[-1]
+
+    hub.register_receiver("loop://miner", rekeying)
+    with pytest.raises(IntegrityError, match=r"org 'H' segment 1/\d+ carries a different wrapped key"):
+        session.run()
+    assert answers == [{"status": "ok"}, {"status": "error", "reason": "IntegrityError"}]
+
+
+def test_bit_flipped_wrapped_key_refused_at_once(hospital_log, identity):
+    hub, session = _setup({"H": hospital_log}, identity, seg_size=300)
+    answers = []
+
+    def flipping(raw):
+        env = SegmentEnvelope.from_dict(raw)
+        key = env.wrapped_key
+        raw = replace(env, wrapped_key=key[:-1] + bytes([key[-1] ^ 1])).to_dict()
+        answers.append(session.enqueue(raw))
+        return answers[-1]
+
+    hub.register_receiver("loop://miner", flipping)
+    with pytest.raises(IntegrityError, match="key unwrap failed"):
+        session.run()
+    assert answers == [{"status": "error", "reason": "IntegrityError"}]
+
+
 class _SilentProvisioner:
     """Announces cases, passes attestation, then never delivers anything."""
 
@@ -452,7 +519,7 @@ def test_unannounced_org_rejected(hospital_log, identity):
     _, session = _setup({"H": hospital_log}, identity)
     session.run_initialization()
     seg = segment_log(hospital_log, ["312"], 10**6, "Z")[0]
-    env = encrypt_segment(seg, identity.enc_pub_der)
+    env = encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub_der))
     assert session.enqueue(env.to_dict()) == {"status": "error", "reason": "DeliveryError"}
     with pytest.raises(DeliveryError, match="unannounced org"):
         session.run_acquisition()

@@ -23,6 +23,7 @@ from confine.wire import (
     UnknownCaseRefsError,
     decrypt_segment,
     parse_segment_payload,
+    unwrap_key,
 )
 
 from conftest import http_request
@@ -152,7 +153,8 @@ def test_trusted_report_delivers_envelopes(hospital_log, identity):
     assert len(push.envelopes) == 1
     env = SegmentEnvelope.from_dict(push.envelopes[0])
     assert env.org == "H" and env.seq_no == 0 and env.total == 1
-    back, _ = parse_segment_payload(decrypt_segment(env, identity.enc_priv))
+    secret = unwrap_key(env.wrapped_key, identity.enc_priv)
+    back, _ = parse_segment_payload(decrypt_segment(env, secret))
     assert back.case_refs() == ["312", "711"]
     assert back.event_count() == 19
 
@@ -165,6 +167,24 @@ def test_segments_pushed_in_seq_order_constant_total(hospital_log, identity):
     assert len(envs) > 1
     assert [e.seq_no for e in envs] == list(range(len(envs)))
     assert all(e.total == len(envs) for e in envs)
+
+
+def test_one_wrapped_key_per_delivery(hospital_log, identity):
+    push = PushRecorder()
+    service = _service(hospital_log, identity, push=push)
+    _attested_delivery(service, identity, seg_size=300)
+    first = [SegmentEnvelope.from_dict(e) for e in push.envelopes]
+    assert len(first) > 1
+    assert len({e.wrapped_key for e in first}) == 1
+    assert len({e.ciphertext for e in first}) == len(first)
+    secret = unwrap_key(first[0].wrapped_key, identity.enc_priv)
+    back, _ = parse_segment_payload(b"".join(decrypt_segment(e, secret) for e in first))
+    assert back.case_refs() == ["312", "711"]
+    # the next attestation is a new delivery under a new key
+    push.envelopes.clear()
+    _attested_delivery(service, identity, seg_size=300)
+    second = {SegmentEnvelope.from_dict(e).wrapped_key for e in push.envelopes}
+    assert second.isdisjoint({first[0].wrapped_key})
 
 
 def test_rejected_report_sends_nothing(hospital_log, identity):

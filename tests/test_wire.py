@@ -1,6 +1,7 @@
 """Size parsing, segmentation, hybrid encryption and message schemas."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from confine.wire import (
     CaseRequest,
     EnvelopeFormatError,
     IntegrityError,
+    SealingKey,
     Segment,
     SegmentEnvelope,
     UnknownCaseRefsError,
@@ -27,6 +29,7 @@ from confine.wire import (
     parse_segment_payload,
     parse_size,
     segment_log,
+    unwrap_key,
 )
 
 from conftest import HOSPITAL_CSV
@@ -200,24 +203,47 @@ def test_parsed_case_sizes_equal_case_payload():
 # -- encryption ---------------------------------------------------------------
 
 
+def _seal(seg, identity):
+    return encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub_der))
+
+
+def _open(env, identity):
+    return decrypt_segment(env, unwrap_key(env.wrapped_key, identity.enc_priv))
+
+
 def test_encrypt_decrypt_round_trip(identity, hospital_log):
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
-    env = encrypt_segment(seg, identity.enc_pub_der)
+    env = _seal(seg, identity)
     assert env.org == "H" and env.seq_no == 0 and env.total == 1
-    assert decrypt_segment(env, identity.enc_priv) == seg.payload
+    assert _open(env, identity) == seg.payload
 
 
-def test_encrypt_fresh_key_per_segment(identity, hospital_log):
+def test_fresh_key_per_delivery_distinct_nonce_and_ciphertext_per_segment(identity, hospital_log):
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
-    e1 = encrypt_segment(seg, identity.enc_pub_der)
-    e2 = encrypt_segment(seg, identity.enc_pub_der)
-    assert e1.wrapped_key != e2.wrapped_key
-    assert e1.ciphertext != e2.ciphertext
+    first, second = (SealingKey.for_enclave(identity.enc_pub_der) for _ in range(2))
+    assert first.wrapped != second.wrapped and first.key != second.key
+    assert encrypt_segment(seg, first).ciphertext != encrypt_segment(seg, second).ciphertext
+    # one delivery: the same payload at every index, so only the nonce differs
+    total = 8
+    envs = [encrypt_segment(replace(seg, seq_no=i, total=total), first) for i in range(total)]
+    assert {env.wrapped_key for env in envs} == {first.wrapped}
+    assert len({env.ciphertext for env in envs}) == total
+    secret = unwrap_key(first.wrapped, identity.enc_priv)
+    assert all(decrypt_segment(env, secret) == seg.payload for env in envs)
+
+
+@pytest.mark.parametrize("field,value", [("seq_no", 1), ("org", "P"), ("total", 21)])
+def test_relabeled_header_is_integrity_error(identity, hospital_log, field, value):
+    seg = replace(segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0], total=20)
+    env = _seal(seg, identity)
+    assert _open(env, identity) == seg.payload
+    with pytest.raises(IntegrityError, match="failed authentication"):
+        _open(replace(env, **{field: value}), identity)
 
 
 def test_decrypt_tampered_tag_is_integrity_error(identity, hospital_log):
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
-    env = encrypt_segment(seg, identity.enc_pub_der)
+    env = _seal(seg, identity)
     bad = SegmentEnvelope(
         org=env.org,
         seq_no=env.seq_no,
@@ -227,13 +253,13 @@ def test_decrypt_tampered_tag_is_integrity_error(identity, hospital_log):
         auth_tag=bytes(b ^ 1 for b in env.auth_tag),
     )
     with pytest.raises(IntegrityError):
-        decrypt_segment(bad, identity.enc_priv)
+        _open(bad, identity)
 
 
 def test_decrypt_bit_flipped_ciphertext_is_integrity_error(identity, hospital_log):
     rng = random.Random(7)
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
-    env = encrypt_segment(seg, identity.enc_pub_der)
+    env = _seal(seg, identity)
     for _ in range(20):
         ct = bytearray(env.ciphertext)
         ct[rng.randrange(len(ct))] ^= 1 << rng.randrange(8)
@@ -246,26 +272,26 @@ def test_decrypt_bit_flipped_ciphertext_is_integrity_error(identity, hospital_lo
             auth_tag=env.auth_tag,
         )
         with pytest.raises(IntegrityError):
-            decrypt_segment(bad, identity.enc_priv)
+            _open(bad, identity)
 
 
 def test_decrypt_wrong_private_key_fails(identity, hospital_log):
     other = EnclaveIdentity.generate(manifest=b"other")
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
-    env = encrypt_segment(seg, identity.enc_pub_der)
+    env = _seal(seg, identity)
     with pytest.raises(IntegrityError):
-        decrypt_segment(env, other.enc_priv)
+        _open(env, other)
 
 
 def test_envelope_dict_round_trip(identity, hospital_log):
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
-    env = encrypt_segment(seg, identity.enc_pub_der)
+    env = _seal(seg, identity)
     assert SegmentEnvelope.from_dict(env.to_dict()) == env
 
 
 def test_envelope_truncated_is_format_error(identity, hospital_log):
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
-    raw = encrypt_segment(seg, identity.enc_pub_der).to_dict()
+    raw = _seal(seg, identity).to_dict()
     del raw["ciphertext"]
     with pytest.raises(EnvelopeFormatError):
         SegmentEnvelope.from_dict(raw)
@@ -325,3 +351,13 @@ def test_b64u_round_trip(data):
     encoded = b64u_encode(data)
     assert "=" not in encoded
     assert b64u_decode(encoded) == data
+
+
+@pytest.mark.parametrize(
+    "text", ["abé", "١٢", "ab c", "a+b/"], ids=["latin", "arabic-digits", "space", "std-alphabet"]
+)
+def test_b64u_rejects_foreign_characters(text):
+    from confine.codec import b64u_decode
+
+    with pytest.raises(ValueError, match="invalid characters"):
+        b64u_decode(text)
