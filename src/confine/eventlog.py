@@ -56,11 +56,12 @@ def parse_timestamp(text: str) -> datetime:
         raw = raw[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(raw)
-    except ValueError as exc:
+        if ts.tzinfo is None:
+            return ts.replace(tzinfo=timezone.utc)
+        # a zoned stamp near the ends of the datetime range overflows here
+        return ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise LogParseError(f"bad timestamp {text!r}: {exc}") from None
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
 
 
 def format_timestamp(ts: datetime) -> str:

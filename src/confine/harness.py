@@ -138,6 +138,9 @@ def standalone_net(log_data: EventLog, config: MinerConfig = MinerConfig()) -> H
     return build_net(stats, config)
 
 
+_MINER_ID = "miner1"
+
+
 @functools.lru_cache(maxsize=1)
 def shared_identity() -> EnclaveIdentity:
     """One enclave identity per process; key generation is expensive."""
@@ -151,17 +154,14 @@ def run_protocol(
     mode: str = "single_batch",
     batch_cases: int = 100,
     capacity: int = DEFAULT_CAPACITY,
-    miner_config: MinerConfig = MinerConfig(),
-    identity: EnclaveIdentity | None = None,
     compute_enabled: bool = True,
-    miner_id: str = "miner1",
 ) -> MinerSession:
     """Run one full protocol session against per-org provisioners.
 
     Returns the finished session; the discovered net (if computed) is on
     session.net, budget and metrics on the session as well.
     """
-    identity = identity or shared_identity()
+    identity = shared_identity()
     registry = ReferenceRegistry.of(identity.measurement)
     orgs = sorted(partitions)
 
@@ -174,9 +174,8 @@ def run_protocol(
             mode=mode,
             batch_cases=batch_cases,
             capacity=capacity,
-            miner_config=miner_config,
             identity=identity,
-            miner_id=miner_id,
+            miner_id=_MINER_ID,
             compute_enabled=compute_enabled,
         )
 
@@ -189,7 +188,7 @@ def run_protocol(
                 org_id=org,
                 log_data=partitions[org],
                 registry=registry,
-                allowed_miners={miner_id},
+                allowed_miners={_MINER_ID},
                 push=hub.push_segment,
             )
             hub.register_provisioner(f"loop://{org}", service)
@@ -209,7 +208,7 @@ def run_protocol(
                 org_id=org,
                 log_data=partitions[org],
                 registry=registry,
-                allowed_miners={miner_id},
+                allowed_miners={_MINER_ID},
                 push=HttpTransport().push_segment,
             )
             servers.append(ProvisionerServer(service).start())
@@ -240,7 +239,6 @@ def run_convergence(
     networked: bool = False,
     mode: str = "single_batch",
     batch_cases: int = 100,
-    miner_config: MinerConfig = MinerConfig(),
 ) -> ConvergenceResult:
     """Mine the same log standalone and via the protocol, compare exactly."""
     log_data, org_map = generate_scenario_log(params)
@@ -252,10 +250,9 @@ def run_convergence(
         networked=networked,
         mode=mode,
         batch_cases=batch_cases,
-        miner_config=miner_config,
     )
     elapsed = time.perf_counter() - t0
-    reference = standalone_net(log_data, miner_config)
+    reference = standalone_net(log_data)
     assert session.net is not None
     equal = serialize_net(session.net) == serialize_net(reference)
     return ConvergenceResult(

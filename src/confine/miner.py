@@ -15,13 +15,12 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .attest import EnclaveIdentity, make_report
 from .eventlog import CaseView
 from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, serialize_net
 from .merge import DeliveryError, EligibilityLedger, merge_case
-from .transport import TransportError
+from .transport import JsonServer, TransportError, segment_routes
 from .wire import (
     Ack,
     AttestationAnswer,
@@ -228,12 +227,25 @@ class MinerSession:
         blobs.extend(self.exports().values())
         return blobs
 
-    def _send(self, kind: str, url: str, body: dict) -> dict:
-        text = json.dumps(body, sort_keys=True)
-        self.outbound.append((url, text))
-        if kind == "cases":
-            return self.transport.post_cases(url, body)
-        return self.transport.post_attestation(url, body)
+    def _send(self, org: str, kind: str, body: dict, parse):
+        """One acquisition request to ``org``, parsed by ``parse``.
+
+        A transport failure or malformed answer is a DeliveryError naming
+        the org, unless this session already refused a segment: that
+        refusal keeps its own error type.
+        """
+        url = self._org_urls[org]
+        self.outbound.append((url, json.dumps(body, sort_keys=True)))
+        call = self.transport.post_cases if kind == "cases" else self.transport.post_attestation
+        try:
+            return parse(call(url, body))
+        except TransportError as exc:
+            detail = exc.detail
+        except ValueError as exc:
+            detail = str(exc)
+        if self._fatal is not None:
+            raise self._fatal
+        raise DeliveryError(f"org {org!r} {kind} request failed: {detail}")
 
     # -- segment intake ------------------------------------------------------
 
@@ -289,13 +301,12 @@ class MinerSession:
                 continue
             self._stage = "attest"
             self._metric()
-            url = self._org_urls[org]
             request = CaseRequest(seg_size=self.seg_size, refs=refs, callback=self.callback_url)
-            challenge = AttestationChallenge.from_dict(self._send("cases", url, request.to_dict()))
+            challenge = self._send(org, "cases", request.to_dict(), AttestationChallenge.from_dict)
             report = make_report(self.identity, challenge.nonce)
             answer = AttestationAnswer(report=report.to_dict())
             self._stage = "transmit"
-            ack = Ack.from_dict(self._send("attestation", url, answer.to_dict()))
+            ack = self._send(org, "attestation", answer.to_dict(), Ack.from_dict)
             # a segment this session refused keeps its own error type
             if self._fatal is not None:
                 raise self._fatal
@@ -416,65 +427,8 @@ class MinerSession:
         return self.run_computation()
 
 
-# ---------------------------------------------------------------------------
-# HTTP callback receiver
-
-
-class _ReceiverHandler(BaseHTTPRequestHandler):
-    server_version = "confine-miner/0.1"
-    # seconds a stalled client may hold the single serving thread
-    timeout = 30
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        if self.path != "/segments":
-            self._send(404, {"error": "not found"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
-            if not isinstance(body, dict):
-                raise ValueError("body must be a JSON object")
-        except ValueError as exc:
-            self._send(400, {"error": f"bad JSON body: {exc}"})
-            return
-        self._send(200, self.server.session.enqueue(body))
-
-    def _send(self, status: int, body: dict) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, fmt: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), fmt % args)
-
-
-class MinerReceiver:
-    """HTTP endpoint where provisioners push segment envelopes.
-
-    One long-lived thread serves every push: intake is serialized by the
-    session anyway, and opening segments on a fresh thread per request
-    cost about 13% more CPU on 1 KiB segments (RSA unwrap is slower
-    on a cold thread).
-    """
+class MinerReceiver(JsonServer):
+    """HTTP endpoint where provisioners push segment envelopes."""
 
     def __init__(self, session: MinerSession, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = HTTPServer((host, port), _ReceiverHandler)
-        self._httpd.session = session
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-
-    @property
-    def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "MinerReceiver":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5)
+        super().__init__(segment_routes(session.enqueue), host, port)

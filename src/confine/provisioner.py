@@ -1,27 +1,25 @@
 """Data holder service: announces case refs, gates them behind attestation.
 
-The service itself is transport-neutral; an HTTP front end is provided for
-real deployments and tests alike. Segments are pushed to the miner's
-callback only after the evidence verified, so no case data ever leaves
-before a trusted verdict. Each segment is pushed once before the verdict
-is answered: ``trusted`` if the miner acknowledged every one, else ``error``
-naming the first segment not delivered. The miner opens each segment as it
+The service itself is transport-neutral: ``ProvisionerServer`` serves it
+over HTTP and ``LoopbackHub`` in process, both through the one route table
+in ``transport``. Segments are pushed to the miner's callback only after
+the evidence verified, so no case data ever leaves before a trusted
+verdict. Each segment is pushed once before the verdict is answered:
+``trusted`` if the miner acknowledged every one, else ``error`` naming
+the first segment not delivered. The miner opens each segment as it
 arrives, so by the answer it holds everything this org will deliver.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable
-from urllib.parse import parse_qs, urlparse
 
 from .attest import AttestationReport, ReferenceRegistry, new_nonce, verify_report
 from .eventlog import EventLog
-from .transport import TransportError
+from .transport import JsonServer, TransportError, provisioner_routes
 from .wire import (
     Ack,
     AttestationChallenge,
@@ -43,13 +41,6 @@ class AccessDeniedError(PermissionError):
 
 
 @dataclass
-class _Pending:
-    seg_size: int
-    refs: tuple[str, ...]
-    callback: str
-
-
-@dataclass
 class ProvisionerService:
     """One organization's provisioner: refs, challenges, sealed segments."""
 
@@ -58,7 +49,7 @@ class ProvisionerService:
     registry: ReferenceRegistry
     allowed_miners: Iterable[str]
     push: Callable[[str, dict], dict]
-    _pending: dict[bytes, _Pending] = field(default_factory=dict, init=False, repr=False)
+    _pending: dict[bytes, CaseRequest] = field(default_factory=dict, init=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -88,7 +79,7 @@ class ProvisionerService:
             raise UnknownCaseRefsError(unknown)
         nonce = new_nonce()
         with self._lock:
-            self._pending[nonce] = _Pending(req.seg_size, req.refs, req.callback)
+            self._pending[nonce] = req
         return AttestationChallenge(nonce=nonce).to_dict()
 
     def handle_attestation(self, body: dict) -> dict:
@@ -107,8 +98,8 @@ class ProvisionerService:
         with self._lock:
             # challenges are single-use: consumed on first answer, whatever
             # the verdict, so replays and retries always read stale_nonce
-            pending = self._pending.pop(report.nonce, None)
-        if pending is None:
+            request = self._pending.pop(report.nonce, None)
+        if request is None:
             return Ack(status="rejected", reason="stale_nonce").to_dict()
 
         verdict = verify_report(report, expected_nonce=report.nonce, registry=self.registry)
@@ -116,14 +107,14 @@ class ProvisionerService:
             log.info("org %s rejected attestation: %s", self.org_id, verdict.reason)
             return Ack(status="rejected", reason=verdict.reason).to_dict()
 
-        failure = self._deliver(pending, report.enc_pub)
+        failure = self._deliver(request, report.enc_pub)
         if failure is not None:
             return Ack(status="error", reason=failure).to_dict()
         return Ack(status="trusted").to_dict()
 
     # -- stage 3: transmission ---------------------------------------------
 
-    def _deliver(self, pending: _Pending, enc_pub_der: bytes) -> str | None:
+    def _deliver(self, request: CaseRequest, enc_pub_der: bytes) -> str | None:
         """Push each segment once; the reason for the first failure, if any.
 
         There is no retry: a push whose ack was lost may already have been
@@ -131,105 +122,28 @@ class ProvisionerService:
         The whole delivery is sealed under one key, wrapped once for the
         enclave and dropped when the loop ends.
         """
-        segments = segment_log(self.log_data, list(pending.refs), pending.seg_size, self.org_id)
+        segments = segment_log(self.log_data, list(request.refs), request.seg_size, self.org_id)
         log.info(
             "org %s delivering %d case(s) in %d segment(s)",
-            self.org_id, len(pending.refs), len(segments),
+            self.org_id, len(request.refs), len(segments),
         )
         sealing = SealingKey.for_enclave(enc_pub_der)
         for segment in segments:
             envelope = encrypt_segment(segment, sealing).to_dict()
             try:
-                ack = Ack.from_dict(self.push(pending.callback, envelope))
+                ack = Ack.from_dict(self.push(request.callback, envelope))
                 if ack.status == "ok":
                     continue
                 failure = f"segment {segment.seq_no}/{segment.total} refused: {ack.reason}"
             except TransportError as exc:
                 failure = f"segment {segment.seq_no}/{segment.total} undelivered: {exc.detail}"
-            log.error("org %s stopped delivery to %s: %s", self.org_id, pending.callback, failure)
+            log.error("org %s stopped delivery to %s: %s", self.org_id, request.callback, failure)
             return failure
         return None
 
 
-# ---------------------------------------------------------------------------
-# HTTP front end
-
-
-class _ProvisionerHandler(BaseHTTPRequestHandler):
-    server_version = "confine-provisioner/0.1"
-
-    def _send(self, status: int, body: dict) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length)
-        body = json.loads(raw.decode("utf-8"))
-        if not isinstance(body, dict):
-            raise ValueError("request body must be a JSON object")
-        return body
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        url = urlparse(self.path)
-        if url.path != "/caserefs":
-            self._send(404, {"error": "not found"})
-            return
-        miner_id = (parse_qs(url.query).get("miner_id") or [""])[0]
-        if not miner_id:
-            self._send(400, {"error": "miner_id query parameter is required"})
-            return
-        try:
-            self._send(200, self.server.service.serve_case_refs(miner_id))
-        except AccessDeniedError as exc:
-            self._send(403, {"error": str(exc)})
-
-    def do_POST(self) -> None:  # noqa: N802
-        try:
-            body = self._read_json()
-        except ValueError as exc:
-            self._send(400, {"error": f"bad JSON body: {exc}"})
-            return
-        service = self.server.service
-        try:
-            if self.path == "/cases":
-                self._send(200, service.handle_case_request(body))
-            elif self.path == "/attestation":
-                self._send(200, service.handle_attestation(body))
-            else:
-                self._send(404, {"error": "not found"})
-        except ValueError as exc:
-            self._send(400, {"error": str(exc)})
-        except Exception:
-            log.exception("unhandled provisioner error")
-            self._send(500, {"error": "internal error"})
-
-    def log_message(self, fmt: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), fmt % args)
-
-
-class ProvisionerServer:
-    """Threaded HTTP server wrapping one ProvisionerService."""
+class ProvisionerServer(JsonServer):
+    """HTTP front end of one ProvisionerService."""
 
     def __init__(self, service: ProvisionerService, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = ThreadingHTTPServer((host, port), _ProvisionerHandler)
-        self._httpd.service = service
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-
-    @property
-    def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ProvisionerServer":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5)
+        super().__init__(provisioner_routes(service), host, port)

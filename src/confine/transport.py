@@ -1,23 +1,33 @@
-"""Client-side transport: real HTTP or in-process loopback.
+"""The protocol's JSON requests: two clients, one route table per role, one server.
 
-Both transports expose the same four calls, so the provisioner service and
-the miner session never know which one they run over. The loopback hub
-keeps experiment sweeps free of socket overhead.
+``HttpTransport`` and ``LoopbackHub`` expose the same four calls, so the
+provisioner service and the miner session never know which one they run
+over. ``answer()`` runs a route table and maps service errors to statuses;
+``JsonServer`` and the hub both answer through it, so an error reads as
+the same status and ``TransportError`` over HTTP and over loopback.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
 from http.client import HTTPException
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Callable
 
-__all__ = ["TransportError", "HttpTransport", "LoopbackHub"]
+__all__ = [
+    "TransportError", "HttpTransport", "LoopbackHub", "JsonServer",
+    "answer", "provisioner_routes", "segment_routes",
+]
 
 log = logging.getLogger(__name__)
+
+# (method, path) -> call(query, body); body is None for a GET
+Routes = dict[tuple[str, str], Callable[[dict, "dict | None"], dict]]
 
 
 class TransportError(Exception):
@@ -83,52 +93,148 @@ class HttpTransport:
         return self._post(callback_url.rstrip("/") + "/segments", body)
 
 
+def provisioner_routes(service) -> Routes:
+    """The provisioner's three requests; any object with these methods serves."""
+
+    def case_refs(query: dict, _body) -> dict:
+        miner_id = query.get("miner_id")
+        if not miner_id:
+            raise ValueError("miner_id query parameter is required")
+        return service.serve_case_refs(miner_id)
+
+    return {
+        ("GET", "/caserefs"): case_refs,
+        ("POST", "/cases"): lambda _query, body: service.handle_case_request(body),
+        ("POST", "/attestation"): lambda _query, body: service.handle_attestation(body),
+    }
+
+
+def segment_routes(receive: Callable[[dict], dict]) -> Routes:
+    """The miner's callback: every pushed envelope goes to ``receive``."""
+    return {("POST", "/segments"): lambda _query, body: receive(body)}
+
+
+def answer(
+    routes: Routes, method: str, path: str, query: dict, body: dict | None
+) -> tuple[int, dict]:
+    """Run one request against a route table: ``(status, JSON object)``."""
+    call = routes.get((method, path))
+    if call is None:
+        return 404, {"error": "not found"}
+    try:
+        return 200, call(query, body)
+    except PermissionError as exc:
+        return 403, {"error": str(exc)}
+    except ValueError as exc:
+        return 400, {"error": str(exc)}
+    except Exception:
+        log.exception("unhandled error answering %s %s", method, path)
+        return 500, {"error": "internal error"}
+
+
+class _JsonHandler(BaseHTTPRequestHandler):
+    server_version = "confine/0.1"
+    # seconds a stalled client may hold the single serving thread
+    timeout = 30
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        self._answer(None)
+
+    def do_POST(self) -> None:  # noqa: N802
+        length = self.headers.get("Content-Length", "0")
+        # rfile.read(-1) would wait for the client to close the connection
+        if not length.isdecimal():
+            self._send(400, {"error": f"bad Content-Length {length!r}"})
+            return
+        try:
+            body = json.loads(self.rfile.read(int(length)))
+            if not isinstance(body, dict):
+                raise ValueError("body must be a JSON object")
+        except ValueError as exc:
+            self._send(400, {"error": f"bad JSON body: {exc}"})
+            return
+        self._answer(body)
+
+    def _answer(self, body: dict | None) -> None:
+        url = urllib.parse.urlsplit(self.path)
+        query = dict(urllib.parse.parse_qsl(url.query))
+        self._send(*answer(self.server.routes, self.command, url.path, query, body))
+
+    def _send(self, status: int, body: dict) -> None:
+        data = json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, fmt: str, *args) -> None:
+        log.debug("%s %s", self.address_string(), fmt % args)
+
+
+class JsonServer:
+    """HTTP server answering one route table from one long-lived thread.
+
+    A provisioner serves one miner at a time, and the miner's session opens
+    pushed segments one at a time anyway. The handler timeout keeps a
+    stalled client from holding the thread.
+    """
+
+    def __init__(self, routes: Routes, host: str = "127.0.0.1", port: int = 0):
+        self._httpd = HTTPServer((host, port), _JsonHandler)
+        self._httpd.routes = routes
+        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+
+    @property
+    def url(self) -> str:
+        host, port = self._httpd.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self) -> "JsonServer":
+        self._thread.start()
+        return self
+
+    def close(self) -> None:
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        self._thread.join(timeout=5)
+
+
 class LoopbackHub:
-    """In-process transport: URLs map to registered service objects.
+    """In-process transport that keeps experiment sweeps free of socket overhead.
 
     Provisioners register under their base URL, segment receivers under the
-    miner's callback URL. Errors that the HTTP layer would turn into 4xx
-    answers surface as TransportError here as well.
+    miner's callback URL, and each URL answers the routes registered there.
+    Requests go through ``answer()`` like HTTP ones, so an error status
+    becomes the same TransportError.
     """
 
     def __init__(self):
-        self._provisioners: dict[str, object] = {}
-        self._receivers: dict[str, Callable[[dict], dict]] = {}
+        self._routes: dict[str, Routes] = {}
 
     def register_provisioner(self, base_url: str, service) -> None:
-        self._provisioners[base_url.rstrip("/")] = service
+        self._routes.setdefault(base_url.rstrip("/"), {}).update(provisioner_routes(service))
 
     def register_receiver(self, callback_url: str, receive: Callable[[dict], dict]) -> None:
-        self._receivers[callback_url.rstrip("/")] = receive
+        self._routes.setdefault(callback_url.rstrip("/"), {}).update(segment_routes(receive))
 
-    def _service(self, base_url: str):
-        svc = self._provisioners.get(base_url.rstrip("/"))
-        if svc is None:
-            raise TransportError(base_url, "no provisioner registered at this URL")
-        return svc
+    def _call(self, base_url: str, method: str, path: str, query: dict, body: dict | None) -> dict:
+        base = base_url.rstrip("/")
+        if base not in self._routes:
+            raise TransportError(base + path, "nothing registered at this URL")
+        status, reply = answer(self._routes[base], method, path, query, body)
+        if status >= 400:
+            raise TransportError(base + path, reply["error"], status)
+        return reply
 
     def get_case_refs(self, base_url: str, miner_id: str) -> dict:
-        from .provisioner import AccessDeniedError
-
-        try:
-            return self._service(base_url).serve_case_refs(miner_id)
-        except AccessDeniedError as exc:
-            raise TransportError(base_url, str(exc), status=403) from None
+        return self._call(base_url, "GET", "/caserefs", {"miner_id": miner_id}, None)
 
     def post_cases(self, base_url: str, body: dict) -> dict:
-        try:
-            return self._service(base_url).handle_case_request(body)
-        except ValueError as exc:
-            raise TransportError(base_url, str(exc), status=400) from None
+        return self._call(base_url, "POST", "/cases", {}, body)
 
     def post_attestation(self, base_url: str, body: dict) -> dict:
-        try:
-            return self._service(base_url).handle_attestation(body)
-        except ValueError as exc:
-            raise TransportError(base_url, str(exc), status=400) from None
+        return self._call(base_url, "POST", "/attestation", {}, body)
 
     def push_segment(self, callback_url: str, body: dict) -> dict:
-        receive = self._receivers.get(callback_url.rstrip("/"))
-        if receive is None:
-            raise TransportError(callback_url, "no receiver registered at this URL")
-        return receive(body)
+        return self._call(callback_url, "POST", "/segments", {}, body)

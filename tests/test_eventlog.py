@@ -50,6 +50,12 @@ def test_parse_timestamp_rejects_garbage():
         parse_timestamp("not-a-time")
 
 
+def test_out_of_range_zoned_stamp_names_its_line():
+    # converting 0001-01-01T00:00+05:00 to UTC falls before year 1
+    with pytest.raises(LogParseError, match="line 2"):
+        parse_csv("case,timestamp,activity,org\nc1,0001-01-01T00:00+05:00,A,H\n")
+
+
 def test_format_timestamp_millisecond_canonical_form():
     ts = datetime(2022, 7, 14, 10, 36, 5, 123000, tzinfo=UTC)
     assert format_timestamp(ts) == "2022-07-14T10:36:05.123Z"

@@ -28,10 +28,9 @@ from confine.miner import (
     MinerReceiver,
     MinerSession,
     STAGES,
-    _ReceiverHandler,
 )
 from confine.provisioner import ProvisionerServer, ProvisionerService
-from confine.transport import HttpTransport, LoopbackHub, TransportError
+from confine.transport import HttpTransport, LoopbackHub, TransportError, _JsonHandler
 from confine.wire import (
     KIB,
     Ack,
@@ -168,7 +167,9 @@ def test_initialization_unreachable_provider(hospital_log, identity):
 
 def test_initialization_duplicate_org(hospital_log, identity):
     hub, session = _setup({"H": hospital_log}, identity)
-    svc = hub._provisioners["loop://H"]
+    svc = ProvisionerService(org_id="H", log_data=hospital_log,
+                             registry=ReferenceRegistry.of(identity.measurement),
+                             allowed_miners={"*"}, push=hub.push_segment)
     hub.register_provisioner("loop://H2", svc)
     session.providers.append("loop://H2")
     with pytest.raises(InitializationError, match="duplicate org"):
@@ -389,15 +390,46 @@ def test_lost_ack_ends_with_delivery_error(hospital_log, identity):
     hub, session = _setup({"H": hospital_log}, identity, seg_size=300)
     pushed = []
 
-    def losing_ack(raw):
+    def losing_ack(callback, raw):
         pushed.append(raw["seq_no"])
-        session.enqueue(raw)
-        raise TransportError("loop://miner", "ack lost")
+        hub.push_segment(callback, raw)
+        raise TransportError(callback, "ack lost")
 
-    hub.register_receiver("loop://miner", losing_ack)
+    hub.register_provisioner("loop://H", ProvisionerService(
+        org_id="H", log_data=hospital_log, registry=ReferenceRegistry.of(identity.measurement),
+        allowed_miners={"*"}, push=losing_ack,
+    ))
     with pytest.raises(DeliveryError, match="org 'H' could not deliver: segment 0/2 undelivered: ack lost"):
         session.run()
     assert pushed == [0]
+
+
+@pytest.mark.parametrize("networked", [False, True], ids=["loopback", "http"])
+def test_provider_failure_mid_protocol_names_org(hospital_log, identity, networked):
+    def unexpected(_body):
+        raise KeyError("not a protocol error")
+
+    service = ProvisionerService(
+        org_id="H",
+        log_data=hospital_log,
+        registry=ReferenceRegistry.of(identity.measurement),
+        allowed_miners={"*"},
+        push=lambda callback, envelope: {"status": "ok"},
+    )
+    service.handle_case_request = unexpected
+    if networked:
+        server = ProvisionerServer(service).start()
+        transport, url, close = HttpTransport(timeout_s=5), server.url, server.close
+    else:
+        transport, url, close = LoopbackHub(), "loop://H", lambda: None
+        transport.register_provisioner(url, service)
+    try:
+        session = MinerSession(providers=[url], transport=transport,
+                               callback_url="loop://miner", identity=identity)
+        with pytest.raises(DeliveryError, match="org 'H' cases request failed: internal error"):
+            session.run()
+    finally:
+        close()
 
 
 def test_tampered_segment_refused_at_once(hospital_log, pharma_log, clinic_log, identity):
@@ -664,13 +696,25 @@ def test_receiver_acks_bad_envelope(receiver):
 
 def test_receiver_drops_stalled_client(receiver, monkeypatch):
     # one thread serves every push, so a silent connection must not hold it
-    monkeypatch.setattr(_ReceiverHandler, "timeout", 0.2)
+    monkeypatch.setattr(_JsonHandler, "timeout", 0.2)
     url = urllib.parse.urlsplit(receiver.url)
     with socket.create_connection((url.hostname, url.port)):
         t0 = time.monotonic()
         status, _body = http_request("POST", f"{receiver.url}/segments", b'{"org": "H"}')
         assert status == 200
         assert time.monotonic() - t0 < 4
+
+
+@pytest.mark.parametrize("length", ["-1", "ten"])
+def test_receiver_rejects_bad_content_length_at_once(receiver, length):
+    # rfile.read(-1) would hold the only serving thread until the client closes
+    url = urllib.parse.urlsplit(receiver.url)
+    with socket.create_connection((url.hostname, url.port), timeout=4) as sock:
+        sock.sendall(f"POST /segments HTTP/1.0\r\nContent-Length: {length}\r\n\r\n".encode())
+        with sock.makefile("rb") as reply:
+            assert reply.readline().split()[1] == b"400"
+        status, _body = http_request("POST", f"{receiver.url}/segments", b'{"org": "H"}')
+        assert status == 200
 
 
 def test_receiver_rejects_bad_json(receiver):

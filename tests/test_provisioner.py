@@ -5,6 +5,8 @@ import socket
 import subprocess
 import sys
 import threading
+import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from confine.attest import EnclaveIdentity, ReferenceRegistry, make_report
 from confine.codec import b64u_decode
 from confine.eventlog import parse_csv
 from confine.provisioner import AccessDeniedError, ProvisionerServer, ProvisionerService
-from confine.transport import HttpTransport, TransportError
+from confine.transport import HttpTransport, TransportError, _JsonHandler
 from confine.wire import (
     AttestationAnswer,
     AttestationChallenge,
@@ -342,6 +344,18 @@ def test_http_bad_json_is_400(server):
 def test_http_missing_miner_id_is_400(server):
     srv, _push = server
     assert http_request("GET", f"{srv.url}/caserefs")[0] == 400
+
+
+def test_http_drops_stalled_client_then_serves(server, monkeypatch):
+    # one thread serves every request, so a silent connection must not hold it
+    monkeypatch.setattr(_JsonHandler, "timeout", 0.2)
+    srv, _push = server
+    url = urllib.parse.urlsplit(srv.url)
+    with socket.create_connection((url.hostname, url.port), timeout=4) as stalled:
+        t0 = time.monotonic()
+        assert HttpTransport(timeout_s=4).get_case_refs(srv.url, "miner1")["org"] == "H"
+        assert time.monotonic() - t0 < 4
+        assert stalled.recv(1) == b""  # the server closed the silent connection
 
 
 # -- HTTP client failures ------------------------------------------------------------
