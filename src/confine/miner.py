@@ -428,7 +428,15 @@ class MinerSession:
 
 
 class MinerReceiver(JsonServer):
-    """HTTP endpoint where provisioners push segment envelopes."""
+    """HTTP endpoint where provisioners push segment envelopes.
+
+    One thread serves every push: the session opens segments one at a time
+    anyway, and a thread per push made chatty sessions about 25% slower.
+    A client that trickles its request holds that thread, and every push
+    behind it waits; the handler timeout only drops a silent one.
+    """
+
+    serial = True
 
     def __init__(self, session: MinerSession, host: str = "127.0.0.1", port: int = 0):
         super().__init__(segment_routes(session.enqueue), host, port)

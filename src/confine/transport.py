@@ -16,7 +16,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from http.client import HTTPException
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from typing import Callable
 
 __all__ = [
@@ -134,7 +134,7 @@ def answer(
 
 class _JsonHandler(BaseHTTPRequestHandler):
     server_version = "confine/0.1"
-    # seconds a stalled client may hold the single serving thread
+    # seconds each socket read may wait before the connection is dropped
     timeout = 30
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -173,15 +173,19 @@ class _JsonHandler(BaseHTTPRequestHandler):
 
 
 class JsonServer:
-    """HTTP server answering one route table from one long-lived thread.
+    """HTTP server answering one route table, one daemon thread per connection.
 
-    A provisioner serves one miner at a time, and the miner's session opens
-    pushed segments one at a time anyway. The handler timeout keeps a
-    stalled client from holding the thread.
+    A provisioner may serve many miners, so a slow or stalled client holds
+    only its own thread; the handler timeout ends that thread once the
+    client goes silent. A subclass that sets ``serial`` serves every
+    connection from one long-lived thread instead.
     """
 
+    serial = False
+
     def __init__(self, routes: Routes, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = HTTPServer((host, port), _JsonHandler)
+        server = HTTPServer if self.serial else ThreadingHTTPServer
+        self._httpd = server((host, port), _JsonHandler)
         self._httpd.routes = routes
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
 
