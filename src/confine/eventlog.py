@@ -133,6 +133,9 @@ class CaseView:
     def __len__(self) -> int:
         return len(self.events)
 
+    def __iter__(self):
+        return iter(self.events)
+
 
 @dataclass(frozen=True)
 class EventLog:

@@ -17,6 +17,7 @@ import math
 import random
 import statistics
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from datetime import timedelta
 from pathlib import Path
@@ -163,63 +164,44 @@ def run_protocol(
     """
     identity = shared_identity()
     registry = ReferenceRegistry.of(identity.measurement)
-    orgs = sorted(partitions)
-
-    def _session(providers: list[str], transport, callback: str) -> MinerSession:
-        return MinerSession(
-            providers=providers,
-            transport=transport,
-            callback_url=callback,
-            seg_size=seg_size,
-            mode=mode,
-            batch_cases=batch_cases,
-            capacity=capacity,
-            identity=identity,
-            miner_id=_MINER_ID,
-            compute_enabled=compute_enabled,
-        )
-
-    if not networked:
-        hub = LoopbackHub()
-        callback = "loop://miner"
-        providers = [f"loop://{org}" for org in orgs]
-        for org in orgs:
+    transport = HttpTransport() if networked else LoopbackHub()
+    session = MinerSession(
+        providers=[],
+        transport=transport,
+        callback_url="loop://miner",
+        seg_size=seg_size,
+        mode=mode,
+        batch_cases=batch_cases,
+        capacity=capacity,
+        identity=identity,
+        miner_id=_MINER_ID,
+        compute_enabled=compute_enabled,
+    )
+    with ExitStack() as servers:
+        if networked:
+            receiver = MinerReceiver(session).start()
+            servers.callback(receiver.close)
+            session.callback_url = receiver.url
+        else:
+            transport.register_receiver(session.callback_url, session.enqueue)
+        for org in sorted(partitions):
             service = ProvisionerService(
                 org_id=org,
                 log_data=partitions[org],
                 registry=registry,
                 allowed_miners={_MINER_ID},
-                push=hub.push_segment,
+                push=transport.push_segment,
             )
-            hub.register_provisioner(f"loop://{org}", service)
-        session = _session(providers, hub, callback)
-        hub.register_receiver(callback, session.enqueue)
+            if networked:
+                server = ProvisionerServer(service).start()
+                servers.callback(server.close)
+                url = server.url
+            else:
+                url = f"loop://{org}"
+                transport.register_provisioner(url, service)
+            session.providers.append(url)
         session.run()
-        return session
-
-    servers: list[ProvisionerServer] = []
-    receiver: MinerReceiver | None = None
-    try:
-        session = _session([], HttpTransport(), "")
-        receiver = MinerReceiver(session).start()
-        session.callback_url = receiver.url
-        for org in orgs:
-            service = ProvisionerService(
-                org_id=org,
-                log_data=partitions[org],
-                registry=registry,
-                allowed_miners={_MINER_ID},
-                push=HttpTransport().push_segment,
-            )
-            servers.append(ProvisionerServer(service).start())
-        session.providers = [srv.url for srv in servers]
-        session.run()
-        return session
-    finally:
-        if receiver is not None:
-            receiver.close()
-        for srv in servers:
-            srv.close()
+    return session
 
 
 @dataclass(frozen=True)

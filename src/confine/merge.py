@@ -1,14 +1,16 @@
-"""Reassembly of partial case views and delivery eligibility tracking.
+"""Reassembly of partial cases and delivery eligibility tracking.
 
 Each organization holds only its slice of a case. Merging is a set union of
-the partial views followed by the shared total order, so it is commutative,
+the parts followed by the shared total order, so it is commutative,
 associative and idempotent. The eligibility ledger decides when all
 announced holders of a case have delivered and the union is complete.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .eventlog import CaseView, Event
 
@@ -33,34 +35,26 @@ class DeliveryError(ValueError):
     """A delivery or manifest violates the announced protocol state."""
 
 
-def _record_id(ev: Event) -> tuple:
-    return (ev.case_ref, ev.activity, ev.timestamp, ev.org, ev.seq_hint)
+def merge_case(parts: Iterable[Iterable[Event]]) -> CaseView:
+    """Union one case's parts, each a holder's events, into its ordered view.
 
-
-def merge_case(parts: list[CaseView] | tuple[CaseView, ...]) -> CaseView:
-    """Union the partial views of one case into its full ordered view.
-
-    All parts must share the merge key and be pairwise disjoint at the
-    event-record level. Order of the parts does not matter.
+    A part is a plain list or a ``CaseView``. Parts must share the case ref
+    and be pairwise disjoint; equal events (a frozen dataclass) are the same
+    record. Building the result is the case's only sort.
     """
-    if not parts:
-        raise ValueError("merge_case needs at least one part")
-    key = parts[0].case_ref
-    for part in parts[1:]:
-        if part.case_ref != key:
-            raise MergeKeyError(f"cannot merge case {part.case_ref!r} into case {key!r}")
-    seen: set[tuple] = set()
-    events: list[Event] = []
-    for part in parts:
-        for ev in part.events:
-            rid = _record_id(ev)
-            if rid in seen:
-                raise MergeConflictError(
-                    f"duplicate event record for case {key!r}: {ev.activity!r} at {ev.timestamp.isoformat()}"
-                )
-            seen.add(rid)
-            events.append(ev)
-    return CaseView(key, tuple(events))
+    events = [ev for part in parts for ev in part]
+    if not events:
+        raise ValueError("merge_case needs at least one event")
+    key = events[0].case_ref
+    if len(set(events)) != len(events):
+        ev = next(ev for ev, n in Counter(events).items() if n > 1)
+        raise MergeConflictError(
+            f"duplicate event record for case {key!r}: {ev.activity!r} at {ev.timestamp.isoformat()}"
+        )
+    try:
+        return CaseView(key, tuple(events))
+    except ValueError as exc:  # an event of another case
+        raise MergeKeyError(f"cannot merge into case {key!r}: {exc}") from None
 
 
 @dataclass

@@ -5,7 +5,7 @@ the process exclusively as mined nets and metrics. Each pushed segment is
 opened as it arrives, one at a time under a lock, so every buffer inside
 the simulated enclave is bounded and charged against an explicit memory
 budget: the ciphertext and plaintext of the segment being opened, retained
-case views, eligibility bookkeeping and the running mining statistics.
+partial cases, eligibility bookkeeping and the running mining statistics.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import time
 from dataclasses import dataclass, field
 
 from .attest import EnclaveIdentity, make_report
-from .eventlog import CaseView
+from .eventlog import CaseView, Event
 from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, serialize_net
 from .merge import DeliveryError, EligibilityLedger, merge_case
-from .transport import JsonServer, TransportError, segment_routes
+from .transport import BODY_ALLOWANCE, JsonServer, TransportError, segment_routes
 from .wire import (
     Ack,
     AttestationAnswer,
@@ -57,7 +57,7 @@ STAGES = ("init", "attest", "transmit", "compute")
 
 # Logical byte sizes of enclave bookkeeping structures. They are charged
 # like any buffer: the ledger grows with announced (case, org) pairs and
-# every retained partial view costs a fixed overhead on top of its rows.
+# every retained part of a case costs a fixed overhead on top of its rows.
 LEDGER_ENTRY_BYTES = 32
 DELIVERY_ENTRY_BYTES = 16
 PART_OVERHEAD_BYTES = 48
@@ -135,6 +135,9 @@ def _ct_size(env: SegmentEnvelope) -> int:
 class MinerSession:
     """Runs initialization, acquisition and computation against providers.
 
+    A partial case waits as plain event lists, one per delivering org,
+    until its last holder delivers; ``merge_case`` then builds its view.
+
     mode is "single_batch" (mine once after all cases merged) or
     "incremental" (fold merged cases into the statistics every
     batch_cases, releasing their buffers early).
@@ -192,7 +195,7 @@ class MinerSession:
         self._org_keys: dict[str, tuple[bytes, bytes]] = {}
         # Enclave-tagged store: raw case data is reachable only through
         # these private buffers and is never exported.
-        self._parts: dict[str, list[CaseView]] = {}
+        self._parts: dict[str, list[list[Event]]] = {}
         self._case_bytes: dict[str, int] = {}
         self._eligible: list[CaseView] = []
         self._stats_charged = 0
@@ -338,8 +341,8 @@ class MinerSession:
             payload = decrypt_segment(env, self._delivery_secret(env))
             self.budget.charge(len(payload))
             held += len(payload)
-            part_log, part_sizes = parse_segment_payload(payload, source_org=env.org)
-            for ref, view in part_log.cases.items():
+            part_events, part_sizes = parse_segment_payload(payload)
+            for ref, events in part_events.items():
                 newly_eligible = self.ledger.record_delivery(env.org, ref)
                 entry = len(env.org) + DELIVERY_ENTRY_BYTES
                 self.budget.charge(entry)
@@ -347,7 +350,7 @@ class MinerSession:
                 size = part_sizes[ref] + PART_OVERHEAD_BYTES
                 self.budget.charge(size)
                 self._case_bytes[ref] = self._case_bytes.get(ref, 0) + size
-                self._parts.setdefault(ref, []).append(view)
+                self._parts.setdefault(ref, []).append(events)
                 if newly_eligible:
                     merged = merge_case(self._parts.pop(ref))
                     self._eligible.append(merged)
@@ -439,4 +442,6 @@ class MinerReceiver(JsonServer):
     serial = True
 
     def __init__(self, session: MinerSession, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(segment_routes(session.enqueue), host, port)
+        # an envelope larger than the whole budget in base64 could never be opened
+        max_body = -(-session.budget.capacity // 3) * 4 + BODY_ALLOWANCE
+        super().__init__(segment_routes(session.enqueue), max_body, host, port)

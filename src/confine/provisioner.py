@@ -12,6 +12,7 @@ arrives, so by the answer it holds everything this org will deliver.
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 from dataclasses import dataclass, field
@@ -19,9 +20,10 @@ from typing import Callable, Iterable
 
 from .attest import AttestationReport, ReferenceRegistry, new_nonce, verify_report
 from .eventlog import EventLog
-from .transport import JsonServer, TransportError, provisioner_routes
+from .transport import BODY_ALLOWANCE, JsonServer, TransportError, provisioner_routes
 from .wire import (
     Ack,
+    AttestationAnswer,
     AttestationChallenge,
     CaseRefResponse,
     CaseRequest,
@@ -91,7 +93,7 @@ class ProvisionerService:
         answered ``trusted`` only when every segment was acknowledged.
         """
         try:
-            report = AttestationReport.from_dict(body.get("report") or {})
+            report = AttestationReport.from_dict(AttestationAnswer.from_dict(body).report)
         except ValueError:
             return Ack(status="rejected", reason="bad_signature").to_dict()
 
@@ -146,4 +148,6 @@ class ProvisionerServer(JsonServer):
     """HTTP front end of one ProvisionerService."""
 
     def __init__(self, service: ProvisionerService, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(provisioner_routes(service), host, port)
+        # a case request names a subset of these refs; a report is about 2 KB
+        refs = json.dumps(service.log_data.case_refs()).encode("utf-8")
+        super().__init__(provisioner_routes(service), len(refs) + BODY_ALLOWANCE, host, port)

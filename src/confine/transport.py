@@ -20,11 +20,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from typing import Callable
 
 __all__ = [
-    "TransportError", "HttpTransport", "LoopbackHub", "JsonServer",
+    "TransportError", "HttpTransport", "LoopbackHub", "JsonServer", "BODY_ALLOWANCE",
     "answer", "provisioner_routes", "segment_routes",
 ]
 
 log = logging.getLogger(__name__)
+
+# bytes a request body may carry beyond the data it is sized for
+BODY_ALLOWANCE = 1024 * 1024
 
 # (method, path) -> call(query, body); body is None for a GET
 Routes = dict[tuple[str, str], Callable[[dict, "dict | None"], dict]]
@@ -146,8 +149,15 @@ class _JsonHandler(BaseHTTPRequestHandler):
         if not length.isdecimal():
             self._send(400, {"error": f"bad Content-Length {length!r}"})
             return
+        # refused before reading, so an announced size is never allocated
+        if int(length) > self.server.max_body:
+            self._send(413, {"error": f"body of {length} bytes exceeds {self.server.max_body}"})
+            return
+        raw = self.rfile.read(int(length))
+        if len(raw) < int(length):
+            return  # the client closed early; an answer would meet a closed socket
         try:
-            body = json.loads(self.rfile.read(int(length)))
+            body = json.loads(raw)
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
         except ValueError as exc:
@@ -183,10 +193,11 @@ class JsonServer:
 
     serial = False
 
-    def __init__(self, routes: Routes, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, routes: Routes, max_body: int, host: str = "127.0.0.1", port: int = 0):
         server = HTTPServer if self.serial else ThreadingHTTPServer
         self._httpd = server((host, port), _JsonHandler)
         self._httpd.routes = routes
+        self._httpd.max_body = max_body
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
 
     @property

@@ -125,13 +125,13 @@ def case_payload(view: CaseView) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def parse_segment_payload(
-    payload: bytes, source_org: str | None = None
-) -> tuple[EventLog, dict[str, int]]:
-    """Parse headerless rows back into a log (column order is fixed).
+def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[str, int]]:
+    """Parse headerless rows (fixed column order) into each case's events.
 
-    Also returns, per case ref, the payload bytes its rows arrived in. For a
-    payload built by ``segment_log`` that is ``len(case_payload(view))``.
+    Returns the events per case ref in payload order, and per case ref the
+    payload bytes its rows arrived in: for a payload built by ``segment_log``
+    that is ``len(case_payload(view))``. Views and sorting are left to
+    ``merge_case``, once per case.
     """
     consumed = 0
 
@@ -143,7 +143,7 @@ def parse_segment_payload(
             consumed += len(line)
             yield line.decode("utf-8")
 
-    events: list[Event] = []
+    cases: dict[str, list[Event]] = {}
     sizes: dict[str, int] = {}
     row_start = 0
     # csv.reader pulls lines only until the current record is complete, so
@@ -156,9 +156,9 @@ def parse_segment_payload(
         if len(row) != 4:
             raise LogParseError(f"payload row {seq}: expected 4 fields, got {len(row)}")
         case_ref, stamp, activity, org = row
-        events.append(Event(case_ref, activity, parse_timestamp(stamp), org, seq_hint=seq))
+        cases.setdefault(case_ref, []).append(Event(case_ref, activity, parse_timestamp(stamp), org, seq))
         sizes[case_ref] = sizes.get(case_ref, 0) + row_bytes
-    return EventLog.from_events(events, source_org=source_org), sizes
+    return cases, sizes
 
 
 # ---------------------------------------------------------------------------

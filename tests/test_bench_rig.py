@@ -2,9 +2,10 @@
 
 perfbench/run.py builds its sessions from the package's public names
 (``ProvisionerService(push=)``, ``push_segment``, ``register_receiver``,
-``MinerReceiver``, ``callback_url``, ``enqueue``). This runs one small traced
-session per transport, so a change that breaks that wiring fails here and
-not only in a benchmark run.
+``MinerReceiver``, ``callback_url``, ``enqueue``) and traces the names the
+package calls them by. This runs one small traced session per transport,
+so a change that breaks that wiring, or renames a traced name so that its
+metric silently reads 0, fails here and not only in a benchmark run.
 """
 
 import importlib.util
@@ -45,3 +46,7 @@ def test_rig_session_succeeds(bench, identity, networked):
     # the traced seal and open names must still be called by these names
     assert result.layers["provisioner.seal_s"] > 0
     assert result.layers["wire.decrypt_s"] > 0
+    # so must the intake names: parse each segment, merge each case's parts
+    assert result.layers["wire.parse_payload_s"] > 0
+    assert result.layers["merge.merge_case_s"] > 0
+    assert result.layers["merge.parts_per_case"] > 1

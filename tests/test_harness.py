@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from confine.eventlog import Event, EventLog, PartitionError, parse_csv, partition_by_org
+from confine.eventlog import CaseView, Event, EventLog, PartitionError, parse_csv, partition_by_org
 from confine.harness import (
     ALL_ACTIVITIES,
     LOOP_UNIT,
@@ -151,6 +151,23 @@ def test_run_convergence_loopback():
 def test_run_convergence_networked():
     res = run_convergence(ScenarioParams(cases=20, seed=4), networked=True)
     assert res.equal
+
+
+@pytest.mark.parametrize("networked", [False, True])
+def test_run_protocol_builds_one_view_per_case(hospital_log, pharma_log, clinic_log, monkeypatch, networked):
+    # partial cases stay plain event lists until the merge builds each case's view
+    built: list[str] = []
+    post_init = CaseView.__post_init__
+
+    def counted(view):
+        built.append(view.case_ref)
+        post_init(view)
+
+    monkeypatch.setattr(CaseView, "__post_init__", counted)
+    parts = {"H": hospital_log, "P": pharma_log, "C": clinic_log}
+    session = run_protocol(parts, networked=networked)
+    assert session.net is not None
+    assert sorted(built) == ["312", "711"]
 
 
 def test_run_protocol_incremental_equivalence():

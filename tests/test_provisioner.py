@@ -15,7 +15,7 @@ from confine.attest import EnclaveIdentity, ReferenceRegistry, make_report
 from confine.codec import b64u_decode
 from confine.eventlog import parse_csv
 from confine.provisioner import AccessDeniedError, ProvisionerServer, ProvisionerService
-from confine.transport import HttpTransport, TransportError, _JsonHandler
+from confine.transport import HttpTransport, LoopbackHub, TransportError, _JsonHandler
 from confine.wire import (
     AttestationAnswer,
     AttestationChallenge,
@@ -156,8 +156,8 @@ def test_trusted_report_delivers_envelopes(hospital_log, identity):
     assert env.org == "H" and env.seq_no == 0 and env.total == 1
     secret = unwrap_key(env.wrapped_key, identity.enc_priv)
     back, _ = parse_segment_payload(decrypt_segment(env, secret))
-    assert back.case_refs() == ["312", "711"]
-    assert back.event_count() == 19
+    assert list(back) == ["312", "711"]
+    assert sum(len(events) for events in back.values()) == 19
 
 
 def test_segments_pushed_in_seq_order_constant_total(hospital_log, identity):
@@ -180,7 +180,7 @@ def test_one_wrapped_key_per_delivery(hospital_log, identity):
     assert len({e.ciphertext for e in first}) == len(first)
     secret = unwrap_key(first[0].wrapped_key, identity.enc_priv)
     back, _ = parse_segment_payload(b"".join(decrypt_segment(e, secret) for e in first))
-    assert back.case_refs() == ["312", "711"]
+    assert list(back) == ["312", "711"]
     # the next attestation is a new delivery under a new key
     push.envelopes.clear()
     _attested_delivery(service, identity, seg_size=300)
@@ -203,6 +203,23 @@ def test_malformed_report_rejected_without_pushes(hospital_log, identity):
     ack = service.handle_attestation({"report": {"measurement": "zz"}})
     assert ack["status"] == "rejected"
     assert push.envelopes == []
+
+
+@pytest.mark.parametrize(
+    "report", [5, "measurement nonce enc_pub att_pub sig"], ids=["number", "string"]
+)
+def test_non_object_report_rejected_over_loopback(hospital_log, identity, report):
+    # rejected like any malformed report, not a 500, and no challenge is used up
+    push = PushRecorder()
+    hub = LoopbackHub()
+    hub.register_provisioner("loop://H", _service(hospital_log, identity, push=push))
+    request = CaseRequest(seg_size=10_000, refs=("312",), callback="cb://x").to_dict()
+    challenge = AttestationChallenge.from_dict(hub.post_cases("loop://H", request))
+    ack = hub.post_attestation("loop://H", {"report": report})
+    assert ack == {"status": "rejected", "reason": "bad_signature"}
+    honest = AttestationAnswer(report=make_report(identity, challenge.nonce).to_dict()).to_dict()
+    assert hub.post_attestation("loop://H", honest) == {"status": "trusted"}
+    assert len(push.envelopes) == 1
 
 
 def test_replayed_answer_is_stale(hospital_log, identity):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confine.attest import EnclaveIdentity
-from confine.eventlog import Event, EventLog, parse_csv, parse_timestamp
+from confine.eventlog import CaseView, Event, EventLog, parse_csv, parse_timestamp
 from confine.wire import (
     KIB,
     MIB,
@@ -149,7 +149,7 @@ def test_segment_log_matches_packing_oracle(case_sizes, seg_size):
         if len(seg.case_refs) > 1:
             assert len(seg.payload) <= seg_size
         back, _ = parse_segment_payload(seg.payload)
-        assert back.case_refs() == sorted(seg.case_refs)
+        assert list(back) == sorted(seg.case_refs)
     union = [r for s in segments for r in s.case_refs]
     assert sorted(union) == log.case_refs()
     assert len(union) == len(set(union))
@@ -170,11 +170,11 @@ def test_segment_count_non_increasing_in_seg_size(case_sizes):
 def test_segment_payload_round_trip(hospital_log):
     segments = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")
     assert len(segments) == 1
-    back, _ = parse_segment_payload(segments[0].payload, source_org="H")
-    assert back.case_refs() == ["312", "711"]
-    assert back.cases["312"].activities == hospital_log.cases["312"].activities
+    back, _ = parse_segment_payload(segments[0].payload)
+    assert list(back) == ["312", "711"]
+    assert tuple(e.activity for e in back["312"]) == hospital_log.cases["312"].activities
     for ref in ("312", "711"):
-        assert [e.timestamp for e in back.cases[ref].events] == [
+        assert [e.timestamp for e in back[ref]] == [
             e.timestamp for e in hospital_log.cases[ref].events
         ]
 
@@ -196,7 +196,8 @@ def test_parsed_case_sizes_equal_case_payload():
             back, sizes = parse_segment_payload(seg.payload)
             assert sorted(sizes) == sorted(seg.case_refs)
             assert sum(sizes.values()) == len(seg.payload)
-            for ref, view in back.cases.items():
+            for ref, events in back.items():
+                view = CaseView(ref, tuple(events))
                 assert sizes[ref] == len(case_payload(view)) == len(case_payload(log.cases[ref]))
 
 
