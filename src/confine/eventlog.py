@@ -180,13 +180,22 @@ class EventLog:
 # parsing and serialization
 
 
+def csv_rows(lines, where: str = "line"):
+    """``csv.reader`` rows; a reader error is a LogParseError naming the line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise LogParseError(f"{where} {reader.line_num}: {exc}") from None
+
+
 def parse_csv(text: str, source_org: str | None = None) -> EventLog:
     """Parse the canonical CSV layout into an EventLog.
 
     Columns may appear in any order, extra columns are ignored. The record
     position inside the file becomes each event's seq_hint.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv_rows(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:

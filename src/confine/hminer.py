@@ -2,7 +2,9 @@
 
 Statistics are plain directly-follows counters, so accumulation order over
 batches cannot change the result. Net construction is deterministic: every
-choice falls back to lexicographic order on activity labels.
+choice falls back to lexicographic order on activity labels. Each rule is
+written once, for successors; the predecessor side runs it on the reversed
+arcs, so a join is a split of the flipped arcs.
 """
 
 from __future__ import annotations
@@ -135,33 +137,47 @@ class HeuristicsNet:
         return {(arc.source, arc.target) for arc in self.arcs}
 
 
-def _best_neighbor(candidates: list[tuple[str, float, int]]) -> str:
-    # Highest dependency wins; ties prefer higher df count, then the
-    # lexicographically smallest label.
-    candidates.sort(key=lambda item: (-item[1], -item[2], item[0]))
-    return candidates[0][0]
+def _reversed(stats: DfStats) -> DfStats:
+    """The same log read backwards: every arc flipped, starts and ends swapped."""
+    return DfStats(
+        df_count={(b, a): n for (a, b), n in stats.df_count.items()},
+        activity_count=stats.activity_count,
+        start_count=stats.end_count,
+        end_count=stats.start_count,
+        case_count=stats.case_count,
+    )
 
 
-def _and_groups(members: list[str], related) -> tuple[tuple[str, ...], ...]:
-    """Partition members into connected components of the AND relation."""
-    groups: list[list[str]] = []
-    assigned: dict[str, int] = {}
-    for m in sorted(members):
-        linked = {assigned[o] for o in assigned if related(m, o)}
-        if not linked:
-            assigned[m] = len(groups)
-            groups.append([m])
-            continue
-        keep = min(linked)
-        groups[keep].append(m)
-        assigned[m] = keep
-        for gi in sorted(linked - {keep}, reverse=True):
-            for o in groups[gi]:
-                assigned[o] = keep
-            groups[keep].extend(groups[gi])
-            groups[gi] = []
-    out = [tuple(sorted(g)) for g in groups if g]
-    return tuple(sorted(out))
+def _rescue_arcs(stats: DfStats) -> set[tuple[str, str]]:
+    """Each non-start activity's best incoming arc: highest dependency, then
+    higher df count, then smallest label."""
+    start = {a for a, n in stats.start_count.items() if n > 0}
+    incoming: dict[str, list[tuple[float, int, str]]] = {}
+    for (a, b), n in stats.df_count.items():
+        if a != b and n > 0 and b not in start:
+            incoming.setdefault(b, []).append((-dependency_measure(stats, a, b), -n, a))
+    return {(min(cands)[2], b) for b, cands in incoming.items()}
+
+
+def _and_groups(arcs: set[tuple[str, str]], related) -> dict[str, tuple[tuple[str, ...], ...]]:
+    """Each source's targets in connected components of ``related(source, x, y)``.
+
+    A new target merges every earlier group it relates to. Self loops carry
+    no split/join semantics and are left out.
+    """
+    targets: dict[str, list[str]] = {}
+    for a, b in sorted(arcs):
+        if a != b:
+            targets.setdefault(a, []).append(b)
+    out = {}
+    for a, members in targets.items():
+        groups: list[list[str]] = []
+        for m in members:
+            linked = [g for g in groups if any(related(a, m, o) for o in g)]
+            groups = [g for g in groups if g not in linked]
+            groups.append([m] + [o for g in linked for o in g])
+        out[a] = tuple(sorted(tuple(sorted(g)) for g in groups))
+    return out
 
 
 def build_net(stats: DfStats, config: MinerConfig = MinerConfig()) -> HeuristicsNet:
@@ -169,74 +185,28 @@ def build_net(stats: DfStats, config: MinerConfig = MinerConfig()) -> Heuristics
     if stats.case_count < 1:
         raise ValueError("cannot build a net from empty statistics")
 
-    activities = tuple(sorted(stats.activity_count))
-    start = tuple(sorted(a for a, n in stats.start_count.items() if n > 0))
-    end = tuple(sorted(a for a, n in stats.end_count.items() if n > 0))
-
     arcs: set[tuple[str, str]] = set()
     for (a, b), n in stats.df_count.items():
         if n >= config.min_df_count and dependency_measure(stats, a, b) >= config.dependency_threshold:
             arcs.add((a, b))
-
     if config.all_activities_connected:
-        start_set, end_set = set(start), set(end)
-        incoming: dict[str, list[tuple[str, str]]] = {a: [] for a in activities}
-        outgoing: dict[str, list[tuple[str, str]]] = {a: [] for a in activities}
-        for (a, b), n in stats.df_count.items():
-            if a != b and n > 0:
-                outgoing[a].append((a, b))
-                incoming[b].append((a, b))
-        for b in activities:
-            if b in start_set or not incoming[b]:
-                continue
-            cands = [
-                (a, dependency_measure(stats, a, b), stats.df_count[(a, b)])
-                for (a, _b) in incoming[b]
-            ]
-            arcs.add((_best_neighbor(cands), b))
-        for a in activities:
-            if a in end_set or not outgoing[a]:
-                continue
-            cands = [
-                (b, dependency_measure(stats, a, b), stats.df_count[(a, b)])
-                for (_a, b) in outgoing[a]
-            ]
-            arcs.add((a, _best_neighbor(cands)))
+        arcs |= _rescue_arcs(stats)
+        arcs |= {(a, b) for b, a in _rescue_arcs(_reversed(stats))}
 
-    arc_objs = tuple(
-        Arc(a, b, dependency_measure(stats, a, b), stats.df_count.get((a, b), 0))
-        for a, b in sorted(arcs)
-    )
-
-    successors: dict[str, list[str]] = {}
-    predecessors: dict[str, list[str]] = {}
-    for a, b in arcs:
-        if a != b:  # self loops carry no split/join semantics
-            successors.setdefault(a, []).append(b)
-            predecessors.setdefault(b, []).append(a)
-
-    splits = {
-        a: _and_groups(
-            succ,
-            lambda x, y, a=a: and_split_measure(stats, a, x, y) >= config.and_threshold,
-        )
-        for a, succ in sorted(successors.items())
-    }
-    joins = {
-        a: _and_groups(
-            pred,
-            lambda x, y, a=a: and_join_measure(stats, a, x, y) >= config.and_threshold,
-        )
-        for a, pred in sorted(predecessors.items())
-    }
-
+    threshold = config.and_threshold
     return HeuristicsNet(
-        activities=activities,
-        start_activities=start,
-        end_activities=end,
-        arcs=arc_objs,
-        splits=splits,
-        joins=joins,
+        activities=tuple(sorted(stats.activity_count)),
+        start_activities=tuple(sorted(a for a, n in stats.start_count.items() if n > 0)),
+        end_activities=tuple(sorted(a for a, n in stats.end_count.items() if n > 0)),
+        arcs=tuple(
+            Arc(a, b, dependency_measure(stats, a, b), stats.df_count.get((a, b), 0))
+            for a, b in sorted(arcs)
+        ),
+        splits=_and_groups(arcs, lambda a, x, y: and_split_measure(stats, a, x, y) >= threshold),
+        joins=_and_groups(
+            {(b, a) for a, b in arcs},
+            lambda a, x, y: and_join_measure(stats, a, x, y) >= threshold,
+        ),
     )
 
 

@@ -188,7 +188,6 @@ class MinerSession:
         self._fatal: BaseException | None = None
         self._org_urls: dict[str, str] = {}
         self._org_refs: dict[str, tuple[str, ...]] = {}
-        self._org_total: dict[str, int] = {}
         self._org_received: dict[str, set[int]] = {}
         # each org seals its whole delivery under one key: unwrapped on the
         # org's first envelope, then every later envelope must carry it
@@ -329,11 +328,7 @@ class MinerSession:
         try:
             if env.org not in self._org_refs:
                 raise DeliveryError(f"segment from unannounced org {env.org!r}")
-            total = self._org_total.setdefault(env.org, env.total)
-            if env.total != total or not 0 <= env.seq_no < total:
-                raise DeliveryError(
-                    f"org {env.org!r} segment {env.seq_no}/{env.total} contradicts total {total}"
-                )
+            # a relabeled header fails authentication; a replay is refused here
             received = self._org_received.setdefault(env.org, set())
             if env.seq_no in received:
                 raise DeliveryError(f"org {env.org!r} pushed segment {env.seq_no} twice")
@@ -392,42 +387,47 @@ class MinerSession:
     # -- stage 4: computation --------------------------------------------------
 
     def run_computation(self) -> HeuristicsNet | None:
-        """Mine the merged cases; with computation disabled, just clean up."""
+        """Mine the merged cases; with computation disabled, mine nothing."""
         self._stage = "compute"
         self._metric()
         if not self.compute_enabled:
-            self.finish()
             return None
         self._flush()
         if self.stats.case_count == 0:
             raise ValueError("no eligible cases were delivered, nothing to mine")
         self.net = build_net(self.stats, self.miner_config)
         self._metric()
-        self.finish()
         return self.net
 
     def finish(self) -> None:
-        """Release every enclave buffer; in_use returns to the baseline."""
-        leftover = sum(self._case_bytes.values())
-        if leftover:
-            self.budget.release(leftover)
-        self._case_bytes.clear()
-        self._parts.clear()
-        self._org_keys.clear()
-        self._eligible.clear()
-        if self._stats_charged:
-            self.budget.release(self._stats_charged)
-            self._stats_charged = 0
-        if self._ledger_charged:
-            self.budget.release(self._ledger_charged)
-            self._ledger_charged = 0
-        self._metric()
+        """Release every enclave buffer and delivery secret, under the intake lock."""
+        with self._intake_lock:
+            leftover = sum(self._case_bytes.values())
+            if leftover:
+                self.budget.release(leftover)
+            self._case_bytes.clear()
+            self._parts.clear()
+            self._org_keys.clear()
+            self._eligible.clear()
+            if self._stats_charged:
+                self.budget.release(self._stats_charged)
+                self._stats_charged = 0
+            if self._ledger_charged:
+                self.budget.release(self._ledger_charged)
+                self._ledger_charged = 0
+            self._metric()
 
     def run(self) -> HeuristicsNet | None:
-        """Full protocol: initialization, acquisition, computation."""
-        self.run_initialization()
-        self.run_acquisition()
-        return self.run_computation()
+        """Full protocol: initialization, acquisition, computation.
+
+        ``finish`` runs whatever the outcome, so a failure keeps no case data.
+        """
+        try:
+            self.run_initialization()
+            self.run_acquisition()
+            return self.run_computation()
+        finally:
+            self.finish()
 
 
 class MinerReceiver(JsonServer):

@@ -33,6 +33,11 @@ BODY_ALLOWANCE = 1024 * 1024
 Routes = dict[tuple[str, str], Callable[[dict, "dict | None"], dict]]
 
 
+def _no_constant(name: str):
+    # json.loads reads Infinity, -Infinity and NaN, which RFC 8259 does not define
+    raise ValueError(f"{name} is not a JSON value")
+
+
 class TransportError(Exception):
     """A peer was unreachable or answered outside the protocol."""
 
@@ -64,7 +69,7 @@ class HttpTransport:
         except (OSError, HTTPException) as exc:  # URLError and timeouts are OSErrors
             raise TransportError(url, str(exc)) from None
         try:
-            body = json.loads(raw)
+            body = json.loads(raw, parse_constant=_no_constant)
         except ValueError:
             body = None
         if not isinstance(body, dict):
@@ -157,7 +162,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
         if len(raw) < int(length):
             return  # the client closed early; an answer would meet a closed socket
         try:
-            body = json.loads(raw)
+            body = json.loads(raw, parse_constant=_no_constant)
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
         except ValueError as exc:

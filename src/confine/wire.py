@@ -24,7 +24,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .codec import b64u_decode, b64u_encode
-from .eventlog import CaseView, Event, EventLog, LogParseError, event_row, parse_timestamp
+from .eventlog import CaseView, Event, EventLog, LogParseError, csv_rows, event_row, parse_timestamp
 
 __all__ = [
     "KIB",
@@ -148,7 +148,7 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[
     row_start = 0
     # csv.reader pulls lines only until the current record is complete, so
     # after each row `consumed` ends exactly at that row's last line.
-    for seq, row in enumerate(csv.reader(lines())):
+    for seq, row in enumerate(csv_rows(lines(), "payload line")):
         row_bytes = consumed - row_start
         row_start = consumed
         if not row:

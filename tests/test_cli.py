@@ -1,10 +1,12 @@
-"""Command line smoke test: the README quick start, run in-process."""
+"""Command line smoke tests: the README quick start and each driver, run in-process."""
+
+import json
 
 import pytest
 
 from confine.attest import ReferenceRegistry, default_measurement
 from confine.cli import main
-from confine.eventlog import parse_log
+from confine.eventlog import parse_log, serialize_log
 from confine.provisioner import ProvisionerServer, ProvisionerService
 from confine.transport import HttpTransport
 
@@ -46,3 +48,41 @@ def test_split_requires_scheme():
     with pytest.raises(SystemExit) as exc:
         main(["split", "--log", "x"])
     assert exc.value.code == 2
+
+
+def test_converge_reports_equal_nets(tmp_path, capsys):
+    assert main(["converge", "--cases", "20", "--seg-size", "4KB", "--out", str(tmp_path)]) == 0
+    assert "converged=True" in capsys.readouterr().out
+    assert (tmp_path / "confine_net.json").read_bytes() == (tmp_path / "standalone_net.json").read_bytes()
+
+
+def test_mem_writes_its_summary(tmp_path):
+    assert main(["mem", "--preset", "stage_profile", "--cases", "20", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "stage_profile_summary.json").read_text())
+    assert summary["cases"] == 20
+    assert summary["final_in_use"] == 0
+    assert (tmp_path / "stage_profile_metrics.csv").exists()
+
+
+def test_scale_writes_its_cells(tmp_path):
+    argv = ["scale", "--test", "cases", "--xs", "8,16", "--seg-sizes", "100KB", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "scale_cases_cells.csv").read_text().splitlines()
+    assert lines[0] == "x,seg_size,events,elapsed_ms,peak_bytes,converged"
+    assert [line.split(",")[0] for line in lines[1:]] == ["8", "16"]
+    assert all(line.endswith(",True") for line in lines[1:])
+
+
+def test_registry_round_trips(tmp_path):
+    path = tmp_path / "ref_registry.json"
+    assert main(["registry", "--out", str(path)]) == 0
+    assert ReferenceRegistry.load(path) == ReferenceRegistry.of(default_measurement())
+
+
+def test_split_bpic_departments_writes_one_file_per_org(tmp_path, merged_log):
+    log_path = tmp_path / "three_orgs.csv"
+    log_path.write_text(serialize_log(merged_log), encoding="utf-8")
+    out = tmp_path / "parts"
+    assert main(["split", "--log", str(log_path), "--scheme", "bpic_departments", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["C.csv", "H.csv", "P.csv"]
+    assert parse_log(out / "C.csv").event_count() == 5

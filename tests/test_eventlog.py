@@ -1,5 +1,6 @@
 """Event model, parsing, ordering, serialization and partitioning."""
 
+import csv
 import random
 from datetime import datetime, timezone
 
@@ -172,6 +173,35 @@ def test_parse_csv_bad_row_names_line():
     with pytest.raises(LogParseError) as err:
         parse_csv(csv)
     assert "2" in str(err.value)
+
+
+def test_parse_csv_empty_input_is_schema_error():
+    with pytest.raises(LogSchemaError, match="empty input"):
+        parse_csv("")
+
+
+def test_parse_csv_skips_blank_lines():
+    log = parse_csv("case,timestamp,activity,org\n\n312,2022-07-14T10:36,PH,H\n  \n")
+    assert log.event_count() == 1
+    assert log.cases["312"].activities == ("PH",)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("312,2022-07-14T10:37,COPA", "line 4: expected 4 fields, got 3"),
+        (" ,2022-07-14T10:37,COPA,H", "line 4: empty case reference"),
+        ("312,2022-07-14T10:37, ,H", "line 4: empty activity"),
+        ("312,2022-07-14T10:37,CO\rPA,H", "line 4: new-line character seen in unquoted field"),
+        ("312,2022-07-14T10:37,%s,H" % ("x" * (csv.field_size_limit() + 1)),
+         "line 4: field larger than field limit"),
+    ],
+    ids=["short-row", "empty-case", "empty-activity", "bare-carriage-return", "oversized-field"],
+)
+def test_parse_csv_bad_row_is_parse_error_naming_its_line(row, message):
+    text = "case,timestamp,activity,org\n\n312,2022-07-14T10:36,PH,H\n" + row + "\n"
+    with pytest.raises(LogParseError, match=message):
+        parse_csv(text)
 
 
 def test_parse_csv_duplicate_record_kept_with_distinct_seq_hint():

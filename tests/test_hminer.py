@@ -326,6 +326,27 @@ def test_split_classification_xor_and():
     assert net.joins["Z"] == (("B", "C"),)
 
 
+def test_and_group_merges_two_earlier_groups():
+    # B and C are unrelated, D is concurrent with both: D arrives last in
+    # label order and must pull the two earlier groups into one
+    df = {("S", x): 10 for x in "BCD"}
+    df.update({(x, "T"): 10 for x in "BCD"})
+    df.update({("B", "D"): 7, ("D", "B"): 7, ("C", "D"): 7, ("D", "C"): 7})
+    stats = DfStats(
+        df_count=df,
+        activity_count={a: 10 for a in "SBCDT"},
+        start_count={"S": 10},
+        end_count={"T": 10},
+        case_count=10,
+    )
+    assert and_split_measure(stats, "S", "B", "C") == 0
+    assert and_split_measure(stats, "S", "B", "D") >= 0.65
+    assert and_split_measure(stats, "S", "C", "D") >= 0.65
+    net = build_net(stats)
+    assert net.splits["S"] == (("B", "C", "D"),)
+    assert net.joins["T"] == (("B", "C", "D"),)
+
+
 # -- serialization ----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Miner session tests: budget accounting, staged runs, delivery edge cases."""
 
+import csv
 import itertools
 import json
 import os
@@ -14,7 +15,8 @@ from dataclasses import replace
 import pytest
 
 from confine.attest import ReferenceRegistry
-from confine.eventlog import partition_by_org
+from confine.codec import b64u_encode
+from confine.eventlog import Event, EventLog, LogParseError, parse_timestamp, partition_by_org
 from confine.harness import ScenarioParams, generate_scenario_log, standalone_net
 from confine.hminer import serialize_net
 from confine.merge import DeliveryError
@@ -254,6 +256,33 @@ def test_finish_is_idempotent(hospital_log, identity):
     session.finish()
     session.finish()
     assert session.budget.in_use == 0
+
+
+def test_finish_never_interleaves_with_an_opening_segment(identity):
+    # finish releasing what it counted while a receiver thread charges a new
+    # part would leave bytes charged that no buffer accounts for
+    log_data, org_map = generate_scenario_log(ScenarioParams(cases=200, seed=1))
+    hospital = partition_by_org(log_data, org_map)["H"]
+    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    envelopes = [encrypt_segment(seg, sealing).to_dict()
+                 for seg in segment_log(hospital, hospital.case_refs(), 256, "H")]
+    assert len(envelopes) >= 100
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(5):
+            _, session = _setup({"H": hospital}, identity, seg_size=256)
+            session.run_initialization()
+            intake = threading.Thread(target=lambda: [session.enqueue(env) for env in envelopes])
+            intake.start()
+            while intake.is_alive():
+                session.finish()
+            intake.join(timeout=30)
+            assert not intake.is_alive()
+            tracked = sum(session._case_bytes.values()) + session._ledger_charged + session._stats_charged
+            assert session.budget.in_use == tracked
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +616,45 @@ def test_contradicting_total_rejected(hospital_log, identity):
         return ack
 
     hub.register_receiver("loop://miner", tampering)
-    with pytest.raises(DeliveryError, match="contradicts"):
+    # the header is GCM associated data, so the relabeled total fails there
+    with pytest.raises(IntegrityError, match="failed authentication"):
         session.run()
+
+
+def test_failed_session_releases_enclave(identity):
+    # P's fourth segment carries a corrupted tag; by then the enclave holds
+    # partial cases, merged views and every org's delivery secret
+    log_data, org_map = generate_scenario_log(ScenarioParams(cases=60, seed=1))
+    hub, session = _setup(partition_by_org(log_data, org_map), identity, seg_size=512)
+    held = {}
+
+    def tampering(raw):
+        if raw["org"] == "P" and raw["seq_no"] == 3:
+            held.update(parts=len(session._parts), views=len(session._eligible),
+                        keys=len(session._org_keys), in_use=session.budget.in_use)
+            tag = SegmentEnvelope.from_dict(raw).auth_tag
+            raw = dict(raw, auth_tag=b64u_encode(bytes([tag[0] ^ 1]) + tag[1:]))
+        return session.enqueue(raw)
+
+    hub.register_receiver("loop://miner", tampering)
+    with pytest.raises(IntegrityError, match="'P' segment 3/"):
+        session.run()
+    assert held["parts"] and held["views"] and held["keys"] and held["in_use"]
+    assert session.budget.in_use == 0
+    assert not session._parts and not session._eligible and not session._case_bytes
+    assert not session._org_keys
+
+
+def test_oversized_field_ends_session_in_parse_error(identity):
+    # the provider's in-memory log holds it, but no payload parser may take it
+    stamp = parse_timestamp("2022-07-14T10:36")
+    activity = "x" * (csv.field_size_limit() + 1)
+    log_data = EventLog.from_events([Event("c1", "A", stamp, "H", 0), Event("c1", activity, stamp, "H", 1)])
+    _, session = _setup({"H": log_data}, identity)
+    with pytest.raises(LogParseError, match="field larger than field limit"):
+        session.run()
+    assert session.receiver_acks == [json.dumps({"reason": "LogParseError", "status": "error"})]
+    assert session.budget.in_use == 0
 
 
 # ---------------------------------------------------------------------------

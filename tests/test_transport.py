@@ -1,5 +1,6 @@
 """One route table answers HTTP and loopback: the same status, the same error."""
 
+import json
 import socket
 import urllib.parse
 
@@ -8,7 +9,7 @@ import pytest
 from confine.attest import ReferenceRegistry
 from confine.miner import MinerReceiver, MinerSession
 from confine.provisioner import ProvisionerServer, ProvisionerService
-from confine.transport import HttpTransport, LoopbackHub, TransportError
+from confine.transport import HttpTransport, JsonServer, LoopbackHub, TransportError
 from confine.wire import CaseRequest
 
 from conftest import http_request
@@ -130,3 +131,30 @@ def test_truncated_body_gets_no_answer(json_server):
     reply = _raw(server, f"POST {path} HTTP/1.1\r\nContent-Length: 100", b'{"org', shut_write=True)
     assert reply == b""
     assert answers()
+
+
+_CONSTANT_BODIES = {
+    "/cases": '{"seg_size": %s, "refs": ["312"], "callback": "cb://x"}',
+    "/segments": '{"org": "H", "seq_no": %s, "total": 1, "wrapped_key": "", '
+                 '"ciphertext": "", "auth_tag": ""}',
+}
+
+
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_json_constants_are_bad_json(json_server, constant):
+    # RFC 8259 has no Infinity or NaN; int(Infinity) would overflow later
+    server, path, answers = json_server
+    status, reply = http_request("POST", f"{server.url}{path}",
+                                 (_CONSTANT_BODIES[path] % constant).encode())
+    assert status == 400
+    assert json.loads(reply)["error"].startswith("bad JSON body")
+    assert answers()
+
+
+def test_client_refuses_json_constants():
+    server = JsonServer({("POST", "/cases"): lambda _q, _b: {"seg_size": float("inf")}}, 1024).start()
+    try:
+        with pytest.raises(TransportError, match="not a JSON object"):
+            HttpTransport(timeout_s=4).post_cases(server.url, {})
+    finally:
+        server.close()

@@ -1,5 +1,6 @@
 """Size parsing, segmentation, hybrid encryption and message schemas."""
 
+import csv
 import random
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confine.attest import EnclaveIdentity
-from confine.eventlog import CaseView, Event, EventLog, parse_csv, parse_timestamp
+from confine.eventlog import CaseView, Event, EventLog, LogParseError, parse_csv, parse_timestamp
 from confine.wire import (
     KIB,
     MIB,
@@ -199,6 +200,30 @@ def test_parsed_case_sizes_equal_case_payload():
             for ref, events in back.items():
                 view = CaseView(ref, tuple(events))
                 assert sizes[ref] == len(case_payload(view)) == len(case_payload(log.cases[ref]))
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        (b"c1,2022-07-14T10:37:00.000Z,B", "payload row 2: expected 4 fields, got 3"),
+        (b"c1,2022-07-14T10:37:00.000Z,B,H,x", "payload row 2: expected 4 fields, got 5"),
+        (b"c1,2022-07-14T10:37:00.000Z,B\r,H", "payload line 3: new-line character"),
+        (b"c1,2022-07-14T10:37:00.000Z,%s,H" % (b"x" * (csv.field_size_limit() + 1)),
+         "payload line 3: field larger than field limit"),
+    ],
+    ids=["short-row", "long-row", "bare-carriage-return", "oversized-field"],
+)
+def test_bad_payload_row_is_parse_error_naming_it(row, message):
+    # the blank second line is skipped but still counts as a row and a line
+    payload = b"c1,2022-07-14T10:36:00.000Z,A,H\n\n" + row + b"\n"
+    with pytest.raises(LogParseError, match=message):
+        parse_segment_payload(payload)
+
+
+def test_blank_payload_row_is_skipped():
+    cases, sizes = parse_segment_payload(b"c1,2022-07-14T10:36:00.000Z,A,H\n\n")
+    assert [e.activity for e in cases["c1"]] == ["A"]
+    assert sizes == {"c1": len(b"c1,2022-07-14T10:36:00.000Z,A,H\n")}
 
 
 # -- encryption ---------------------------------------------------------------
