@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -180,11 +181,15 @@ class EventLog:
 # parsing and serialization
 
 
-def csv_rows(lines, where: str = "line"):
-    """``csv.reader`` rows; a reader error is a LogParseError naming the line."""
-    reader = csv.reader(lines)
+@contextmanager
+def csv_errors(reader, where: str = "line"):
+    """Raise a ``csv.Error`` from ``reader`` as a LogParseError naming its line.
+
+    ``reader.line_num`` counts physical lines, so a quoted field spanning
+    lines does not shift the numbers after it.
+    """
     try:
-        yield from reader
+        yield
     except csv.Error as exc:
         raise LogParseError(f"{where} {reader.line_num}: {exc}") from None
 
@@ -193,38 +198,39 @@ def parse_csv(text: str, source_org: str | None = None) -> EventLog:
     """Parse the canonical CSV layout into an EventLog.
 
     Columns may appear in any order, extra columns are ignored. The record
-    position inside the file becomes each event's seq_hint.
+    position inside the file becomes each event's seq_hint. An error names
+    the physical line its row ends on.
     """
-    reader = csv_rows(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise LogSchemaError("empty input, expected a header row") from None
-    header = [h.strip() for h in header]
-    missing = [col for col in CSV_COLUMNS if col not in header]
-    if missing:
-        raise LogSchemaError(f"missing required column(s): {', '.join(missing)}")
-    idx = {col: header.index(col) for col in CSV_COLUMNS}
-
+    reader = csv.reader(io.StringIO(text))
     events: list[Event] = []
-    for seq, row in enumerate(reader):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # ignore blank lines
-        line_no = seq + 2  # 1-based, after the header
-        if len(row) < len(header):
-            raise LogParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-        case_ref = row[idx["case"]].strip()
-        activity = row[idx["activity"]].strip()
-        org = row[idx["org"]].strip()
-        if not case_ref:
-            raise LogParseError(f"line {line_no}: empty case reference")
-        if not activity:
-            raise LogParseError(f"line {line_no}: empty activity")
-        try:
-            ts = parse_timestamp(row[idx["timestamp"]])
-        except LogParseError as exc:
-            raise LogParseError(f"line {line_no}: {exc}") from None
-        events.append(Event(case_ref, activity, ts, org, seq_hint=len(events)))
+    with csv_errors(reader):
+        header = next(reader, None)
+        if header is None:
+            raise LogSchemaError("empty input, expected a header row")
+        header = [h.strip() for h in header]
+        missing = [col for col in CSV_COLUMNS if col not in header]
+        if missing:
+            raise LogSchemaError(f"missing required column(s): {', '.join(missing)}")
+        idx = {col: header.index(col) for col in CSV_COLUMNS}
+
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # ignore blank lines
+            line_no = reader.line_num
+            if len(row) < len(header):
+                raise LogParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            case_ref = row[idx["case"]].strip()
+            activity = row[idx["activity"]].strip()
+            org = row[idx["org"]].strip()
+            if not case_ref:
+                raise LogParseError(f"line {line_no}: empty case reference")
+            if not activity:
+                raise LogParseError(f"line {line_no}: empty activity")
+            try:
+                ts = parse_timestamp(row[idx["timestamp"]])
+            except LogParseError as exc:
+                raise LogParseError(f"line {line_no}: {exc}") from None
+            events.append(Event(case_ref, activity, ts, org, seq_hint=len(events)))
     return EventLog.from_events(events, source_org=source_org)
 
 

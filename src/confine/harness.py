@@ -179,6 +179,7 @@ def run_protocol(
     )
     with ExitStack() as servers:
         if networked:
+            servers.callback(transport.close)
             receiver = MinerReceiver(session).start()
             servers.callback(receiver.close)
             session.callback_url = receiver.url

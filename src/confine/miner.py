@@ -183,8 +183,10 @@ class MinerSession:
         self.receiver_acks: list[str] = []
 
         # enqueue may run on a receiver thread: segments are opened one at
-        # a time, and the first failure is kept for run_acquisition to raise
+        # a time, and the first failure is kept for run_acquisition to raise;
+        # finish() closes intake, so a late push is refused unopened
         self._intake_lock = threading.Lock()
+        self._closed = False
         self._fatal: BaseException | None = None
         self._org_urls: dict[str, str] = {}
         self._org_refs: dict[str, tuple[str, ...]] = {}
@@ -255,10 +257,14 @@ class MinerSession:
         """Open one pushed envelope now; called by the callback receiver.
 
         A refusal names only the exception type: messages such as a merge
-        conflict's quote case data, and every ack leaves the enclave.
+        conflict's quote case data, and every ack leaves the enclave. Once
+        ``finish`` ran, every envelope is refused as a DeliveryError and
+        nothing is charged.
         """
         with self._intake_lock:
             try:
+                if self._closed:
+                    raise DeliveryError("the session has finished")
                 self._process_envelope(SegmentEnvelope.from_dict(raw))
                 ack = Ack(status="ok")
             except Exception as exc:
@@ -400,8 +406,9 @@ class MinerSession:
         return self.net
 
     def finish(self) -> None:
-        """Release every enclave buffer and delivery secret, under the intake lock."""
+        """Close intake; release every enclave buffer and delivery secret."""
         with self._intake_lock:
+            self._closed = True
             leftover = sum(self._case_bytes.values())
             if leftover:
                 self.budget.release(leftover)
@@ -433,13 +440,11 @@ class MinerSession:
 class MinerReceiver(JsonServer):
     """HTTP endpoint where provisioners push segment envelopes.
 
-    One thread serves every push: the session opens segments one at a time
-    anyway, and a thread per push made chatty sessions about 25% slower.
-    A client that trickles its request holds that thread, and every push
-    behind it waits; the handler timeout only drops a silent one.
+    Each provisioner pushes its whole delivery over one kept-alive
+    connection, served by that connection's own thread; the session still
+    opens segments one at a time under its intake lock. A client that
+    trickles a request holds only its own thread.
     """
-
-    serial = True
 
     def __init__(self, session: MinerSession, host: str = "127.0.0.1", port: int = 0):
         # an envelope larger than the whole budget in base64 could never be opened

@@ -5,18 +5,24 @@ provisioner service and the miner session never know which one they run
 over. ``answer()`` runs a route table and maps service errors to statuses;
 ``JsonServer`` and the hub both answer through it, so an error reads as
 the same status and ``TransportError`` over HTTP and over loopback.
+
+Over HTTP both sides keep connections alive between requests (HTTP/1.1
+persistent connections, RFC 9112 section 9.3): a provisioner pushes a whole
+delivery over one connection, and the server gives each connection its
+own thread.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import select
+import socket
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
-from http.client import HTTPException
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+import weakref
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 __all__ = [
@@ -31,6 +37,8 @@ BODY_ALLOWANCE = 1024 * 1024
 
 # (method, path) -> call(query, body); body is None for a GET
 Routes = dict[tuple[str, str], Callable[[dict, "dict | None"], dict]]
+
+_CONNECTIONS = {"http": HTTPConnection, "https": HTTPSConnection}
 
 
 def _no_constant(name: str):
@@ -48,57 +56,101 @@ class TransportError(Exception):
         super().__init__(f"{url}: {detail}")
 
 
+def _peer_closed(conn: HTTPConnection) -> bool:
+    # an idle connection has nothing to read until the peer closes it
+    return bool(select.select([conn.sock], [], [], 0)[0])
+
+
+def _close_idle(idle: dict[tuple[str, str], list[HTTPConnection]]) -> None:
+    for conns in idle.values():
+        for conn in conns:
+            conn.close()
+    idle.clear()
+
+
 class HttpTransport:
-    """JSON-over-HTTP client used by the miner and by provisioner pushes."""
+    """JSON-over-HTTP client used by the miner and by provisioner pushes.
+
+    Connections are kept alive and reused per scheme, host and port. A
+    caller uses a connection alone and hands it back only once the whole
+    answer was read and the peer did not ask to close it. A request is
+    never sent twice: a connection that fails during one is closed and the
+    failure is a ``TransportError``, so a push whose ack was lost reads as
+    undelivered, never as a duplicate.
+    """
 
     def __init__(self, timeout_s: float = 60.0):
         self.timeout_s = timeout_s
+        self._idle: dict[tuple[str, str], list[HTTPConnection]] = {}
+        self._lock = threading.Lock()
+        # a transport that is dropped without close() still closes its sockets
+        weakref.finalize(self, _close_idle, self._idle)
 
-    def _exchange(self, request: urllib.request.Request) -> tuple[int, bytes]:
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-                return resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            # A 4xx or 5xx answer still carries the peer's JSON error body.
-            with exc:
-                return exc.code, exc.read()
+    def close(self) -> None:
+        """Close every idle connection; a later call opens a new one."""
+        with self._lock:
+            _close_idle(self._idle)
 
-    def _call(self, url: str, request: urllib.request.Request) -> dict:
+    def _take(self, url: str, peer: tuple[str, str]) -> HTTPConnection:
+        with self._lock:
+            idle = self._idle.get(peer, [])
+            while idle:
+                conn = idle.pop()
+                if not _peer_closed(conn):
+                    return conn
+                conn.close()
+        scheme, netloc = peer
+        if scheme not in _CONNECTIONS:
+            raise TransportError(url, f"unsupported URL scheme {scheme!r}")
+        return _CONNECTIONS[scheme](netloc, timeout=self.timeout_s)
+
+    def _call(self, url: str, method: str, body: dict | None = None, query: str = "") -> dict:
+        parts = urllib.parse.urlsplit(url)
+        peer = (parts.scheme, parts.netloc)
+        target = f"{parts.path}?{query}" if query else parts.path
+        headers = {}
+        data = None
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
         try:
-            status, raw = self._exchange(request)
-        except (OSError, HTTPException) as exc:  # URLError and timeouts are OSErrors
+            conn = self._take(url, peer)
+            try:
+                conn.request(method, target, body=data, headers=headers)
+                resp = conn.getresponse()
+                status, raw = resp.status, resp.read()
+            except BaseException:
+                conn.close()
+                raise
+        except (OSError, HTTPException) as exc:  # refusals and timeouts are OSErrors
             raise TransportError(url, str(exc)) from None
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(peer, []).append(conn)
         try:
-            body = json.loads(raw, parse_constant=_no_constant)
+            answer = json.loads(raw, parse_constant=_no_constant)
         except ValueError:
-            body = None
-        if not isinstance(body, dict):
+            answer = None
+        if not isinstance(answer, dict):
             raise TransportError(url, f"answer is not a JSON object (HTTP {status})", status)
         if status >= 400:
-            raise TransportError(url, body.get("error", f"HTTP {status}"), status)
-        return body
+            raise TransportError(url, answer.get("error", f"HTTP {status}"), status)
+        return answer
 
     def get_case_refs(self, base_url: str, miner_id: str) -> dict:
         url = base_url.rstrip("/") + "/caserefs"
-        query = urllib.parse.urlencode({"miner_id": miner_id})
-        return self._call(url, urllib.request.Request(f"{url}?{query}"))
-
-    def _post(self, url: str, body: dict) -> dict:
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(body).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        return self._call(url, request)
+        return self._call(url, "GET", query=urllib.parse.urlencode({"miner_id": miner_id}))
 
     def post_cases(self, base_url: str, body: dict) -> dict:
-        return self._post(base_url.rstrip("/") + "/cases", body)
+        return self._call(base_url.rstrip("/") + "/cases", "POST", body)
 
     def post_attestation(self, base_url: str, body: dict) -> dict:
-        return self._post(base_url.rstrip("/") + "/attestation", body)
+        return self._call(base_url.rstrip("/") + "/attestation", "POST", body)
 
     def push_segment(self, callback_url: str, body: dict) -> dict:
-        return self._post(callback_url.rstrip("/") + "/segments", body)
+        return self._call(callback_url.rstrip("/") + "/segments", "POST", body)
 
 
 def provisioner_routes(service) -> Routes:
@@ -142,25 +194,40 @@ def answer(
 
 class _JsonHandler(BaseHTTPRequestHandler):
     server_version = "confine/0.1"
+    protocol_version = "HTTP/1.1"
+    # a small answer otherwise waits for the client's delayed ACK, about
+    # 40 ms per request on a kept-alive connection
+    disable_nagle_algorithm = True
     # seconds each socket read may wait before the connection is dropped
     timeout = 30
 
+    # Every answer that leaves body bytes unread closes the connection: on
+    # a kept-alive one they would be parsed as the next request.
+
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._answer(None)
+        unread = "Content-Length" in self.headers or "Transfer-Encoding" in self.headers
+        self._answer(None, close=unread)
 
     def do_POST(self) -> None:  # noqa: N802
+        if "Transfer-Encoding" in self.headers:
+            error = "Transfer-Encoding is not accepted, send Content-Length"
+            self._send(400, {"error": error}, close=True)
+            return
         length = self.headers.get("Content-Length", "0")
         # rfile.read(-1) would wait for the client to close the connection
         if not length.isdecimal():
-            self._send(400, {"error": f"bad Content-Length {length!r}"})
+            self._send(400, {"error": f"bad Content-Length {length!r}"}, close=True)
             return
         # refused before reading, so an announced size is never allocated
         if int(length) > self.server.max_body:
-            self._send(413, {"error": f"body of {length} bytes exceeds {self.server.max_body}"})
+            error = f"body of {length} bytes exceeds {self.server.max_body}"
+            self._send(413, {"error": error}, close=True)
             return
         raw = self.rfile.read(int(length))
         if len(raw) < int(length):
-            return  # the client closed early; an answer would meet a closed socket
+            # the client closed early; an answer would meet a closed socket
+            self.close_connection = True
+            return
         try:
             body = json.loads(raw, parse_constant=_no_constant)
             if not isinstance(body, dict):
@@ -170,16 +237,18 @@ class _JsonHandler(BaseHTTPRequestHandler):
             return
         self._answer(body)
 
-    def _answer(self, body: dict | None) -> None:
+    def _answer(self, body: dict | None, close: bool = False) -> None:
         url = urllib.parse.urlsplit(self.path)
         query = dict(urllib.parse.parse_qsl(url.query))
-        self._send(*answer(self.server.routes, self.command, url.path, query, body))
+        self._send(*answer(self.server.routes, self.command, url.path, query, body), close=close)
 
-    def _send(self, status: int, body: dict) -> None:
+    def _send(self, status: int, body: dict, close: bool = False) -> None:
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
         self.wfile.write(data)
 
@@ -187,22 +256,55 @@ class _JsonHandler(BaseHTTPRequestHandler):
         log.debug("%s %s", self.address_string(), fmt % args)
 
 
+class _Server(ThreadingHTTPServer):
+    """Keeps each open connection's thread, so closing the server can end it."""
+
+    def __init__(self, address: tuple[str, int], routes: Routes, max_body: int):
+        super().__init__(address, _JsonHandler)
+        self.routes = routes
+        self.max_body = max_body
+        self._open: dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        # registered on the accepting thread, so once serve_forever has
+        # stopped every accepted connection is in the table
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            still_open = list(self._open.items())
+        for sock, _thread in still_open:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # the handler's read returns at once
+            except OSError:
+                pass  # the peer already reset it
+        for _sock, thread in still_open:
+            thread.join(timeout=5)
+
+
 class JsonServer:
     """HTTP server answering one route table, one daemon thread per connection.
 
-    A provisioner may serve many miners, so a slow or stalled client holds
-    only its own thread; the handler timeout ends that thread once the
-    client goes silent. A subclass that sets ``serial`` serves every
-    connection from one long-lived thread instead.
+    A provisioner may serve many miners and a miner's receiver many orgs,
+    so a slow or stalled client holds only its own thread; the handler
+    timeout ends that thread once the client goes silent. A kept-alive
+    connection keeps its thread between requests: one thread per delivery.
     """
 
-    serial = False
-
     def __init__(self, routes: Routes, max_body: int, host: str = "127.0.0.1", port: int = 0):
-        server = HTTPServer if self.serial else ThreadingHTTPServer
-        self._httpd = server((host, port), _JsonHandler)
-        self._httpd.routes = routes
-        self._httpd.max_body = max_body
+        self._httpd = _Server((host, port), routes, max_body)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
 
     @property
@@ -215,6 +317,7 @@ class JsonServer:
         return self
 
     def close(self) -> None:
+        """Stop accepting, end every open connection and join its thread."""
         self._httpd.shutdown()
         self._httpd.server_close()
         self._thread.join(timeout=5)

@@ -24,7 +24,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .codec import b64u_decode, b64u_encode
-from .eventlog import CaseView, Event, EventLog, LogParseError, csv_rows, event_row, parse_timestamp
+from .eventlog import CaseView, Event, EventLog, LogParseError, csv_errors, event_row, parse_timestamp
 
 __all__ = [
     "KIB",
@@ -148,16 +148,19 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[
     row_start = 0
     # csv.reader pulls lines only until the current record is complete, so
     # after each row `consumed` ends exactly at that row's last line.
-    for seq, row in enumerate(csv_rows(lines(), "payload line")):
-        row_bytes = consumed - row_start
-        row_start = consumed
-        if not row:
-            continue
-        if len(row) != 4:
-            raise LogParseError(f"payload row {seq}: expected 4 fields, got {len(row)}")
-        case_ref, stamp, activity, org = row
-        cases.setdefault(case_ref, []).append(Event(case_ref, activity, parse_timestamp(stamp), org, seq))
-        sizes[case_ref] = sizes.get(case_ref, 0) + row_bytes
+    reader = csv.reader(lines())
+    with csv_errors(reader, "payload line"):
+        for seq, row in enumerate(reader):
+            row_bytes = consumed - row_start
+            row_start = consumed
+            if not row:
+                continue
+            if len(row) != 4:
+                raise LogParseError(f"payload row {seq}: expected 4 fields, got {len(row)}")
+            case_ref, stamp, activity, org = row
+            event = Event(case_ref, activity, parse_timestamp(stamp), org, seq)
+            cases.setdefault(case_ref, []).append(event)
+            sizes[case_ref] = sizes.get(case_ref, 0) + row_bytes
     return cases, sizes
 
 

@@ -204,6 +204,12 @@ def test_parse_csv_bad_row_is_parse_error_naming_its_line(row, message):
         parse_csv(text)
 
 
+def test_parse_csv_names_the_physical_line_after_a_multiline_field():
+    text = 'case,timestamp,activity,org\n312,2022-07-14T10:36,"P\nH",H\n312,bad,COPA,H\n'
+    with pytest.raises(LogParseError, match="^line 4: bad timestamp 'bad'"):
+        parse_csv(text)
+
+
 def test_parse_csv_duplicate_record_kept_with_distinct_seq_hint():
     csv = (
         "case,timestamp,activity,org\n"

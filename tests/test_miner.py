@@ -258,6 +258,45 @@ def test_finish_is_idempotent(hospital_log, identity):
     assert session.budget.in_use == 0
 
 
+def test_finish_closes_intake(hospital_log, pharma_log, clinic_log, identity, monkeypatch):
+    hub, session = _setup(_org_logs(hospital_log, pharma_log, clinic_log), identity)
+    pushed = []
+
+    def recording(raw):
+        pushed.append(raw)
+        return session.enqueue(raw)
+
+    hub.register_receiver("loop://miner", recording)
+    session.run()
+    charges = []
+    monkeypatch.setattr(session.budget, "charge", charges.append)
+    assert session.enqueue(pushed[-1]) == {"status": "error", "reason": "DeliveryError"}
+    assert charges == []
+    assert session.budget.in_use == 0
+    assert session._parts == {} and session._org_keys == {}
+
+
+def test_segment_after_a_failed_run_is_not_opened(identity):
+    # a provider may still push after the session gave up on it; a late
+    # segment must not be unwrapped again into a finished enclave
+    log_data, org_map = generate_scenario_log(ScenarioParams(cases=30, seed=7))
+    hub, session = _setup(partition_by_org(log_data, org_map), identity, seg_size=KIB)
+    withheld = []
+
+    def withholding(raw):
+        if raw["org"] == "P" and not withheld:
+            withheld.append(raw)
+            return {"status": "ok"}  # acknowledged, never opened
+        return session.enqueue(raw)
+
+    hub.register_receiver("loop://miner", withholding)
+    with pytest.raises(IncompleteDeliveryError):
+        session.run()
+    assert session.enqueue(withheld[0]) == {"status": "error", "reason": "DeliveryError"}
+    assert session.budget.in_use == 0
+    assert session._parts == {} and session._org_keys == {}
+
+
 def test_finish_never_interleaves_with_an_opening_segment(identity):
     # finish releasing what it counted while a receiver thread charges a new
     # part would leave bytes charged that no buffer accounts for
@@ -761,7 +800,7 @@ def test_receiver_acks_bad_envelope(receiver):
 
 
 def test_receiver_drops_stalled_client(receiver, monkeypatch):
-    # one thread serves every push, so a silent connection must not hold it
+    # a silent connection must not hold its thread past the handler timeout
     monkeypatch.setattr(_JsonHandler, "timeout", 0.2)
     url = urllib.parse.urlsplit(receiver.url)
     with socket.create_connection((url.hostname, url.port)):
@@ -773,7 +812,7 @@ def test_receiver_drops_stalled_client(receiver, monkeypatch):
 
 @pytest.mark.parametrize("length", ["-1", "ten"])
 def test_receiver_rejects_bad_content_length_at_once(receiver, length):
-    # rfile.read(-1) would hold the only serving thread until the client closes
+    # rfile.read(-1) would hold the serving thread until the client closes
     url = urllib.parse.urlsplit(receiver.url)
     with socket.create_connection((url.hostname, url.port), timeout=4) as sock:
         sock.sendall(f"POST /segments HTTP/1.0\r\nContent-Length: {length}\r\n\r\n".encode())
@@ -797,3 +836,21 @@ def test_receiver_rejects_non_object_body(receiver):
 def test_receiver_unknown_path(receiver):
     status, _body = http_request("POST", f"{receiver.url}/elsewhere", b"{}")
     assert status == 404
+
+
+def test_receiver_trickling_client_does_not_block_pushes(hospital_log, identity):
+    # each read waits up to the 30 s handler timeout, so a body sent a byte
+    # at a time could hold a connection indefinitely; real pushes go on
+    _, session = _setup({"H": hospital_log}, identity)
+    session.run_initialization()
+    seg = segment_log(hospital_log, hospital_log.case_refs(), 10**6, "H")[0]
+    env = encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub_der)).to_dict()
+    receiver = MinerReceiver(session).start()
+    try:
+        url = urllib.parse.urlsplit(receiver.url)
+        with socket.create_connection((url.hostname, url.port), timeout=4) as slow:
+            slow.sendall(b"POST /segments HTTP/1.1\r\nContent-Length: 100000\r\n\r\n{")
+            assert HttpTransport(timeout_s=4).push_segment(receiver.url, env) == {"status": "ok"}
+    finally:
+        receiver.close()
+        session.finish()

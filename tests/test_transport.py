@@ -2,15 +2,19 @@
 
 import json
 import socket
+import threading
+import time
 import urllib.parse
 
 import pytest
 
 from confine.attest import ReferenceRegistry
+from confine.eventlog import partition_by_org
+from confine.harness import ScenarioParams, generate_scenario_log, run_protocol
 from confine.miner import MinerReceiver, MinerSession
 from confine.provisioner import ProvisionerServer, ProvisionerService
-from confine.transport import HttpTransport, JsonServer, LoopbackHub, TransportError
-from confine.wire import CaseRequest
+from confine.transport import HttpTransport, JsonServer, LoopbackHub, TransportError, _JsonHandler
+from confine.wire import KIB, CaseRequest
 
 from conftest import http_request
 
@@ -158,3 +162,133 @@ def test_client_refuses_json_constants():
             HttpTransport(timeout_s=4).post_cases(server.url, {})
     finally:
         server.close()
+
+
+# -- kept-alive connections -------------------------------------------------------
+
+
+@pytest.fixture()
+def accepted(monkeypatch):
+    """Connections each JSON server accepted, keyed by the paths it routes."""
+    counts: dict[frozenset, int] = {}
+    setup = _JsonHandler.setup
+
+    def counting(handler):
+        paths = frozenset(path for _method, path in handler.server.routes)
+        counts[paths] = counts.get(paths, 0) + 1
+        setup(handler)
+
+    monkeypatch.setattr(_JsonHandler, "setup", counting)
+    return counts
+
+
+def _echo_server() -> JsonServer:
+    return JsonServer({("POST", "/cases"): lambda _q, body: {"echo": body}}, 1024).start()
+
+
+def test_http_session_pushes_each_delivery_over_one_connection(accepted):
+    log_data, org_map = generate_scenario_log(ScenarioParams(cases=30, seed=7))
+    partitions = partition_by_org(log_data, org_map)
+    assert len(partitions) == 3
+    session = run_protocol(partitions, seg_size=KIB, networked=True)
+    assert session.net is not None
+    assert len(session.receiver_acks) > 3 * len(partitions)  # one per segment
+    # at most one per org delivery; orgs deliver one after another, so a
+    # shared client may carry them all over one
+    assert 1 <= accepted[frozenset({"/segments"})] <= len(partitions)
+
+
+def test_connection_dropped_by_the_server_is_replaced(accepted, monkeypatch):
+    monkeypatch.setattr(_JsonHandler, "timeout", 0.2)
+    server = _echo_server()
+    try:
+        client = HttpTransport(timeout_s=4)
+        assert client.post_cases(server.url, {"n": 1}) == {"echo": {"n": 1}}
+        assert client.post_cases(server.url, {"n": 2}) == {"echo": {"n": 2}}
+        assert accepted[frozenset({"/cases"})] == 1
+        time.sleep(1.0)  # the idle connection times out on the server
+        assert client.post_cases(server.url, {"n": 3}) == {"echo": {"n": 3}}
+        assert accepted[frozenset({"/cases"})] == 2
+    finally:
+        server.close()
+
+
+def test_close_ends_the_threads_of_idle_connections():
+    before = set(threading.enumerate())
+    server = _echo_server()
+    client = HttpTransport(timeout_s=4)
+    assert client.post_cases(server.url, {"n": 1}) == {"echo": {"n": 1}}
+    # the kept-alive connection holds its handler thread while idle
+    assert len(set(threading.enumerate()) - before) == 2
+    t0 = time.monotonic()
+    server.close()
+    assert time.monotonic() - t0 < 5  # not the 30 s handler timeout
+    assert [t for t in set(threading.enumerate()) - before if t.is_alive()] == []
+
+
+def test_one_client_shared_by_two_threads(accepted):
+    server = _echo_server()
+    client = HttpTransport(timeout_s=4)
+    answers: dict[str, list] = {"a": [], "b": []}
+
+    def calls(name: str) -> None:
+        for i in range(50):
+            answers[name].append(client.post_cases(server.url, {"who": name, "i": i}))
+
+    try:
+        threads = [threading.Thread(target=calls, args=(name,)) for name in answers]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        server.close()
+    for name, got in answers.items():
+        assert got == [{"echo": {"who": name, "i": i}} for i in range(50)]
+    assert accepted[frozenset({"/cases"})] <= 2  # one connection per thread at most
+
+
+def test_sequential_posts_do_not_wait_for_delayed_acks():
+    # with Nagle's algorithm on, each answer on a kept-alive connection
+    # waits about 40 ms for the client's delayed ACK: about 4 s here
+    server = _echo_server()
+    client = HttpTransport(timeout_s=4)
+    try:
+        t0 = time.monotonic()
+        for i in range(100):
+            assert client.post_cases(server.url, {"i": i}) == {"echo": {"i": i}}
+        assert time.monotonic() - t0 < 2
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize(
+    "framing,status",
+    [
+        (f"Content-Length: {10**13}", b"413"),
+        ("Content-Length: ten", b"400"),
+        ("Transfer-Encoding: chunked", b"400"),
+    ],
+    ids=["oversized", "bad-length", "chunked"],
+)
+def test_unread_body_is_never_parsed_as_a_request(json_server, framing, status):
+    # the bytes after the head look like a second request on the connection
+    server, path, _answers = json_server
+    smuggled = f"POST {path} HTTP/1.1\r\nContent-Length: 2\r\n\r\n{{}}".encode()
+    reply = _raw(server, f"POST {path} HTTP/1.1\r\n{framing}", smuggled)
+    head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+    assert head[0].split()[1] == status
+    assert b"Connection: close" in head
+    assert reply.count(b"HTTP/1.") == 1
+
+
+def test_get_with_a_body_closes_the_connection(hospital_log, identity):
+    server = ProvisionerServer(_service(hospital_log, identity)).start()
+    try:
+        get = "GET /caserefs?miner_id=miner1 HTTP/1.1"
+        reply = _raw(server, f"{get}\r\nContent-Length: 2", b"{}" + get.encode() + b"\r\n\r\n")
+    finally:
+        server.close()
+    assert reply.split()[1] == b"200"
+    assert reply.count(b"HTTP/1.") == 1
