@@ -106,9 +106,12 @@ class Event:
             raise ValueError("event requires a non-empty activity")
 
 
-def _order_key(ev: Event) -> tuple[datetime, str, int]:
-    # Total order inside a case: timestamp, then org, then source position.
-    return (ev.timestamp, ev.org, ev.seq_hint)
+def _order_key(ev: Event) -> tuple[datetime, str, str, int]:
+    # Total order inside a case: timestamp, then org, then activity, then
+    # source position. The source position is a row of the pooled file in
+    # standalone mining but a row of a segment inside the enclave, so it
+    # may only order events whose activities are equal.
+    return (ev.timestamp, ev.org, ev.activity, ev.seq_hint)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,15 +1,14 @@
-"""Reassembly of partial cases and delivery eligibility tracking.
+"""Reassembly of partial cases.
 
 Each organization holds only its slice of a case. Merging is a set union of
 the parts followed by the shared total order, so it is commutative,
-associative and idempotent. The eligibility ledger decides when all
-announced holders of a case have delivered and the union is complete.
+associative and idempotent. The miner session decides when all announced
+holders of a case have delivered and the union is complete.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .eventlog import CaseView, Event
@@ -19,7 +18,6 @@ __all__ = [
     "MergeConflictError",
     "DeliveryError",
     "merge_case",
-    "EligibilityLedger",
 ]
 
 
@@ -56,51 +54,3 @@ def merge_case(parts: Iterable[Iterable[Event]]) -> CaseView:
     except ValueError as exc:  # an event of another case
         raise MergeKeyError(f"cannot merge into case {key!r}: {exc}") from None
 
-
-@dataclass
-class EligibilityLedger:
-    """Tracks which organizations announced and delivered each case.
-
-    A case is eligible exactly when its received org set equals its
-    non-empty expected set. Manifests must precede deliveries for a case,
-    which makes eligibility monotone: once eligible, always eligible.
-    """
-
-    expected: dict[str, set[str]] = field(default_factory=dict)
-    received: dict[str, set[str]] = field(default_factory=dict)
-
-    def record_manifest(self, org: str, refs: list[str] | set[str]) -> None:
-        """Announce that ``org`` holds a partial view of each ref."""
-        for ref in refs:
-            if self.received.get(ref):
-                raise DeliveryError(
-                    f"manifest for case {ref!r} arrived after deliveries began"
-                )
-            self.expected.setdefault(ref, set()).add(org)
-
-    def record_delivery(self, org: str, case_ref: str) -> bool:
-        """Record one delivery; returns True when the case just became eligible."""
-        holders = self.expected.get(case_ref)
-        if not holders or org not in holders:
-            raise DeliveryError(
-                f"delivery of case {case_ref!r} from {org!r}, which never announced it"
-            )
-        got = self.received.setdefault(case_ref, set())
-        if org in got:
-            raise MergeConflictError(f"case {case_ref!r} delivered twice by {org!r}")
-        got.add(org)
-        return got == holders
-
-    def is_eligible(self, case_ref: str) -> bool:
-        holders = self.expected.get(case_ref)
-        return bool(holders) and self.received.get(case_ref, set()) == holders
-
-    def pending_refs(self) -> list[str]:
-        return sorted(ref for ref in self.expected if not self.is_eligible(ref))
-
-    def missing(self) -> dict[str, set[str]]:
-        """Per pending case, the orgs that announced but did not deliver yet."""
-        return {
-            ref: self.expected[ref] - self.received.get(ref, set())
-            for ref in self.pending_refs()
-        }

@@ -4,8 +4,9 @@ Decrypted case data lives only in the session's private store and leaves
 the process exclusively as mined nets and metrics. Each pushed segment is
 opened as it arrives, one at a time under a lock, so every buffer inside
 the simulated enclave is bounded and charged against an explicit memory
-budget: the ciphertext and plaintext of the segment being opened, retained
-partial cases, eligibility bookkeeping and the running mining statistics.
+budget: the ciphertext and plaintext of the segment being opened, the
+table of cases still waiting on a holder, merged cases waiting to be mined
+and the running mining statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from .attest import EnclaveIdentity, make_report
 from .eventlog import CaseView, Event
 from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, serialize_net
-from .merge import DeliveryError, EligibilityLedger, merge_case
+from .merge import DeliveryError, merge_case
 from .transport import BODY_ALLOWANCE, JsonServer, TransportError, segment_routes
 from .wire import (
     Ack,
@@ -56,10 +57,10 @@ DEFAULT_CAPACITY = 128 * MIB
 STAGES = ("init", "attest", "transmit", "compute")
 
 # Logical byte sizes of enclave bookkeeping structures. They are charged
-# like any buffer: the ledger grows with announced (case, org) pairs and
-# every retained part of a case costs a fixed overhead on top of its rows.
+# like any buffer: each (case, org) pair still owed costs an entry until
+# that org delivers the case, and every retained part of a case costs a
+# fixed overhead on top of its rows.
 LEDGER_ENTRY_BYTES = 32
-DELIVERY_ENTRY_BYTES = 16
 PART_OVERHEAD_BYTES = 48
 
 
@@ -132,11 +133,25 @@ def _ct_size(env: SegmentEnvelope) -> int:
     return len(env.wrapped_key) + len(env.ciphertext) + len(env.auth_tag)
 
 
+def _entry_size(ref: str, org: str) -> int:
+    return len(ref) + len(org) + LEDGER_ENTRY_BYTES
+
+
+@dataclass
+class _Waiting:
+    """A case some announced holder still owes: who, the parts so far, their bytes."""
+
+    owed: set[str]
+    parts: list[list[Event]] = field(default_factory=list)
+    charged: int = 0
+
+
 class MinerSession:
     """Runs initialization, acquisition and computation against providers.
 
-    A partial case waits as plain event lists, one per delivering org,
-    until its last holder delivers; ``merge_case`` then builds its view.
+    A partial case waits in one table entry, as plain event lists, one per
+    delivering org, until its last holder delivers; ``merge_case`` then
+    builds its view and the entry leaves the table.
 
     mode is "single_batch" (mine once after all cases merged) or
     "incremental" (fold merged cases into the statistics every
@@ -175,7 +190,6 @@ class MinerSession:
         self.miner_id = miner_id
         self.compute_enabled = compute_enabled
 
-        self.ledger = EligibilityLedger()
         self.stats = DfStats()
         self.net: HeuristicsNet | None = None
         self.metrics: list[tuple[float, str, int, int]] = []
@@ -183,24 +197,24 @@ class MinerSession:
         self.receiver_acks: list[str] = []
 
         # enqueue may run on a receiver thread: segments are opened one at
-        # a time, and the first failure is kept for run_acquisition to raise;
-        # finish() closes intake, so a late push is refused unopened
+        # a time, and the first failure is kept for run_acquisition to raise.
+        # Intake opens once every manifest is in, so no case can complete
+        # before all its holders are known, and finish() closes it again,
+        # so an early or late push is refused unopened.
         self._intake_lock = threading.Lock()
-        self._closed = False
+        self._open = False
         self._fatal: BaseException | None = None
         self._org_urls: dict[str, str] = {}
         self._org_refs: dict[str, tuple[str, ...]] = {}
-        self._org_received: dict[str, set[int]] = {}
         # each org seals its whole delivery under one key: unwrapped on the
         # org's first envelope, then every later envelope must carry it
         self._org_keys: dict[str, tuple[bytes, bytes]] = {}
         # Enclave-tagged store: raw case data is reachable only through
         # these private buffers and is never exported.
-        self._parts: dict[str, list[list[Event]]] = {}
-        self._case_bytes: dict[str, int] = {}
+        self._waiting: dict[str, _Waiting] = {}
         self._eligible: list[CaseView] = []
+        self._eligible_charged = 0
         self._stats_charged = 0
-        self._ledger_charged = 0
         self._stage = "init"
         self._t0 = time.perf_counter()
 
@@ -257,15 +271,18 @@ class MinerSession:
         """Open one pushed envelope now; called by the callback receiver.
 
         A refusal names only the exception type: messages such as a merge
-        conflict's quote case data, and every ack leaves the enclave. Once
-        ``finish`` ran, every envelope is refused as a DeliveryError and
-        nothing is charged.
+        conflict's quote case data, and every ack leaves the enclave. Before
+        ``run_initialization`` completes and once ``finish`` ran, every
+        envelope is refused as a DeliveryError and nothing is charged.
         """
         with self._intake_lock:
             try:
-                if self._closed:
-                    raise DeliveryError("the session has finished")
-                self._process_envelope(SegmentEnvelope.from_dict(raw))
+                env = SegmentEnvelope.from_dict(raw)
+                if not self._open:
+                    raise DeliveryError(
+                        f"org {env.org!r} segment {env.seq_no}/{env.total} arrived while intake is closed"
+                    )
+                self._process_envelope(env)
                 ack = Ack(status="ok")
             except Exception as exc:
                 self._fatal = self._fatal or exc
@@ -277,7 +294,11 @@ class MinerSession:
     # -- stage 1: initialization ---------------------------------------------
 
     def run_initialization(self) -> None:
-        """Learn which org holds which cases; builds the eligibility ledger."""
+        """Learn which org holds which cases, then open intake.
+
+        Every case enters the waiting table owed by each org that announced
+        it; an org listing a case twice owes it once.
+        """
         self._stage = "init"
         self._metric()
         for url in self.providers:
@@ -291,12 +312,13 @@ class MinerSession:
                 raise InitializationError(f"duplicate org {resp.org!r} announced by {url}")
             self._org_urls[resp.org] = url
             self._org_refs[resp.org] = resp.refs
-            self.ledger.record_manifest(resp.org, list(resp.refs))
-            entry_bytes = sum(len(ref) + len(resp.org) + LEDGER_ENTRY_BYTES for ref in resp.refs)
-            self.budget.charge(entry_bytes)
-            self._ledger_charged += entry_bytes
-            log.info("org %s announced %d case(s)", resp.org, len(resp.refs))
+            refs = set(resp.refs)
+            self.budget.charge(sum(_entry_size(ref, resp.org) for ref in refs))
+            for ref in refs:
+                self._waiting.setdefault(ref, _Waiting(set())).owed.add(resp.org)
+            log.info("org %s announced %d case(s)", resp.org, len(refs))
             self._metric()
+        self._open = True
 
     # -- stage 2 + 3: attestation and transmission ----------------------------
 
@@ -325,8 +347,8 @@ class MinerSession:
             self._metric()
         if self._fatal is not None:
             raise self._fatal
-        if self.ledger.pending_refs():
-            raise IncompleteDeliveryError(self.ledger.missing())
+        if self._waiting:
+            raise IncompleteDeliveryError({ref: set(case.owed) for ref, case in self._waiting.items()})
 
     def _process_envelope(self, env: SegmentEnvelope) -> None:
         held = _ct_size(env)
@@ -334,30 +356,32 @@ class MinerSession:
         try:
             if env.org not in self._org_refs:
                 raise DeliveryError(f"segment from unannounced org {env.org!r}")
-            # a relabeled header fails authentication; a replay is refused here
-            received = self._org_received.setdefault(env.org, set())
-            if env.seq_no in received:
-                raise DeliveryError(f"org {env.org!r} pushed segment {env.seq_no} twice")
-
+            # a relabeled header fails authentication; a replayed segment
+            # delivers cases its org no longer owes and is refused below
             payload = decrypt_segment(env, self._delivery_secret(env))
             self.budget.charge(len(payload))
             held += len(payload)
             part_events, part_sizes = parse_segment_payload(payload)
             for ref, events in part_events.items():
-                newly_eligible = self.ledger.record_delivery(env.org, ref)
-                entry = len(env.org) + DELIVERY_ENTRY_BYTES
-                self.budget.charge(entry)
-                self._ledger_charged += entry
+                case = self._waiting.get(ref)
+                if case is None or env.org not in case.owed:
+                    how = "twice" if ref in self._org_refs[env.org] else "which it never announced"
+                    raise DeliveryError(
+                        f"org {env.org!r} segment {env.seq_no}/{env.total} delivered case {ref!r} {how}"
+                    )
                 size = part_sizes[ref] + PART_OVERHEAD_BYTES
                 self.budget.charge(size)
-                self._case_bytes[ref] = self._case_bytes.get(ref, 0) + size
-                self._parts.setdefault(ref, []).append(events)
-                if newly_eligible:
-                    merged = merge_case(self._parts.pop(ref))
-                    self._eligible.append(merged)
+                case.owed.remove(env.org)
+                self.budget.release(_entry_size(ref, env.org))
+                case.parts.append(events)
+                case.charged += size
+                if not case.owed:
+                    # merged before it leaves the table: a failed merge stays accounted
+                    self._eligible.append(merge_case(case.parts))
+                    del self._waiting[ref]
+                    self._eligible_charged += case.charged
                     if self.mode == "incremental" and len(self._eligible) >= self.batch_cases:
                         self._flush()
-            received.add(env.seq_no)
         finally:
             self.budget.release(held)
         self._metric()
@@ -385,8 +409,8 @@ class MinerSession:
         if new_estimate > self._stats_charged:
             self.budget.charge(new_estimate - self._stats_charged)
             self._stats_charged = new_estimate
-        freed = sum(self._case_bytes.pop(view.case_ref) for view in self._eligible)
-        self.budget.release(freed)
+        self.budget.release(self._eligible_charged)
+        self._eligible_charged = 0
         self._eligible.clear()
         self._metric()
 
@@ -408,20 +432,16 @@ class MinerSession:
     def finish(self) -> None:
         """Close intake; release every enclave buffer and delivery secret."""
         with self._intake_lock:
-            self._closed = True
-            leftover = sum(self._case_bytes.values())
-            if leftover:
-                self.budget.release(leftover)
-            self._case_bytes.clear()
-            self._parts.clear()
-            self._org_keys.clear()
+            self._open = False
+            held = self._eligible_charged + self._stats_charged + sum(
+                case.charged + sum(_entry_size(ref, org) for org in case.owed)
+                for ref, case in self._waiting.items()
+            )
+            self.budget.release(held)
+            self._waiting.clear()
             self._eligible.clear()
-            if self._stats_charged:
-                self.budget.release(self._stats_charged)
-                self._stats_charged = 0
-            if self._ledger_charged:
-                self.budget.release(self._ledger_charged)
-                self._ledger_charged = 0
+            self._eligible_charged = self._stats_charged = 0
+            self._org_keys.clear()
             self._metric()
 
     def run(self) -> HeuristicsNet | None:

@@ -35,6 +35,9 @@ log = logging.getLogger(__name__)
 # bytes a request body may carry beyond the data it is sized for
 BODY_ALLOWANCE = 1024 * 1024
 
+# seconds between serve_forever's checks for shutdown; close() waits up to one
+SERVE_POLL_S = 0.05
+
 # (method, path) -> call(query, body); body is None for a GET
 Routes = dict[tuple[str, str], Callable[[dict, "dict | None"], dict]]
 
@@ -305,7 +308,9 @@ class JsonServer:
 
     def __init__(self, routes: Routes, max_body: int, host: str = "127.0.0.1", port: int = 0):
         self._httpd = _Server((host, port), routes, max_body)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
 
     @property
     def url(self) -> str:

@@ -6,12 +6,15 @@ company 6 and the specialized clinic 5 (case 312 only).
 """
 
 import http.client
+import os
 import urllib.parse
 
 import pytest
 
 from confine.attest import EnclaveIdentity
 from confine.eventlog import EventLog, parse_csv
+from confine.miner import LEDGER_ENTRY_BYTES, MinerSession
+from confine.wire import Ack, AttestationChallenge, CaseRefResponse, SealingKey, encrypt_segment, segment_log
 
 HOSPITAL_CSV = """\
 case,timestamp,activity,org
@@ -75,6 +78,37 @@ def http_request(method: str, url: str, body: bytes | None = None) -> tuple[int,
         return resp.status, resp.read()
     finally:
         conn.close()
+
+
+class SilentProvisioner:
+    """Announces cases, passes attestation, then never delivers anything."""
+
+    def __init__(self, org, refs):
+        self.org = org
+        self.refs = tuple(refs)
+
+    def serve_case_refs(self, miner_id):
+        return CaseRefResponse(org=self.org, refs=self.refs).to_dict()
+
+    def handle_case_request(self, body):
+        return AttestationChallenge(nonce=os.urandom(16)).to_dict()
+
+    def handle_attestation(self, body):
+        return Ack(status="trusted").to_dict()
+
+
+def sealed_envelopes(log_data: EventLog, refs, org: str, identity, seg_size: int = 10**6) -> list[dict]:
+    """The org's segments of ``refs``, sealed under one key as its delivery pushes them."""
+    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    return [encrypt_segment(seg, sealing).to_dict() for seg in segment_log(log_data, refs, seg_size, org)]
+
+
+def held_bytes(session: MinerSession) -> int:
+    """What the session's tables account for: owed entries, held parts, merged cases, statistics."""
+    return session._eligible_charged + session._stats_charged + sum(
+        case.charged + sum(len(ref) + len(org) + LEDGER_ENTRY_BYTES for org in case.owed)
+        for ref, case in session._waiting.items()
+    )
 
 
 @pytest.fixture(scope="session")

@@ -93,7 +93,7 @@ def test_event_rejects_empty_fields():
 
 def test_case_view_sorts_on_construction():
     # Out-of-file-order events; oracle is an explicit comparison sort over
-    # the (timestamp, org, seq_hint) key.
+    # the (timestamp, org, activity, seq_hint) key.
     csv = (
         "case,timestamp,activity,org\n"
         "1,2022-07-14T12:00,B,X\n"
@@ -102,7 +102,7 @@ def test_case_view_sorts_on_construction():
     )
     log = parse_csv(csv)
     view = log.cases["1"]
-    oracle = sorted(view.events, key=lambda e: (e.timestamp, e.org, e.seq_hint))
+    oracle = sorted(view.events, key=lambda e: (e.timestamp, e.org, e.activity, e.seq_hint))
     assert list(view.events) == oracle
     assert view.activities == ("A", "C", "B")
 
@@ -132,7 +132,7 @@ def test_ordering_is_deterministic_and_idempotent():
         log = EventLog.from_events(shuffled)
         again = EventLog.from_events(list(log.cases["1"].events))
         assert log.cases["1"].events == again.cases["1"].events
-        oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.seq_hint))
+        oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.activity, e.seq_hint))
         assert list(log.cases["1"].events) == oracle
 
 
@@ -325,7 +325,7 @@ def test_partition_then_merge_restores_case(merged_log):
     for sub in parts.values():
         if "312" in sub.cases:
             collected.extend(sub.cases["312"].events)
-    oracle = sorted(collected, key=lambda e: (e.timestamp, e.org, e.seq_hint))
+    oracle = sorted(collected, key=lambda e: (e.timestamp, e.org, e.activity, e.seq_hint))
     assert tuple(oracle) == merged_log.cases["312"].events
     assert merged_log.cases["312"].activities == T_312
 

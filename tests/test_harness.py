@@ -404,3 +404,15 @@ def test_protocol_standalone_agreement_is_meaningful():
         parts = partition_by_org(log, activity_org_map(k))
         session = run_protocol(parts, seg_size=8 * KIB)
         assert serialize_net(session.net) == ref
+
+
+def test_protocol_matches_standalone_when_holders_tie():
+    # an empty org column cannot tell the holders apart; the tie must fall
+    # to the activity, since a row's source position differs between the
+    # pooled log and a holder's segment
+    t0 = datetime(2022, 7, 14, 10, tzinfo=timezone.utc)
+    t1 = t0 + timedelta(hours=1)
+    log = EventLog.from_events([Event("c1", "S", t0, "", 0), Event("c1", "B", t1, "", 1),
+                                Event("c1", "A", t1, "", 2)])
+    parts = partition_by_org(log, {"S": "X", "B": "X", "A": "Y"})
+    assert serialize_net(run_protocol(parts).net) == serialize_net(standalone_net(log))

@@ -1,4 +1,4 @@
-"""Partial-trace merging and the delivery eligibility ledger."""
+"""Partial-trace merging, and the session's record of who still owes each case."""
 
 import random
 
@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confine.eventlog import CaseView, Event, parse_timestamp
-from confine.merge import (
-    DeliveryError,
-    EligibilityLedger,
-    MergeConflictError,
-    MergeKeyError,
-    merge_case,
-)
+from confine.eventlog import CaseView, Event, parse_timestamp, partition_by_org
+from confine.harness import ScenarioParams, generate_scenario_log, standalone_net
+from confine.hminer import serialize_net
+from confine.merge import DeliveryError, MergeConflictError, MergeKeyError, merge_case
+from confine.miner import LEDGER_ENTRY_BYTES, IncompleteDeliveryError, MinerSession
+from confine.transport import LoopbackHub
+from confine.wire import KIB, segment_log
 
-from conftest import T_312, T_711
+from conftest import T_312, T_711, SilentProvisioner, held_bytes, sealed_envelopes
 
 
 def test_merge_case_312_ground_truth(hospital_log, pharma_log, clinic_log):
@@ -85,80 +84,153 @@ def test_merge_random_split_equals_global_sort(seed):
         buckets[rng.randrange(3)].append(ev)
     parts = [CaseView("c1", tuple(b)) for b in buckets if b]
     merged = merge_case(parts)
-    oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.seq_hint))
+    oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.activity, e.seq_hint))
     assert list(merged.events) == oracle
 
 
-# -- eligibility ledger -------------------------------------------------------
+# -- who still owes which case ----------------------------------------------
+# A session learns each org's manifest during initialization; every case it
+# announced is owed by that org until its part arrives. Providers here only
+# announce, and each test pushes the segments itself.
 
 
-def test_ledger_published_example():
-    led = EligibilityLedger()
-    led.record_manifest("H", {"312", "711"})
-    led.record_manifest("C", {"312", "711"})
-    led.record_manifest("S", {"312"})
-    assert led.expected["312"] == {"H", "C", "S"}
-    assert led.expected["711"] == {"H", "C"}
-
-    assert led.record_delivery("H", "312") is False
-    assert led.record_delivery("C", "312") is False
-    assert led.record_delivery("S", "312") is True
-    assert led.is_eligible("312")
-    assert not led.is_eligible("711")
-    assert led.pending_refs() == ["711"]
-    assert led.missing() == {"711": {"H", "C"}}
+def _session(identity, *provisioners, **kw) -> MinerSession:
+    hub = LoopbackHub()
+    for prov in provisioners:
+        hub.register_provisioner(f"loop://{prov.org}", prov)
+    return MinerSession(providers=[f"loop://{prov.org}" for prov in provisioners], transport=hub,
+                        callback_url="loop://miner", identity=identity, **kw)
 
 
-def test_ledger_empty_manifest_is_noop():
-    led = EligibilityLedger()
-    led.record_manifest("H", set())
-    assert led.expected == {}
+def _owed(session) -> dict[str, set[str]]:
+    return {ref: set(case.owed) for ref, case in session._waiting.items()}
 
 
-def test_ledger_duplicate_manifest_idempotent():
-    led = EligibilityLedger()
-    led.record_manifest("H", {"1"})
-    led.record_manifest("H", {"1"})
-    assert led.expected["1"] == {"H"}
+def _entry(ref: str, org: str) -> int:
+    return len(ref) + len(org) + LEDGER_ENTRY_BYTES
 
 
-def test_ledger_unannounced_delivery_is_error():
-    led = EligibilityLedger()
-    led.record_manifest("H", {"1"})
-    with pytest.raises(DeliveryError):
-        led.record_delivery("C", "1")
-    with pytest.raises(DeliveryError):
-        led.record_delivery("H", "2")
+def test_ledger_published_example(hospital_log, pharma_log, identity):
+    session = _session(identity, SilentProvisioner("H", ["312", "711"]),
+                       SilentProvisioner("P", ["312", "711"]), SilentProvisioner("C", ["312"]))
+    session.run_initialization()
+    assert _owed(session) == {"312": {"H", "P", "C"}, "711": {"H", "P"}}
+
+    for env in sealed_envelopes(hospital_log, ["312", "711"], "H", identity):
+        assert session.enqueue(env) == {"status": "ok"}
+    for env in sealed_envelopes(pharma_log, ["312"], "P", identity):
+        assert session.enqueue(env) == {"status": "ok"}
+    assert _owed(session) == {"312": {"C"}, "711": {"P"}}
+    assert session.budget.in_use == held_bytes(session)
+
+    with pytest.raises(IncompleteDeliveryError) as exc:
+        session.run_acquisition()
+    assert exc.value.missing == {"312": {"C"}, "711": {"P"}}
+    session.finish()
+    assert session.budget.in_use == 0
 
 
-def test_ledger_double_delivery_is_conflict():
-    led = EligibilityLedger()
-    led.record_manifest("H", {"1"})
-    led.record_delivery("H", "1")
-    with pytest.raises(MergeConflictError):
-        led.record_delivery("H", "1")
+def test_ledger_empty_manifest_is_noop(identity):
+    session = _session(identity, SilentProvisioner("H", []), SilentProvisioner("P", ["312"]))
+    session.run_initialization()
+    assert _owed(session) == {"312": {"P"}}
+    assert session.budget.in_use == _entry("312", "P")
 
 
-def test_ledger_manifest_after_delivery_rejected():
-    # eligibility must be monotone: once deliveries begin for a ref, the
-    # expected holder set is frozen
-    led = EligibilityLedger()
-    led.record_manifest("H", {"1"})
-    led.record_delivery("H", "1")
-    with pytest.raises(DeliveryError):
-        led.record_manifest("C", {"1"})
+def test_ledger_duplicate_manifest_idempotent(hospital_log, identity):
+    # an org listing a case twice owes it once and is charged one entry
+    session = _session(identity, SilentProvisioner("H", ["312", "312"]))
+    session.run_initialization()
+    assert _owed(session) == {"312": {"H"}}
+    assert session.budget.in_use == _entry("312", "H")
+    (env,) = sealed_envelopes(hospital_log, ["312"], "H", identity)
+    assert session.enqueue(env) == {"status": "ok"}
+    assert session._waiting == {} and len(session._eligible) == 1
+    session.run_acquisition()
 
 
-def test_ledger_received_subset_of_expected_invariant():
-    rng = random.Random(4)
-    led = EligibilityLedger()
-    orgs = ["A", "B", "C", "D"]
-    refs = [f"r{i}" for i in range(12)]
-    for org in orgs:
-        led.record_manifest(org, set(rng.sample(refs, rng.randrange(1, len(refs)))))
-    for ref in refs:
-        for org in sorted(led.expected.get(ref, ())):
-            led.record_delivery(org, ref)
-            assert led.received[ref] <= led.expected[ref]
-    assert led.pending_refs() == []
-    assert all(led.is_eligible(ref) for ref in led.expected)
+def test_ledger_unannounced_delivery_is_error(hospital_log, identity):
+    # 711 is owed, but by P: an announced org may deliver only its own cases
+    session = _session(identity, SilentProvisioner("H", ["312"]), SilentProvisioner("P", ["711"]))
+    session.run_initialization()
+    (env,) = sealed_envelopes(hospital_log, ["312", "711"], "H", identity)
+    assert session.enqueue(env) == {"status": "error", "reason": "DeliveryError"}
+    with pytest.raises(DeliveryError, match="org 'H' segment 0/1 delivered case '711' which it never announced"):
+        session.run_acquisition()
+    assert _owed(session) == {"711": {"P"}}
+    session.finish()
+    assert session.budget.in_use == 0
+
+
+def test_ledger_double_delivery_is_conflict(hospital_log, identity):
+    # segment 0 completes case 312; its replay finds nobody owing it
+    session = _session(identity, SilentProvisioner("H", ["312", "711"]))
+    session.run_initialization()
+    first, _ = sealed_envelopes(hospital_log, ["312", "711"], "H", identity, seg_size=300)
+    assert session.enqueue(first) == {"status": "ok"}
+    assert _owed(session) == {"711": {"H"}}
+    in_use = session.budget.in_use
+    assert session.enqueue(first) == {"status": "error", "reason": "DeliveryError"}
+    assert session.budget.in_use == in_use
+    with pytest.raises(DeliveryError, match="org 'H' segment 0/2 delivered case '312' twice"):
+        session.run_acquisition()
+
+
+class _EagerProvisioner(SilentProvisioner):
+    """Pushes its sealed segments while it is still being asked for its manifest."""
+
+    def __init__(self, org, refs, envelopes, push):
+        super().__init__(org, refs)
+        self.envelopes = envelopes
+        self.push = push
+        self.acks = []
+
+    def serve_case_refs(self, miner_id):
+        self.acks.extend(self.push(env) for env in self.envelopes)
+        return super().serve_case_refs(miner_id)
+
+
+def test_ledger_manifest_after_delivery_rejected(hospital_log, identity):
+    # H's own part would complete 312 before C announces it; intake stays
+    # closed until every manifest is in, so the push is refused unopened
+    envelopes = sealed_envelopes(hospital_log, ["312"], "H", identity)
+    eager = _EagerProvisioner("H", ["312"], envelopes, lambda env: session.enqueue(env))
+    session = _session(identity, eager, SilentProvisioner("C", ["312"]))
+    session.run_initialization()
+    assert eager.acks == [{"status": "error", "reason": "DeliveryError"}]
+    assert _owed(session) == {"312": {"H", "C"}}
+    assert session.budget.in_use == _entry("312", "H") + _entry("312", "C")
+    with pytest.raises(DeliveryError, match="org 'H' segment 0/1 arrived while intake is closed"):
+        session.run_acquisition()
+
+
+def test_ledger_received_subset_of_expected_invariant(identity):
+    # four orgs deliver in an interleaved order; after every segment the
+    # owed entries are exactly the undelivered announced pairs, and the
+    # budget holds exactly those entries, the held parts, the merged cases
+    # and the statistics
+    log_data, org_map = generate_scenario_log(ScenarioParams(cases=30, org_count=4, seed=4))
+    logs = partition_by_org(log_data, org_map)
+    session = _session(identity, *(SilentProvisioner(org, sub.case_refs()) for org, sub in logs.items()),
+                       mode="incremental", batch_cases=3)
+    session.run_initialization()
+    owed = {(ref, org) for org, sub in logs.items() for ref in sub.case_refs()}
+    pushes = [
+        (org, seg.case_refs, env)
+        for org, sub in logs.items()
+        for seg, env in zip(segment_log(sub, sub.case_refs(), KIB, org),
+                            sealed_envelopes(sub, sub.case_refs(), org, identity, seg_size=KIB))
+    ]
+    random.Random(4).shuffle(pushes)
+    for org, refs, env in pushes:
+        assert session.enqueue(env) == {"status": "ok"}
+        owed -= {(ref, org) for ref in refs}
+        assert {(ref, org) for ref, orgs in _owed(session).items() for org in orgs} == owed
+        parts = sum(case.charged for case in session._waiting.values())
+        merged = session._eligible_charged + session._stats_charged
+        assert session.budget.in_use == sum(_entry(ref, org) for ref, org in owed) + parts + merged
+    assert session.stats.case_count > 0 and session._waiting == {}
+    session.run_acquisition()
+    assert serialize_net(session.run_computation()) == serialize_net(standalone_net(log_data))
+    session.finish()
+    assert session.budget.in_use == 0

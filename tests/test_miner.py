@@ -3,7 +3,6 @@
 import csv
 import itertools
 import json
-import os
 import random
 import socket
 import sys
@@ -27,6 +26,7 @@ from confine.miner import (
     EnclaveMemoryExceeded,
     IncompleteDeliveryError,
     InitializationError,
+    LEDGER_ENTRY_BYTES,
     MinerReceiver,
     MinerSession,
     STAGES,
@@ -35,9 +35,6 @@ from confine.provisioner import ProvisionerServer, ProvisionerService
 from confine.transport import HttpTransport, LoopbackHub, TransportError, _JsonHandler
 from confine.wire import (
     KIB,
-    Ack,
-    AttestationChallenge,
-    CaseRefResponse,
     IntegrityError,
     SealingKey,
     SegmentEnvelope,
@@ -46,7 +43,7 @@ from confine.wire import (
     unwrap_key,
 )
 
-from conftest import http_request
+from conftest import SilentProvisioner, held_bytes, http_request
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +152,11 @@ def test_session_rejects_bad_parameters(identity, kw):
 def test_initialization_builds_ledger(hospital_log, pharma_log, clinic_log, identity):
     _, session = _setup(_org_logs(hospital_log, pharma_log, clinic_log), identity)
     session.run_initialization()
-    assert sorted(session.ledger.pending_refs()) == ["312", "711"]
-    assert not any(session.ledger.is_eligible(ref) for ref in ("312", "711"))
-    assert session.budget.in_use > 0  # ledger entries are charged
+    owed = {ref: case.owed for ref, case in session._waiting.items()}
+    assert owed == {"312": {"H", "P", "C"}, "711": {"H", "P"}}
+    assert not any(case.parts for case in session._waiting.values())
+    # one entry per owed (case, org) pair is charged, and nothing else yet
+    assert session.budget.in_use == held_bytes(session) == 5 * (3 + 1 + LEDGER_ENTRY_BYTES)
 
 
 def test_initialization_unreachable_provider(hospital_log, identity):
@@ -224,8 +223,7 @@ def test_full_run_matches_standalone(hospital_log, pharma_log, clinic_log,
     assert net is session.net
     expected = standalone_net(merged_log)
     assert serialize_net(net, "json") == serialize_net(expected, "json")
-    assert session.ledger.pending_refs() == []
-    assert all(session.ledger.is_eligible(ref) for ref in ("312", "711"))
+    assert session.stats.case_count == 2  # every announced case was merged and mined
 
 
 def test_incremental_equals_single_batch(hospital_log, pharma_log, clinic_log, identity):
@@ -273,7 +271,7 @@ def test_finish_closes_intake(hospital_log, pharma_log, clinic_log, identity, mo
     assert session.enqueue(pushed[-1]) == {"status": "error", "reason": "DeliveryError"}
     assert charges == []
     assert session.budget.in_use == 0
-    assert session._parts == {} and session._org_keys == {}
+    assert session._waiting == {} and session._org_keys == {}
 
 
 def test_segment_after_a_failed_run_is_not_opened(identity):
@@ -294,7 +292,7 @@ def test_segment_after_a_failed_run_is_not_opened(identity):
         session.run()
     assert session.enqueue(withheld[0]) == {"status": "error", "reason": "DeliveryError"}
     assert session.budget.in_use == 0
-    assert session._parts == {} and session._org_keys == {}
+    assert session._waiting == {} and session._org_keys == {}
 
 
 def test_finish_never_interleaves_with_an_opening_segment(identity):
@@ -318,8 +316,7 @@ def test_finish_never_interleaves_with_an_opening_segment(identity):
                 session.finish()
             intake.join(timeout=30)
             assert not intake.is_alive()
-            tracked = sum(session._case_bytes.values()) + session._ledger_charged + session._stats_charged
-            assert session.budget.in_use == tracked
+            assert session.budget.in_use == held_bytes(session)
     finally:
         sys.setswitchinterval(interval)
 
@@ -372,8 +369,8 @@ def test_budget_bounds_intake(identity):
     _, session = _setup({"H": hospital}, identity, seg_size=4 * KIB,
                         mode="incremental", batch_cases=1)
     session.run_initialization()
+    ledger = session.budget.in_use  # every owed (case, org) entry, charged up front
     session.run_acquisition()
-    ledger = session._ledger_charged
     session.run_computation()
     held = session.budget.peak - ledger - session.stats.estimate_bytes()
     assert held <= 4 * largest
@@ -588,26 +585,9 @@ def test_bit_flipped_wrapped_key_refused_at_once(hospital_log, identity):
     assert answers == [{"status": "error", "reason": "IntegrityError"}]
 
 
-class _SilentProvisioner:
-    """Announces cases, passes attestation, then never delivers anything."""
-
-    def __init__(self, org, refs):
-        self.org = org
-        self.refs = tuple(refs)
-
-    def serve_case_refs(self, miner_id):
-        return CaseRefResponse(org=self.org, refs=self.refs).to_dict()
-
-    def handle_case_request(self, body):
-        return AttestationChallenge(nonce=os.urandom(16)).to_dict()
-
-    def handle_attestation(self, body):
-        return Ack(status="trusted").to_dict()
-
-
 def test_straggler_timeout(hospital_log, identity):
     hub, session = _setup({"H": hospital_log}, identity)
-    hub.register_provisioner("loop://S", _SilentProvisioner("S", ["312"]))
+    hub.register_provisioner("loop://S", SilentProvisioner("S", ["312"]))
     session.providers.append("loop://S")
     with pytest.raises(IncompleteDeliveryError) as exc:
         session.run()
@@ -669,7 +649,8 @@ def test_failed_session_releases_enclave(identity):
 
     def tampering(raw):
         if raw["org"] == "P" and raw["seq_no"] == 3:
-            held.update(parts=len(session._parts), views=len(session._eligible),
+            held.update(parts=sum(len(case.parts) for case in session._waiting.values()),
+                        views=len(session._eligible),
                         keys=len(session._org_keys), in_use=session.budget.in_use)
             tag = SegmentEnvelope.from_dict(raw).auth_tag
             raw = dict(raw, auth_tag=b64u_encode(bytes([tag[0] ^ 1]) + tag[1:]))
@@ -680,7 +661,7 @@ def test_failed_session_releases_enclave(identity):
         session.run()
     assert held["parts"] and held["views"] and held["keys"] and held["in_use"]
     assert session.budget.in_use == 0
-    assert not session._parts and not session._eligible and not session._case_bytes
+    assert not session._waiting and not session._eligible and not session._eligible_charged
     assert not session._org_keys
 
 

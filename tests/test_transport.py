@@ -226,6 +226,21 @@ def test_close_ends_the_threads_of_idle_connections():
     assert [t for t in set(threading.enumerate()) - before if t.is_alive()] == []
 
 
+@pytest.mark.parametrize("kept_alive", [False, True], ids=["idle", "kept-alive"])
+def test_close_returns_within_a_poll_interval(kept_alive):
+    # serve_forever checks for shutdown once per poll; close() waits for it
+    server = _echo_server()
+    client = HttpTransport(timeout_s=4)
+    try:
+        if kept_alive:
+            assert client.post_cases(server.url, {"n": 1}) == {"echo": {"n": 1}}
+        t0 = time.monotonic()
+        server.close()
+        assert time.monotonic() - t0 < 0.2
+    finally:
+        client.close()
+
+
 def test_one_client_shared_by_two_threads(accepted):
     server = _echo_server()
     client = HttpTransport(timeout_s=4)
