@@ -14,10 +14,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 __all__ = [
     "Event",
     "CaseView",
+    "merge_case",
     "EventLog",
     "LogParseError",
     "LogSchemaError",
@@ -139,6 +141,21 @@ class CaseView:
 
     def __iter__(self):
         return iter(self.events)
+
+
+def merge_case(parts: Iterable[Iterable[Event]]) -> CaseView:
+    """Reassemble one case from its holders' parts into its ordered view.
+
+    Merging concatenates the parts, each a plain list or a ``CaseView``,
+    and applies the shared total order, so it is commutative and
+    associative. It is not idempotent: two holders' identical records both
+    survive, as they do in the pooled log. Building the view is the case's
+    only sort, and it refuses an event of another case with a ValueError.
+    """
+    events = [ev for part in parts for ev in part]
+    if not events:
+        raise ValueError("merge_case needs at least one event")
+    return CaseView(events[0].case_ref, tuple(events))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ __all__ = [
     "accumulate",
     "dependency_measure",
     "and_split_measure",
-    "and_join_measure",
     "build_net",
     "serialize_net",
     "net_from_json",
@@ -82,15 +81,6 @@ def and_split_measure(stats: DfStats, a: str, b: str, c: str) -> float:
     ab = stats.df_count.get((a, b), 0)
     ac = stats.df_count.get((a, c), 0)
     return (bc + cb) / (ab + ac + 1)
-
-
-def and_join_measure(stats: DfStats, a: str, b: str, c: str) -> float:
-    """Mirror of the split measure for predecessors b and c joining into a."""
-    bc = stats.df_count.get((b, c), 0)
-    cb = stats.df_count.get((c, b), 0)
-    ba = stats.df_count.get((b, a), 0)
-    ca = stats.df_count.get((c, a), 0)
-    return (bc + cb) / (ba + ca + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,13 +175,14 @@ def build_net(stats: DfStats, config: MinerConfig = MinerConfig()) -> Heuristics
     if stats.case_count < 1:
         raise ValueError("cannot build a net from empty statistics")
 
+    backwards = _reversed(stats)
     arcs: set[tuple[str, str]] = set()
     for (a, b), n in stats.df_count.items():
         if n >= config.min_df_count and dependency_measure(stats, a, b) >= config.dependency_threshold:
             arcs.add((a, b))
     if config.all_activities_connected:
         arcs |= _rescue_arcs(stats)
-        arcs |= {(a, b) for b, a in _rescue_arcs(_reversed(stats))}
+        arcs |= {(a, b) for b, a in _rescue_arcs(backwards)}
 
     threshold = config.and_threshold
     return HeuristicsNet(
@@ -205,7 +196,7 @@ def build_net(stats: DfStats, config: MinerConfig = MinerConfig()) -> Heuristics
         splits=_and_groups(arcs, lambda a, x, y: and_split_measure(stats, a, x, y) >= threshold),
         joins=_and_groups(
             {(b, a) for a, b in arcs},
-            lambda a, x, y: and_join_measure(stats, a, x, y) >= threshold,
+            lambda a, x, y: and_split_measure(backwards, a, x, y) >= threshold,
         ),
     )
 

@@ -18,9 +18,8 @@ import time
 from dataclasses import dataclass, field
 
 from .attest import EnclaveIdentity, make_report
-from .eventlog import CaseView, Event
+from .eventlog import CaseView, Event, merge_case
 from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, serialize_net
-from .merge import DeliveryError, merge_case
 from .transport import BODY_ALLOWANCE, JsonServer, TransportError, segment_routes
 from .wire import (
     Ack,
@@ -44,6 +43,7 @@ __all__ = [
     "InitializationError",
     "AttestationRejectedError",
     "IncompleteDeliveryError",
+    "DeliveryError",
     "EnclaveBudget",
     "MinerSession",
     "MinerReceiver",
@@ -83,6 +83,10 @@ class AttestationRejectedError(RuntimeError):
         self.org = org
         self.reason = reason
         super().__init__(f"org {org!r} rejected attestation: {reason}")
+
+
+class DeliveryError(ValueError):
+    """A delivery or manifest violates the announced protocol state."""
 
 
 class IncompleteDeliveryError(RuntimeError):
@@ -270,10 +274,11 @@ class MinerSession:
     def enqueue(self, raw: dict) -> dict:
         """Open one pushed envelope now; called by the callback receiver.
 
-        A refusal names only the exception type: messages such as a merge
-        conflict's quote case data, and every ack leaves the enclave. Before
-        ``run_initialization`` completes and once ``finish`` ran, every
-        envelope is refused as a DeliveryError and nothing is charged.
+        A refusal names only the exception type, since every ack leaves the
+        enclave; an envelope format error, which describes envelope fields
+        only, keeps its message. Before ``run_initialization`` completes and
+        once ``finish`` ran, every envelope is refused as a DeliveryError and
+        nothing is charged.
         """
         with self._intake_lock:
             try:
@@ -376,7 +381,6 @@ class MinerSession:
                 case.parts.append(events)
                 case.charged += size
                 if not case.owed:
-                    # merged before it leaves the table: a failed merge stays accounted
                     self._eligible.append(merge_case(case.parts))
                     del self._waiting[ref]
                     self._eligible_charged += case.charged

@@ -132,6 +132,9 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[
     payload bytes its rows arrived in: for a payload built by ``segment_log``
     that is ``len(case_payload(view))``. Views and sorting are left to
     ``merge_case``, once per case.
+
+    An error names the payload row or line and quotes none of its cells,
+    not even in a chained exception: it may leave the enclave.
     """
     consumed = 0
 
@@ -139,9 +142,15 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[
         # Split on b"\n" only, as StringIO does; UTF-8 never puts that byte
         # inside a multi-byte character, so each line decodes on its own.
         nonlocal consumed
-        for line in io.BytesIO(payload):
+        for line_no, line in enumerate(io.BytesIO(payload), 1):
             consumed += len(line)
-            yield line.decode("utf-8")
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError:
+                text = None
+            if text is None:
+                raise LogParseError(f"payload line {line_no}: not UTF-8")
+            yield text
 
     cases: dict[str, list[Event]] = {}
     sizes: dict[str, int] = {}
@@ -158,7 +167,17 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[
             if len(row) != 4:
                 raise LogParseError(f"payload row {seq}: expected 4 fields, got {len(row)}")
             case_ref, stamp, activity, org = row
-            event = Event(case_ref, activity, parse_timestamp(stamp), org, seq)
+            try:
+                ts = parse_timestamp(stamp)
+            except LogParseError:
+                ts = None
+            if ts is None:
+                raise LogParseError(f"payload row {seq}: bad timestamp")
+            if not case_ref:
+                raise LogParseError(f"payload row {seq}: empty case reference")
+            if not activity:
+                raise LogParseError(f"payload row {seq}: empty activity")
+            event = Event(case_ref, activity, ts, org, seq)
             cases.setdefault(case_ref, []).append(event)
             sizes[case_ref] = sizes.get(case_ref, 0) + row_bytes
     return cases, sizes

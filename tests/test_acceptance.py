@@ -14,7 +14,7 @@ import pytest
 
 from conftest import T_312, T_711
 from confine.attest import ReferenceRegistry, make_report, verify_report
-from confine.eventlog import Event, EventLog, format_timestamp, partition_by_org
+from confine.eventlog import Event, EventLog, format_timestamp, merge_case, partition_by_org
 from confine.harness import (
     ALL_ACTIVITIES,
     REFERENCE_SCALABILITY_STATS,
@@ -28,7 +28,6 @@ from confine.harness import (
     run_scalability_suite,
 )
 from confine.hminer import serialize_net
-from confine.merge import merge_case
 from confine.miner import EnclaveMemoryExceeded
 from confine.provisioner import ProvisionerService
 from confine.wire import (

@@ -23,7 +23,7 @@ SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 
 # digest of the packaged trusted-app manifest, pinned when the manifest
 # was frozen; any manifest edit must update this value deliberately
-PACKAGED_MEASUREMENT = "3aa8bb1147857c025c4341ee43b4e76da1513cb0874aa6ba3e3c4c2000daaeb3"
+PACKAGED_MEASUREMENT = "3bbab4164156ff0b1ea5841556eec9b0e00e301ad90c7c49e2c428b150403ecc"
 
 
 def test_measurement_of_empty_manifest_is_known_digest():

@@ -8,19 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confine.eventlog import CaseView, Event, parse_timestamp
+from confine.eventlog import CaseView, Event, merge_case, parse_timestamp
 from confine.hminer import (
     DfStats,
     MinerConfig,
     accumulate,
-    and_join_measure,
     and_split_measure,
     build_net,
     dependency_measure,
     net_from_json,
     serialize_net,
 )
-from confine.merge import merge_case
 
 
 def _case(ref: str, acts: list[str], minute_base: int = 0) -> CaseView:
@@ -165,10 +163,15 @@ def test_and_measures_direct_formula():
         {("a", "b"): 4, ("a", "c"): 5, ("b", "c"): 3, ("c", "b"): 2}
     )
     assert and_split_measure(stats, "a", "b", "c") == pytest.approx(5 / 10)
+    # a join is a split of the reversed arcs: b and c join into a with
+    # measure (3 + 2) / (4 + 5 + 1) = 0.5, exactly at the first threshold
     stats = _stats_with(
         {("b", "a"): 4, ("c", "a"): 5, ("b", "c"): 3, ("c", "b"): 2}
     )
-    assert and_join_measure(stats, "a", "b", "c") == pytest.approx(5 / 10)
+    stats.case_count = 1
+    for threshold, groups in ((0.5, (("b", "c"),)), (0.51, (("b",), ("c",)))):
+        cfg = MinerConfig(dependency_threshold=0.5, and_threshold=threshold, all_activities_connected=False)
+        assert build_net(stats, cfg).joins["a"] == groups
 
 
 # -- config ----------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Partial-trace merging, and the session's record of who still owes each case."""
 
 import random
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confine.eventlog import CaseView, Event, parse_timestamp, partition_by_org
-from confine.harness import ScenarioParams, generate_scenario_log, standalone_net
+from confine.eventlog import CaseView, Event, EventLog, merge_case, parse_timestamp, partition_by_org
+from confine.harness import ScenarioParams, generate_scenario_log, run_protocol, standalone_net
 from confine.hminer import serialize_net
-from confine.merge import DeliveryError, MergeConflictError, MergeKeyError, merge_case
-from confine.miner import LEDGER_ENTRY_BYTES, IncompleteDeliveryError, MinerSession
+from confine.miner import LEDGER_ENTRY_BYTES, DeliveryError, IncompleteDeliveryError, MinerSession
 from confine.transport import LoopbackHub
 from confine.wire import KIB, segment_log
 
@@ -46,14 +46,15 @@ def test_merge_with_empty_part_list_is_error():
 
 
 def test_merge_key_mismatch(hospital_log):
-    with pytest.raises(MergeKeyError):
+    with pytest.raises(ValueError, match="event of case '711' placed in view '312'"):
         merge_case([hospital_log.cases["312"], hospital_log.cases["711"]])
 
 
-def test_merge_duplicate_event_is_conflict(hospital_log):
+def test_merge_keeps_identical_records_of_two_holders(hospital_log):
+    # two holders' identical records both survive, as in the pooled log
     part = hospital_log.cases["312"]
-    with pytest.raises(MergeConflictError):
-        merge_case([part, part])
+    merged = merge_case([part, part])
+    assert merged.activities == tuple(a for a in part.activities for _ in range(2))
 
 
 def test_merge_idempotent_with_result(hospital_log, pharma_log, clinic_log):
@@ -86,6 +87,54 @@ def test_merge_random_split_equals_global_sort(seed):
     merged = merge_case(parts)
     oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.activity, e.seq_hint))
     assert list(merged.events) == oracle
+
+
+# -- the protocol equals standalone mining for every split ---------------------
+# Rows are (case, activity, minute, holder) with the org column blank, so
+# two holders can hold records that are equal field for field.
+
+
+def _split_log(rows, holders: int) -> tuple[EventLog, dict[str, EventLog]]:
+    """The pooled log, whose seq_hint is the row, and each holder's share of it."""
+    base = parse_timestamp("2024-01-01T10:00")
+    events = [
+        (Event(ref, act, base + timedelta(minutes=minute), "", row), holder)
+        for row, (ref, act, minute, holder) in enumerate(rows)
+    ]
+    parts = {
+        f"org{h}": EventLog.from_events([ev for ev, holder in events if holder == h])
+        for h in range(holders)
+    }
+    return EventLog.from_events([ev for ev, _ in events]), parts
+
+
+def test_identical_records_of_two_holders_match_standalone():
+    # X holds c1 A@10:00 and B@11:00, Y holds c1 A@10:00 as well
+    pooled, parts = _split_log([("c1", "A", 0, 0), ("c1", "B", 60, 0), ("c1", "A", 0, 1)], 2)
+    session = run_protocol(parts)
+    assert serialize_net(session.net) == serialize_net(standalone_net(pooled))
+    assert session.stats.df_count == {("A", "A"): 1, ("A", "B"): 1}
+
+
+@st.composite
+def _split_rows(draw):
+    holders = draw(st.integers(min_value=2, max_value=4))
+    row = st.tuples(
+        st.sampled_from(["c1", "c2", "c3"]),
+        st.sampled_from("ABC"),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=holders - 1),
+    )
+    return draw(st.lists(row, min_size=1, max_size=12)), holders
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_rows(), st.integers(min_value=1, max_value=200))
+def test_protocol_net_equals_standalone_for_every_split(split, seg_size):
+    rows, holders = split
+    pooled, parts = _split_log(rows, holders)
+    session = run_protocol(parts, seg_size=seg_size)
+    assert serialize_net(session.net) == serialize_net(standalone_net(pooled))
 
 
 # -- who still owes which case ----------------------------------------------

@@ -18,10 +18,10 @@ from confine.codec import b64u_encode
 from confine.eventlog import Event, EventLog, LogParseError, parse_timestamp, partition_by_org
 from confine.harness import ScenarioParams, generate_scenario_log, standalone_net
 from confine.hminer import serialize_net
-from confine.merge import DeliveryError
 from confine.miner import (
     AttestationRejectedError,
     BudgetAccountingError,
+    DeliveryError,
     EnclaveBudget,
     EnclaveMemoryExceeded,
     IncompleteDeliveryError,
