@@ -77,14 +77,9 @@ def format_timestamp(ts: datetime) -> str:
         ts = ts.replace(tzinfo=timezone.utc)
     elif ts.tzinfo is not timezone.utc:
         ts = ts.astimezone(timezone.utc)
-    # zero-padded fields: strftime("%Y") does not pad years before 1000
-    base = (
-        f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
-        f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}"
-    )
-    if ts.microsecond % 1000 == 0:
-        return f"{base}.{ts.microsecond // 1000:03d}Z"
-    return f"{base}.{ts.microsecond:06d}Z"
+    # isoformat pads the year to four digits and ends in "+00:00" here
+    timespec = "milliseconds" if ts.microsecond % 1000 == 0 else "microseconds"
+    return ts.isoformat(timespec=timespec)[:-6] + "Z"
 
 
 @dataclass(frozen=True, slots=True)

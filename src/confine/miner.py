@@ -28,7 +28,6 @@ from .wire import (
     CaseRefResponse,
     CaseRequest,
     DEFAULT_SEG_SIZE,
-    EnvelopeFormatError,
     IntegrityError,
     MIB,
     SegmentEnvelope,
@@ -197,14 +196,15 @@ class MinerSession:
         self.stats = DfStats()
         self.net: HeuristicsNet | None = None
         self.metrics: list[tuple[float, str, int, int]] = []
-        self.outbound: list[tuple[str, str]] = []  # secrecy audit transcript
-        self.receiver_acks: list[str] = []
+        # secrecy audit transcript: every request sent, every ack returned
+        # and the text of the error run() raises
+        self.emitted: list[bytes] = []
 
         # enqueue may run on a receiver thread: segments are opened one at
         # a time, and the first failure is kept for run_acquisition to raise.
         # Intake opens once every manifest is in, so no case can complete
-        # before all its holders are known, and finish() closes it again,
-        # so an early or late push is refused unopened.
+        # before all its holders are known, and closes when acquisition
+        # ends, so an early or late push is refused unopened.
         self._intake_lock = threading.Lock()
         self._open = False
         self._fatal: BaseException | None = None
@@ -244,10 +244,10 @@ class MinerSession:
 
     def emitted_payloads(self) -> list[bytes]:
         """All byte blobs that crossed the enclave boundary outward."""
-        blobs = [body.encode("utf-8") for _url, body in self.outbound]
-        blobs.extend(ack.encode("utf-8") for ack in self.receiver_acks)
-        blobs.extend(self.exports().values())
-        return blobs
+        return self.emitted + list(self.exports().values())
+
+    def _emit(self, message: dict) -> None:
+        self.emitted.append(json.dumps(message, sort_keys=True).encode("utf-8"))
 
     def _send(self, org: str, kind: str, body: dict, parse):
         """One acquisition request to ``org``, parsed by ``parse``.
@@ -257,7 +257,7 @@ class MinerSession:
         refusal keeps its own error type.
         """
         url = self._org_urls[org]
-        self.outbound.append((url, json.dumps(body, sort_keys=True)))
+        self._emit(body)
         call = self.transport.post_cases if kind == "cases" else self.transport.post_attestation
         try:
             return parse(call(url, body))
@@ -274,11 +274,12 @@ class MinerSession:
     def enqueue(self, raw: dict) -> dict:
         """Open one pushed envelope now; called by the callback receiver.
 
-        A refusal names only the exception type, since every ack leaves the
-        enclave; an envelope format error, which describes envelope fields
-        only, keeps its message. Before ``run_initialization`` completes and
-        once ``finish`` ran, every envelope is refused as a DeliveryError and
-        nothing is charged.
+        A refusal names only the exception's class, since every ack leaves
+        the enclave. The first refusal is kept without its traceback or
+        chained errors, whose frames would hold the payload or the delivery
+        key. Before ``run_initialization`` completes and once acquisition
+        ended, every envelope is refused as a DeliveryError and nothing is
+        charged.
         """
         with self._intake_lock:
             try:
@@ -290,10 +291,11 @@ class MinerSession:
                 self._process_envelope(env)
                 ack = Ack(status="ok")
             except Exception as exc:
-                self._fatal = self._fatal or exc
-                reason = str(exc) if isinstance(exc, EnvelopeFormatError) else type(exc).__name__
-                ack = Ack(status="error", reason=reason)
-            self.receiver_acks.append(json.dumps(ack.to_dict(), sort_keys=True))
+                if self._fatal is None:
+                    exc.__cause__ = exc.__context__ = None
+                    self._fatal = exc.with_traceback(None)
+                ack = Ack(status="error", reason=type(exc).__name__)
+            self._emit(ack.to_dict())
             return ack.to_dict()
 
     # -- stage 1: initialization ---------------------------------------------
@@ -307,6 +309,7 @@ class MinerSession:
         self._stage = "init"
         self._metric()
         for url in self.providers:
+            self._emit({"miner_id": self.miner_id})
             try:
                 resp = CaseRefResponse.from_dict(self.transport.get_case_refs(url, self.miner_id))
             except TransportError as exc:
@@ -328,28 +331,36 @@ class MinerSession:
     # -- stage 2 + 3: attestation and transmission ----------------------------
 
     def run_acquisition(self) -> None:
-        """Attest to every provider; each pushes its segments before it answers."""
-        for org in sorted(self._org_urls):
-            refs = self._org_refs[org]
-            if not refs:
-                log.info("org %s holds no cases, skipping", org)
-                continue
-            self._stage = "attest"
-            self._metric()
-            request = CaseRequest(seg_size=self.seg_size, refs=refs, callback=self.callback_url)
-            challenge = self._send(org, "cases", request.to_dict(), AttestationChallenge.from_dict)
-            report = make_report(self.identity, challenge.nonce)
-            answer = AttestationAnswer(report=report.to_dict())
-            self._stage = "transmit"
-            ack = self._send(org, "attestation", answer.to_dict(), Ack.from_dict)
-            # a segment this session refused keeps its own error type
-            if self._fatal is not None:
-                raise self._fatal
-            if ack.status == "rejected":
-                raise AttestationRejectedError(org, ack.reason)
-            if ack.status != "trusted":
-                raise DeliveryError(f"org {org!r} could not deliver: {ack.reason}")
-            self._metric()
+        """Attest to every provider; each pushes its segments before it answers.
+
+        Intake closes when this returns or raises, so a later push is
+        refused unopened.
+        """
+        try:
+            for org in sorted(self._org_urls):
+                refs = self._org_refs[org]
+                if not refs:
+                    log.info("org %s holds no cases, skipping", org)
+                    continue
+                self._stage = "attest"
+                self._metric()
+                request = CaseRequest(seg_size=self.seg_size, refs=refs, callback=self.callback_url)
+                challenge = self._send(org, "cases", request.to_dict(), AttestationChallenge.from_dict)
+                report = make_report(self.identity, challenge.nonce)
+                answer = AttestationAnswer(report=report.to_dict())
+                self._stage = "transmit"
+                ack = self._send(org, "attestation", answer.to_dict(), Ack.from_dict)
+                # a segment this session refused keeps its own error type
+                if self._fatal is not None:
+                    raise self._fatal
+                if ack.status == "rejected":
+                    raise AttestationRejectedError(org, ack.reason)
+                if ack.status != "trusted":
+                    raise DeliveryError(f"org {org!r} could not deliver: {ack.reason}")
+                self._metric()
+        finally:
+            with self._intake_lock:
+                self._open = False
         if self._fatal is not None:
             raise self._fatal
         if self._waiting:
@@ -451,12 +462,16 @@ class MinerSession:
     def run(self) -> HeuristicsNet | None:
         """Full protocol: initialization, acquisition, computation.
 
-        ``finish`` runs whatever the outcome, so a failure keeps no case data.
+        ``finish`` runs whatever the outcome, so a failure keeps no case
+        data; the error's text is recorded in ``emitted`` before it leaves.
         """
         try:
             self.run_initialization()
             self.run_acquisition()
             return self.run_computation()
+        except Exception as exc:
+            self.emitted.append(f"{type(exc).__name__}: {exc}".encode("utf-8"))
+            raise
         finally:
             self.finish()
 

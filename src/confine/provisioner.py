@@ -139,6 +139,8 @@ class ProvisionerService:
                 failure = f"segment {segment.seq_no}/{segment.total} refused: {ack.reason}"
             except TransportError as exc:
                 failure = f"segment {segment.seq_no}/{segment.total} undelivered: {exc.detail}"
+            except ValueError as exc:  # an ack outside the protocol
+                failure = f"segment {segment.seq_no}/{segment.total} refused: {exc}"
             log.error("org %s stopped delivery to %s: %s", self.org_id, request.callback, failure)
             return failure
         return None

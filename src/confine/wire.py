@@ -391,17 +391,14 @@ class CaseRequest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CaseRequest":
-        try:
-            refs = raw["refs"]
-            if not isinstance(refs, list):
-                raise TypeError(f"refs must be a list, got {type(refs).__name__}")
-            return cls(
-                seg_size=int(raw["seg_size"]),
-                refs=tuple(str(r) for r in refs),
-                callback=str(raw["callback"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad case request: {exc}") from None
+        seg_size, refs, callback = raw.get("seg_size"), raw.get("refs"), raw.get("callback")
+        if not isinstance(seg_size, int) or isinstance(seg_size, bool):
+            raise ValueError("bad case request: seg_size must be an integer")
+        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+            raise ValueError("bad case request: refs must be a list of strings")
+        if not isinstance(callback, str):
+            raise ValueError("bad case request: callback must be a string")
+        return cls(seg_size=seg_size, refs=tuple(refs), callback=callback)
 
 
 @dataclass(frozen=True, slots=True)
@@ -447,4 +444,9 @@ class Ack:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Ack":
-        return cls(status=str(raw.get("status", "")), reason=raw.get("reason"))
+        status, reason = raw.get("status"), raw.get("reason")
+        if not isinstance(status, str):
+            raise ValueError("bad ack: status must be a string")
+        if reason is not None and not isinstance(reason, str):
+            raise ValueError("bad ack: reason must be a string")
+        return cls(status=status, reason=reason)

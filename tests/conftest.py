@@ -6,6 +6,7 @@ company 6 and the specialized clinic 5 (case 312 only).
 """
 
 import http.client
+import json
 import os
 import urllib.parse
 
@@ -101,6 +102,12 @@ def sealed_envelopes(log_data: EventLog, refs, org: str, identity, seg_size: int
     """The org's segments of ``refs``, sealed under one key as its delivery pushes them."""
     sealing = SealingKey.for_enclave(identity.enc_pub_der)
     return [encrypt_segment(seg, sealing).to_dict() for seg in segment_log(log_data, refs, seg_size, org)]
+
+
+def acks(session: MinerSession) -> list[dict]:
+    """The ack bodies among a session's emitted messages, in order."""
+    messages = [json.loads(blob) for blob in session.emitted if blob.startswith(b"{")]
+    return [message for message in messages if "status" in message]
 
 
 def held_bytes(session: MinerSession) -> int:

@@ -2,7 +2,7 @@
 
 import csv
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +78,34 @@ def test_format_timestamp_submillisecond_keeps_microseconds():
 )
 def test_timestamp_round_trip_lossless(ts):
     assert parse_timestamp(format_timestamp(ts)) == ts
+
+
+def _reference_format(ts: datetime) -> str:
+    """The field-by-field formatter that format_timestamp replaced."""
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=UTC)
+    elif ts.tzinfo is not UTC:
+        ts = ts.astimezone(UTC)
+    base = (
+        f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+        f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}"
+    )
+    if ts.microsecond % 1000 == 0:
+        return f"{base}.{ts.microsecond // 1000:03d}Z"
+    return f"{base}.{ts.microsecond:06d}Z"
+
+
+_offsets = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(lambda m: timezone(timedelta(minutes=m)))
+_stamps = st.one_of(
+    st.datetimes(timezones=st.none() | st.just(UTC)),
+    # a zoned stamp converts to UTC, which must stay inside years 1-9999
+    st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31), timezones=_offsets),
+)
+
+
+@given(st.one_of(_stamps, _stamps.map(lambda ts: ts.replace(microsecond=ts.microsecond // 1000 * 1000))))
+def test_format_timestamp_matches_reference_formatter(ts):
+    assert format_timestamp(ts) == _reference_format(ts)
 
 
 # -- Event and CaseView invariants -------------------------------------------

@@ -43,7 +43,7 @@ from confine.wire import (
     unwrap_key,
 )
 
-from conftest import SilentProvisioner, held_bytes, http_request
+from conftest import SilentProvisioner, acks, held_bytes, http_request
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,29 @@ def test_finish_closes_intake(hospital_log, pharma_log, clinic_log, identity, mo
     assert session._waiting == {} and session._org_keys == {}
 
 
+def test_acquisition_closes_intake(hospital_log, identity, monkeypatch):
+    # a replay while the session computes is refused unopened, not decrypted
+    # into a refusal that nothing would ever raise
+    hub, session = _setup({"H": hospital_log}, identity)
+    pushed = []
+
+    def recording(raw):
+        pushed.append(raw)
+        return session.enqueue(raw)
+
+    hub.register_receiver("loop://miner", recording)
+    session.run_initialization()
+    session.run_acquisition()
+    peak, in_use = session.budget.peak, session.budget.in_use
+    opened = []
+    monkeypatch.setattr("confine.miner.decrypt_segment", lambda *args: opened.append(args))
+    assert session.enqueue(pushed[0]) == {"status": "error", "reason": "DeliveryError"}
+    assert opened == []
+    assert (session.budget.peak, session.budget.in_use) == (peak, in_use)
+    assert session.run_computation() is not None
+    session.finish()
+
+
 def test_segment_after_a_failed_run_is_not_opened(identity):
     # a provider may still push after the session gave up on it; a late
     # segment must not be unwrapped again into a finished enclave
@@ -389,16 +412,20 @@ def test_emitted_payloads_cover_all_outputs(hospital_log, pharma_log, clinic_log
     _, session = _setup(_org_logs(hospital_log, pharma_log, clinic_log), identity)
     session.run()
     blobs = session.emitted_payloads()
-    assert len(blobs) == len(session.outbound) + len(session.receiver_acks) + 3
+    assert blobs == session.emitted + list(session.exports().values())
     assert all(isinstance(b, bytes) for b in blobs)
+    # each org's /caserefs query, /cases request and /attestation answer
+    requests = [m for m in map(json.loads, session.emitted) if "status" not in m]
+    assert [sorted(r) for r in requests] == [["miner_id"]] * 3 + [["callback", "refs", "seg_size"], ["report"]] * 3
+    assert acks(session) and all(ack == {"status": "ok"} for ack in acks(session))
 
 
 def test_enqueue_malformed_envelope_error_ack(identity):
     session = MinerSession(providers=[], transport=LoopbackHub(),
                            callback_url="loop://m", identity=identity)
     ack = session.enqueue({"org": "H"})
-    assert ack["status"] == "error"
-    assert session.receiver_acks  # the refusal itself is an emitted payload
+    assert ack == {"status": "error", "reason": "EnvelopeFormatError"}
+    assert session.emitted == [b'{"reason": "EnvelopeFormatError", "status": "error"}']
     assert session.budget.in_use == 0
 
 
@@ -423,7 +450,7 @@ def test_capacity_below_first_segment_aborts(hospital_log, pharma_log, clinic_lo
                         identity, capacity=250)
     with pytest.raises(EnclaveMemoryExceeded):
         session.run()
-    assert any('"status": "error"' in ack for ack in session.receiver_acks)
+    assert {"status": "error", "reason": "EnclaveMemoryExceeded"} in acks(session)
 
 
 def test_unreachable_callback_fails_fast(hospital_log, identity):
@@ -512,12 +539,9 @@ def test_tampered_segment_refused_at_once(hospital_log, pharma_log, clinic_log, 
     with pytest.raises(IntegrityError):
         session.run()
     assert answers == [{"status": "error", "reason": "IntegrityError"}]
-    session.enqueue({"org": "C"})
-    for text in session.receiver_acks:
-        ack = json.loads(text)
-        assert set(ack) <= {"status", "reason"}
-        reason = ack.get("reason", "")
-        assert reason.isidentifier() or reason.startswith("bad segment envelope:")
+    # an ack names only the refusal's class, never what the envelope held
+    assert session.enqueue({"org": "C"}) == {"status": "error", "reason": "EnvelopeFormatError"}
+    assert acks(session) == answers + [{"status": "error", "reason": "EnvelopeFormatError"}]
 
 
 def test_one_unwrap_per_org(identity, monkeypatch):
@@ -673,7 +697,7 @@ def test_oversized_field_ends_session_in_parse_error(identity):
     _, session = _setup({"H": log_data}, identity)
     with pytest.raises(LogParseError, match="field larger than field limit"):
         session.run()
-    assert session.receiver_acks == [json.dumps({"reason": "LogParseError", "status": "error"})]
+    assert acks(session) == [{"status": "error", "reason": "LogParseError"}]
     assert session.budget.in_use == 0
 
 
@@ -777,7 +801,7 @@ def receiver(identity):
 def test_receiver_acks_bad_envelope(receiver):
     status, body = http_request("POST", f"{receiver.url}/segments", b'{"org": "H"}')
     assert status == 200
-    assert json.loads(body)["status"] == "error"
+    assert json.loads(body) == {"status": "error", "reason": "EnvelopeFormatError"}
 
 
 def test_receiver_drops_stalled_client(receiver, monkeypatch):

@@ -292,6 +292,14 @@ def test_push_does_not_retry_on_receiver_refusal(hospital_log, identity):
     assert _pushed_seq_nos(push) == [0]  # first refused envelope, no retries, abort
 
 
+def test_push_ack_outside_the_protocol_is_a_refusal(hospital_log, identity):
+    push = PushRecorder(responses=[{"status": ["ok"]}])
+    service = _service(hospital_log, identity, push=push)
+    ack = _attested_delivery(service, identity, seg_size=300)
+    assert ack == {"status": "error", "reason": "segment 0/2 refused: bad ack: status must be a string"}
+    assert _pushed_seq_nos(push) == [0]
+
+
 # -- HTTP front end ----------------------------------------------------------------
 
 

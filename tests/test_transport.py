@@ -16,7 +16,7 @@ from confine.provisioner import ProvisionerServer, ProvisionerService
 from confine.transport import HttpTransport, JsonServer, LoopbackHub, TransportError, _JsonHandler
 from confine.wire import KIB, CaseRequest
 
-from conftest import http_request
+from conftest import acks, http_request
 
 
 def _case_request(ref: str) -> dict:
@@ -192,7 +192,7 @@ def test_http_session_pushes_each_delivery_over_one_connection(accepted):
     assert len(partitions) == 3
     session = run_protocol(partitions, seg_size=KIB, networked=True)
     assert session.net is not None
-    assert len(session.receiver_acks) > 3 * len(partitions)  # one per segment
+    assert len(acks(session)) > 3 * len(partitions)  # one per segment
     # at most one per org delivery; orgs deliver one after another, so a
     # shared client may carry them all over one
     assert 1 <= accepted[frozenset({"/segments"})] <= len(partitions)

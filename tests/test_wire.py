@@ -366,6 +366,31 @@ def test_case_request_refs_must_be_a_list():
         CaseRequest.from_dict({"seg_size": 10, "refs": "312", "callback": "x"})
 
 
+@pytest.mark.parametrize("raw", [
+    {"seg_size": True, "refs": ["312"], "callback": "x"},
+    {"seg_size": 2.9, "refs": ["312"], "callback": "x"},
+    {"seg_size": "10", "refs": ["312"], "callback": "x"},
+    {"seg_size": 10, "refs": [312], "callback": "x"},
+    {"seg_size": 10, "refs": ["312"], "callback": None},
+    {"seg_size": 10, "refs": ["312"]},
+], ids=["bool-size", "float-size", "text-size", "int-ref", "null-callback", "no-callback"])
+def test_case_request_rejects_wrong_json_types(raw):
+    with pytest.raises(ValueError, match="bad case request"):
+        CaseRequest.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    {"status": ["trusted"]},
+    {"status": None},
+    {},
+    {"status": "rejected", "reason": {"text": "x"}},
+    {"status": "rejected", "reason": 7},
+], ids=["list-status", "null-status", "no-status", "object-reason", "int-reason"])
+def test_ack_rejects_wrong_json_types(raw):
+    with pytest.raises(ValueError, match="bad ack"):
+        Ack.from_dict(raw)
+
+
 def test_ack_reason_omitted_when_absent():
     assert "reason" not in Ack(status="trusted").to_dict()
 
