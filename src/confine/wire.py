@@ -24,7 +24,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .codec import b64u_decode, b64u_encode
-from .eventlog import CaseView, Event, EventLog, LogParseError, csv_errors, event_row, parse_timestamp
+from .eventlog import CaseView, Event, EventLog, LogParseError, csv_errors, format_rows, parse_timestamp
 
 __all__ = [
     "KIB",
@@ -118,11 +118,7 @@ class EnvelopeFormatError(ValueError):
 
 def case_payload(view: CaseView) -> bytes:
     """Headerless canonical CSV rows of one case, in view order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for ev in view.events:
-        writer.writerow(event_row(ev))
-    return out.getvalue().encode("utf-8")
+    return format_rows(view.events).encode("utf-8")
 
 
 def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[str, int]]:
@@ -133,9 +129,62 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[
     that is ``len(case_payload(view))``. Views and sorting are left to
     ``merge_case``, once per case.
 
-    An error names the payload row or line and quotes none of its cells,
-    not even in a chained exception: it may leave the enclave.
+    A plain payload is split directly; any other goes, whole, through
+    csv.reader, which raises every error. An error names the payload row
+    or line and quotes none of its cells, not even in a chained exception:
+    it may leave the enclave.
     """
+    parsed = _parse_plain_payload(payload)
+    if parsed is None:
+        parsed = _parse_payload_csv(payload)
+    return parsed
+
+
+def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[str, int]] | None:
+    """``parse_segment_payload`` of a plain payload, else None; never raises.
+
+    A payload is plain when csv.reader would read each of its lines as one
+    record of unquoted cells, split on commas alone: it holds no quote,
+    carriage return or NUL, is UTF-8 and ends in a newline, and no line is
+    longer than the csv field limit. Every non-blank line must also be a
+    valid row: four cells, a non-empty case ref and activity, and a stamp
+    ``parse_timestamp`` accepts. Anything else is left to the csv parser.
+    """
+    if not payload.endswith(b"\n") or b'"' in payload or b"\r" in payload or b"\x00" in payload:
+        return None
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError:
+        text = None
+    if text is None:
+        return None
+    limit = csv.field_size_limit()
+    cases: dict[str, list[Event]] = {}
+    sizes: dict[str, int] = {}
+    # The record index counts blank lines, as csv.reader's rows do; the
+    # empty remainder after the final newline is one more blank line.
+    for seq, (raw, line) in enumerate(zip(payload.split(b"\n"), text.split("\n"))):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != 4 or len(line) > limit:
+            return None
+        case_ref, stamp, activity, org = cells
+        if not case_ref or not activity:
+            return None
+        try:
+            ts = parse_timestamp(stamp)
+        except LogParseError:
+            ts = None
+        if ts is None:
+            return None
+        cases.setdefault(case_ref, []).append(Event(case_ref, activity, ts, org, seq))
+        sizes[case_ref] = sizes.get(case_ref, 0) + len(raw) + 1
+    return cases, sizes
+
+
+def _parse_payload_csv(payload: bytes) -> tuple[dict[str, list[Event]], dict[str, int]]:
+    """``parse_segment_payload`` of any payload through csv.reader."""
     consumed = 0
 
     def lines():

@@ -1,11 +1,12 @@
 """Event model, parsing, ordering, serialization and partitioning."""
 
 import csv
+import io
 import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confine.eventlog import (
@@ -14,6 +15,7 @@ from confine.eventlog import (
     LogParseError,
     LogSchemaError,
     PartitionError,
+    format_rows,
     format_timestamp,
     parse_csv,
     parse_timestamp,
@@ -106,6 +108,53 @@ _stamps = st.one_of(
 @given(st.one_of(_stamps, _stamps.map(lambda ts: ts.replace(microsecond=ts.microsecond // 1000 * 1000))))
 def test_format_timestamp_matches_reference_formatter(ts):
     assert format_timestamp(ts) == _reference_format(ts)
+
+
+def _reference_parse(text: str) -> datetime:
+    """The parser that parse_timestamp ran before its fast path for UTC stamps."""
+    raw = text.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    try:
+        ts = datetime.fromisoformat(raw)
+        if ts.tzinfo is None:
+            return ts.replace(tzinfo=UTC)
+        return ts.astimezone(UTC)
+    except (ValueError, OverflowError) as exc:
+        raise LogParseError(f"bad timestamp {text!r}: {exc}") from None
+
+
+def _parse_outcome(parse, text):
+    try:
+        ts = parse(text)
+    except LogParseError as exc:
+        return type(exc), str(exc)
+    return ts, ts.tzinfo
+
+
+_zones = st.sampled_from(["", "Z", "z", "+00:00", "-00:00", "+0000", "+05:00", "-05:30", "+14:00"])
+_written_stamps = st.builds(
+    lambda ts, sep, spec, zone, pad: f"{pad}{ts.isoformat(sep, spec)}{zone}{pad}",
+    st.datetimes(),
+    st.sampled_from(["T", " "]),
+    st.sampled_from(["auto", "minutes", "seconds", "milliseconds", "microseconds"]),
+    _zones,
+    st.sampled_from(["", " ", "\t"]),
+)
+
+
+@given(st.one_of(
+    _written_stamps,
+    st.datetimes(timezones=st.just(UTC)).map(format_timestamp),
+    st.text(max_size=30),
+))
+@example("0001-01-01T00:00+05:00")
+@example("9999-12-31T23:59-05:00")
+@example("2022-07-14T10:36:00.000Z")
+@example(" 2022-07-14T10:36:00.000Z ")
+def test_parse_timestamp_matches_reference_parser(text):
+    # a zoned stamp at a range end must stay a LogParseError, not an OverflowError
+    assert _parse_outcome(parse_timestamp, text) == _parse_outcome(_reference_parse, text)
 
 
 # -- Event and CaseView invariants -------------------------------------------
@@ -306,6 +355,32 @@ def test_serialize_round_trip_identity(hospital_log):
     again = parse_csv(text, source_org="H")
     assert again == hospital_log
     assert serialize_log(again) == text
+
+
+_cells = st.text(st.characters() | st.sampled_from(',"\r\n\x00 é'), max_size=8)
+
+
+@settings(max_examples=200)
+@given(st.lists(
+    st.tuples(_cells.filter(bool), st.datetimes(timezones=st.just(UTC)), _cells.filter(bool), _cells),
+    max_size=6,
+))
+def test_format_rows_matches_csv_writer(rows):
+    def written():
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            (ref, format_timestamp(ts), activity, org) for ref, ts, activity, org in rows
+        )
+        return out.getvalue()
+
+    def outcome(write):
+        try:
+            return write()
+        except csv.Error as exc:  # Python 3.10 refuses to write a NUL
+            return type(exc), str(exc)
+
+    events = [Event(ref, activity, ts, org) for ref, ts, activity, org in rows]
+    assert outcome(lambda: format_rows(events)) == outcome(written)
 
 
 def test_serialize_header():

@@ -1,15 +1,17 @@
 """Size parsing, segmentation, hybrid encryption and message schemas."""
 
 import csv
+import io
 import random
 from dataclasses import replace
+from datetime import timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confine.attest import EnclaveIdentity
-from confine.eventlog import CaseView, Event, EventLog, LogParseError, parse_csv, parse_timestamp
+from confine.eventlog import CaseView, Event, EventLog, LogParseError, format_timestamp, parse_csv, parse_timestamp
 from confine.wire import (
     KIB,
     MIB,
@@ -24,6 +26,7 @@ from confine.wire import (
     Segment,
     SegmentEnvelope,
     UnknownCaseRefsError,
+    _parse_payload_csv,
     case_payload,
     decrypt_segment,
     encrypt_segment,
@@ -224,6 +227,95 @@ def test_blank_payload_row_is_skipped():
     cases, sizes = parse_segment_payload(b"c1,2022-07-14T10:36:00.000Z,A,H\n\n")
     assert [e.activity for e in cases["c1"]] == ["A"]
     assert sizes == {"c1": len(b"c1,2022-07-14T10:36:00.000Z,A,H\n")}
+
+
+def _payload_outcome(parse, payload):
+    """A parse result as comparable data, or the error's type, text and context type."""
+    try:
+        cases, sizes = parse(payload)
+    except LogParseError as exc:
+        return type(exc), str(exc), type(exc.__context__)
+    events = {
+        ref: [(e.case_ref, e.activity, e.timestamp, e.timestamp.tzinfo, e.org, e.seq_hint) for e in evs]
+        for ref, evs in cases.items()
+    }
+    return list(events.items()), list(sizes.items())
+
+
+_plain_cells = st.text("abzé ß:-.+", max_size=5)
+# cells csv must quote, and any text at all, with a NUL and a lone surrogate
+# for ill-formed UTF-8 (csv.writer on Python 3.10 refuses a NUL, so only
+# joined rows hold one)
+_special_cells = st.text(st.sampled_from('ab é,"\r\n'), max_size=5)
+_any_cells = st.text(st.characters() | st.sampled_from('"\x00\ud800'), max_size=6)
+_row_stamps = st.one_of(
+    st.datetimes(timezones=st.just(timezone.utc)).map(format_timestamp),
+    st.builds(
+        lambda ts, zone, pad: f"{pad}{ts.isoformat(timespec='minutes')}{zone}{pad}",
+        st.datetimes(),
+        st.sampled_from(["", "Z", "z", "+00:00", "-05:30"]),
+        st.sampled_from(["", " "]),
+    ),
+)
+
+
+def _payloads(cells, write, stamps=_row_stamps):
+    rows = st.lists(st.tuples(cells, stamps, cells, cells) | st.just(()), max_size=8)
+    return st.tuples(rows, st.booleans()).map(
+        lambda t: write(t[0])[: None if t[1] else -1].encode("utf-8", "surrogatepass")
+    )
+
+
+def _joined(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _written(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    _payloads(_plain_cells, _joined),
+    _payloads(_plain_cells | _special_cells, _written),
+    _payloads(_plain_cells | _special_cells | _any_cells, _joined, _row_stamps | _any_cells),
+    st.binary(max_size=200),
+))
+@example(b'"c1",2022-07-14T10:36:00.000Z,A,H\n')
+@example(b"c1,2022-07-14T10:36:00.000Z,A\rB,H\n")
+@example(b"c1,2022-07-14T10:36:00.000Z,A,H\r\n")
+@example(b"c1,2022-07-14T10:36:00.000Z,A\x00B,H\n")
+@example(b"\nc1,2022-07-14T10:36:00.000Z,A,H\n\nc1,2022-07-14T10:37:00.000Z,B,H\n")
+@example(b"c1,2022-07-14T10:36:00.000Z,A,H")
+def test_parse_segment_payload_matches_csv_parser(payload):
+    assert _payload_outcome(parse_segment_payload, payload) == _payload_outcome(_parse_payload_csv, payload)
+
+
+@pytest.mark.parametrize("overflow", ["none", "line", "field"])
+def test_payload_near_field_limit_matches_csv_parser(overflow):
+    # a line as long as csv's field limit is plain; one char more goes to csv,
+    # which accepts it, and a field one char over the limit is csv's error
+    limit = csv.field_size_limit()
+    head = "c1,2022-07-14T10:36:00.000Z,"
+    activity_len = {"none": limit - len(head) - 2, "line": limit - len(head) - 1, "field": limit + 1}[overflow]
+    payload = f"{head}{'a' * activity_len},H\n".encode()
+    assert _payload_outcome(parse_segment_payload, payload) == _payload_outcome(_parse_payload_csv, payload)
+
+
+def test_plain_payloads_use_no_csv_reader_or_writer(hospital_log, monkeypatch):
+    # a change that always falls back to csv fails here, not only in the bench
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv used on a plain payload")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    monkeypatch.setattr(csv, "writer", refuse)
+    for seg_size in (1, 10_000):
+        for seg in segment_log(hospital_log, hospital_log.case_refs(), seg_size, "H"):
+            cases, sizes = parse_segment_payload(seg.payload)
+            assert list(cases) == list(seg.case_refs)
+            assert sum(sizes.values()) == len(seg.payload)
 
 
 # -- encryption ---------------------------------------------------------------
