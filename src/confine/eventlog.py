@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -92,17 +93,12 @@ def format_timestamp(ts: datetime) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Event:
-    """One observed activity execution.
-
-    seq_hint is the 0-based record position within the event's source file;
-    it only breaks ordering ties and carries no domain meaning.
-    """
+    """One observed activity execution."""
 
     case_ref: str
     activity: str
     timestamp: datetime
     org: str = ""
-    seq_hint: int = 0
 
     def __post_init__(self) -> None:
         if not self.case_ref:
@@ -111,12 +107,10 @@ class Event:
             raise ValueError("event requires a non-empty activity")
 
 
-def _order_key(ev: Event) -> tuple[datetime, str, str, int]:
-    # Total order inside a case: timestamp, then org, then activity, then
-    # source position. The source position is a row of the pooled file in
-    # standalone mining but a row of a segment inside the enclave, so it
-    # may only order events whose activities are equal.
-    return (ev.timestamp, ev.org, ev.activity, ev.seq_hint)
+def _order_key(ev: Event) -> tuple[datetime, str, str]:
+    # Order inside a case: timestamp, then org, then activity. Events equal
+    # in all three are the same record, so their order changes nothing.
+    return (ev.timestamp, ev.org, ev.activity)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,9 +214,8 @@ def csv_errors(reader, where: str = "line"):
 def parse_csv(text: str, source_org: str | None = None) -> EventLog:
     """Parse the canonical CSV layout into an EventLog.
 
-    Columns may appear in any order, extra columns are ignored. The record
-    position inside the file becomes each event's seq_hint. An error names
-    the physical line its row ends on.
+    Columns may appear in any order, extra columns are ignored. An error
+    names the physical line its row ends on.
     """
     reader = csv.reader(io.StringIO(text))
     events: list[Event] = []
@@ -253,7 +246,7 @@ def parse_csv(text: str, source_org: str | None = None) -> EventLog:
                 ts = parse_timestamp(row[idx["timestamp"]])
             except LogParseError as exc:
                 raise LogParseError(f"line {line_no}: {exc}") from None
-            events.append(Event(case_ref, activity, ts, org, seq_hint=len(events)))
+            events.append(Event(case_ref, activity, ts, org))
     return EventLog.from_events(events, source_org=source_org)
 
 
@@ -273,7 +266,6 @@ def parse_xes(text: str | bytes, source_org: str | None = None) -> EventLog:
         raise LogParseError(f"bad XES document: {exc}") from None
 
     events: list[Event] = []
-    seq = 0
     for trace in root:
         if _local_name(trace.tag) != "trace":
             continue
@@ -297,10 +289,9 @@ def parse_xes(text: str | bytes, source_org: str | None = None) -> EventLog:
                     stamp = attr.get("value")
             if not activity or stamp is None:
                 raise LogParseError(
-                    f"event #{seq} of case {case_ref!r} lacks concept:name or time:timestamp"
+                    f"event #{len(events)} of case {case_ref!r} lacks concept:name or time:timestamp"
                 )
-            events.append(Event(case_ref, activity, parse_timestamp(stamp), "", seq_hint=seq))
-            seq += 1
+            events.append(Event(case_ref, activity, parse_timestamp(stamp)))
     return EventLog.from_events(events, source_org=source_org)
 
 
@@ -320,9 +311,9 @@ def parse_log(path: str | Path, fmt: str | None = None, source_org: str | None =
 def format_rows(events: Sequence[Event]) -> str:
     """Canonical CSV rows ``case,timestamp,activity,org``, one per event.
 
-    Each row is built directly; only when a cell holds a comma, quote or
-    line break, which csv must quote, or a NUL, which Python 3.10's csv
-    refuses to write, are the rows written by csv.writer.
+    Each row is built directly; only when a cell holds a comma, quote, CR
+    or LF, which must be quoted, or a NUL, which Python 3.10's csv refuses
+    to write, are the rows written by csv.writer.
     """
     text = "".join([f"{ev.case_ref},{format_timestamp(ev.timestamp)},{ev.activity},{ev.org}\n" for ev in events])
     if (
@@ -333,21 +324,23 @@ def format_rows(events: Sequence[Event]) -> str:
         and "\x00" not in text
     ):
         return text
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(
+    # csv quotes a cell holding any character of the line terminator, so a
+    # CRLF terminator quotes a bare CR as well as LF, as RFC 4180 asks; each
+    # row is one write, and its terminator is then cut back to LF.
+    rows: list[str] = []
+    csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n").writerows(
         (ev.case_ref, format_timestamp(ev.timestamp), ev.activity, ev.org) for ev in events
     )
-    return out.getvalue()
+    return "".join([row[:-2] + "\n" for row in rows])
 
 
 def serialize_log(log: EventLog) -> str:
-    """Canonical CSV text for a log.
+    """Canonical CSV text for a log, its rows in time order.
 
-    Rows are written in source order (seq_hint first) so that serializing a
-    parsed log reproduces its original record order and the
-    parse -> serialize -> parse round trip is the identity.
+    Rows are sorted by timestamp, then case, org and activity, so a log
+    pooled from several files is written as one timeline.
     """
-    rows = sorted(log.events(), key=lambda ev: (ev.seq_hint, ev.timestamp, ev.org, ev.case_ref))
+    rows = sorted(log.events(), key=lambda ev: (ev.timestamp, ev.case_ref, ev.org, ev.activity))
     return ",".join(CSV_COLUMNS) + "\n" + format_rows(rows)
 
 

@@ -110,7 +110,7 @@ def generate_scenario_log(params: ScenarioParams = ScenarioParams()) -> tuple[Ev
     """Deterministic synthetic log plus its activity to org assignment."""
     rng = random.Random(params.seed)
     org_map = activity_org_map(params.org_count)
-    rows: list[tuple] = []
+    events: list[Event] = []
     for i in range(params.cases):
         ref = f"case{i:05d}"
         if rng.random() < params.specialized_care_prob:
@@ -119,12 +119,7 @@ def generate_scenario_log(params: ScenarioParams = ScenarioParams()) -> tuple[Ev
             acts = list(VARIANT_STANDARD)
         start = _BASE_TIME + timedelta(seconds=i * _CASE_SPACING_S)
         for j, act in enumerate(acts):
-            rows.append((start + timedelta(seconds=j * _EVENT_STEP_S), ref, j, act))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    events = [
-        Event(ref, act, ts, org_map[act], seq_hint=seq)
-        for seq, (ts, ref, _j, act) in enumerate(rows)
-    ]
+            events.append(Event(ref, act, start + timedelta(seconds=j * _EVENT_STEP_S), org_map[act]))
     return EventLog.from_events(events), org_map
 
 
@@ -135,7 +130,7 @@ def generate_scenario_log(params: ScenarioParams = ScenarioParams()) -> tuple[Ev
 def standalone_net(log_data: EventLog, config: MinerConfig = MinerConfig()) -> HeuristicsNet:
     """Reference result: mine the unpartitioned log in one process."""
     stats = DfStats()
-    accumulate(stats, list(log_data.cases.values()))
+    accumulate(stats, [view.activities for view in log_data.cases.values()])
     return build_net(stats, config)
 
 

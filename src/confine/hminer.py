@@ -1,4 +1,4 @@
-"""Incremental heuristics mining over batches of complete cases.
+"""Incremental heuristics mining over the activity sequences of complete cases.
 
 Statistics are plain directly-follows counters, so accumulation order over
 batches cannot change the result. Net construction is deterministic: every
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-from .eventlog import CaseView
+from typing import Iterable, Sequence
 
 __all__ = [
     "DfStats",
@@ -49,12 +48,11 @@ class DfStats:
         return size
 
 
-def accumulate(stats: DfStats, batch: list[CaseView] | tuple[CaseView, ...]) -> DfStats:
-    """Fold a batch of complete cases into the counters, in place."""
-    for case in batch:
-        if len(case) == 0:
-            raise ValueError(f"case {case.case_ref!r} has no events")
-        acts = case.activities
+def accumulate(stats: DfStats, cases: Iterable[Sequence[str]]) -> DfStats:
+    """Fold complete cases, each its activity sequence, into the counters, in place."""
+    for acts in cases:
+        if not acts:
+            raise ValueError("a case needs at least one activity")
         stats.case_count += 1
         stats.start_count[acts[0]] = stats.start_count.get(acts[0], 0) + 1
         stats.end_count[acts[-1]] = stats.end_count.get(acts[-1], 0) + 1

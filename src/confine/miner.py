@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .attest import EnclaveIdentity, make_report
-from .eventlog import CaseView, Event, merge_case
+from .eventlog import Event, merge_case
 from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, serialize_net
 from .transport import BODY_ALLOWANCE, JsonServer, TransportError, segment_routes
 from .wire import (
@@ -154,7 +154,8 @@ class MinerSession:
 
     A partial case waits in one table entry, as plain event lists, one per
     delivering org, until its last holder delivers; ``merge_case`` then
-    builds its view and the entry leaves the table.
+    orders it, the entry leaves the table, and only the case's activity
+    sequence waits to be folded.
 
     mode is "single_batch" (mine once after all cases merged) or
     "incremental" (fold merged cases into the statistics every
@@ -216,7 +217,8 @@ class MinerSession:
         # Enclave-tagged store: raw case data is reachable only through
         # these private buffers and is never exported.
         self._waiting: dict[str, _Waiting] = {}
-        self._eligible: list[CaseView] = []
+        # merged cases waiting to be folded, each only its activity sequence
+        self._eligible: list[tuple[str, ...]] = []
         self._eligible_charged = 0
         self._stats_charged = 0
         self._stage = "init"
@@ -392,7 +394,7 @@ class MinerSession:
                 case.parts.append(events)
                 case.charged += size
                 if not case.owed:
-                    self._eligible.append(merge_case(case.parts))
+                    self._eligible.append(merge_case(case.parts).activities)
                     del self._waiting[ref]
                     self._eligible_charged += case.charged
                     if self.mode == "incremental" and len(self._eligible) >= self.batch_cases:

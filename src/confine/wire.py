@@ -76,9 +76,13 @@ _SIZE_UNITS = {
 
 
 def parse_size(text: str | int) -> int:
-    """Parse '2MiB', '100KB' or a bare byte count. Units are binary."""
+    """Parse '2MiB', '100KB' or a bare byte count. Units are binary.
+
+    An int is read as its digits, so it must be positive too; a bool, whose
+    text is "True" or "False", is refused.
+    """
     if isinstance(text, int):
-        return text
+        text = str(text)
     raw = text.strip().lower().replace(" ", "")
     for suffix in sorted(_SIZE_UNITS, key=len, reverse=True):
         if raw.endswith(suffix):
@@ -161,9 +165,7 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[s
     limit = csv.field_size_limit()
     cases: dict[str, list[Event]] = {}
     sizes: dict[str, int] = {}
-    # The record index counts blank lines, as csv.reader's rows do; the
-    # empty remainder after the final newline is one more blank line.
-    for seq, (raw, line) in enumerate(zip(payload.split(b"\n"), text.split("\n"))):
+    for raw, line in zip(payload.split(b"\n"), text.split("\n")):
         if not line:
             continue
         cells = line.split(",")
@@ -178,7 +180,7 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[s
             ts = None
         if ts is None:
             return None
-        cases.setdefault(case_ref, []).append(Event(case_ref, activity, ts, org, seq))
+        cases.setdefault(case_ref, []).append(Event(case_ref, activity, ts, org))
         sizes[case_ref] = sizes.get(case_ref, 0) + len(raw) + 1
     return cases, sizes
 
@@ -226,8 +228,7 @@ def _parse_payload_csv(payload: bytes) -> tuple[dict[str, list[Event]], dict[str
                 raise LogParseError(f"payload row {seq}: empty case reference")
             if not activity:
                 raise LogParseError(f"payload row {seq}: empty activity")
-            event = Event(case_ref, activity, ts, org, seq)
-            cases.setdefault(case_ref, []).append(event)
+            cases.setdefault(case_ref, []).append(Event(case_ref, activity, ts, org))
             sizes[case_ref] = sizes.get(case_ref, 0) + row_bytes
     return cases, sizes
 

@@ -164,13 +164,11 @@ def _random_log(rng: random.Random) -> EventLog:
     acts = [f"A{k}" for k in range(12)]
     base = datetime(2022, 3, 1, tzinfo=timezone.utc)
     events = []
-    hint = 0
     for c in range(rng.randint(1, 40)):
         ref = f"r{c:03d}"
         for _ in range(rng.randint(1, 20)):
             ts = base + timedelta(minutes=rng.randint(0, 10000))
-            events.append(Event(ref, rng.choice(acts), ts, "X", seq_hint=hint))
-            hint += 1
+            events.append(Event(ref, rng.choice(acts), ts, "X"))
     return EventLog.from_events(events)
 
 

@@ -50,3 +50,5 @@ def test_rig_session_succeeds(bench, identity, networked):
     assert result.layers["wire.parse_payload_s"] > 0
     assert result.layers["merge.merge_case_s"] > 0
     assert result.layers["merge.parts_per_case"] > 1
+    # and the fold of the merged cases' activity sequences
+    assert result.layers["hminer.accumulate_s"] > 0

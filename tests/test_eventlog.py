@@ -24,7 +24,7 @@ from confine.eventlog import (
     serialize_log,
 )
 
-from conftest import CLINIC_CSV, HOSPITAL_CSV, T_312
+from conftest import CLINIC_CSV, T_312
 
 UTC = timezone.utc
 
@@ -170,7 +170,7 @@ def test_event_rejects_empty_fields():
 
 def test_case_view_sorts_on_construction():
     # Out-of-file-order events; oracle is an explicit comparison sort over
-    # the (timestamp, org, activity, seq_hint) key.
+    # the (timestamp, org, activity) key.
     csv = (
         "case,timestamp,activity,org\n"
         "1,2022-07-14T12:00,B,X\n"
@@ -179,7 +179,7 @@ def test_case_view_sorts_on_construction():
     )
     log = parse_csv(csv)
     view = log.cases["1"]
-    oracle = sorted(view.events, key=lambda e: (e.timestamp, e.org, e.activity, e.seq_hint))
+    oracle = sorted(view.events, key=lambda e: (e.timestamp, e.org, e.activity))
     assert list(view.events) == oracle
     assert view.activities == ("A", "C", "B")
 
@@ -187,14 +187,13 @@ def test_case_view_sorts_on_construction():
 def _random_events(rng: random.Random, n: int) -> list[Event]:
     base = parse_timestamp("2022-01-01T00:00")
     out = []
-    for i in range(n):
+    for _ in range(n):
         out.append(
             Event(
                 case_ref="1",
                 activity=rng.choice("ABCDE"),
                 timestamp=base.replace(minute=rng.randrange(60)),
                 org=rng.choice(["X", "Y", "Z"]),
-                seq_hint=i,
             )
         )
     return out
@@ -209,7 +208,7 @@ def test_ordering_is_deterministic_and_idempotent():
         log = EventLog.from_events(shuffled)
         again = EventLog.from_events(list(log.cases["1"].events))
         assert log.cases["1"].events == again.cases["1"].events
-        oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.activity, e.seq_hint))
+        oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.activity))
         assert list(log.cases["1"].events) == oracle
 
 
@@ -287,24 +286,15 @@ def test_parse_csv_names_the_physical_line_after_a_multiline_field():
         parse_csv(text)
 
 
-def test_parse_csv_duplicate_record_kept_with_distinct_seq_hint():
+def test_parse_csv_duplicate_record_kept():
     csv = (
         "case,timestamp,activity,org\n"
         "312,2022-07-14T10:36,PH,H\n"
         "312,2022-07-14T10:36,PH,H\n"
     )
     log = parse_csv(csv)
-    hints = [e.seq_hint for e in log.cases["312"].events]
     assert len(log.cases["312"]) == 2
-    assert hints == [0, 1]
-
-
-def test_parse_csv_seq_hint_is_file_position():
-    log = parse_csv(HOSPITAL_CSV)
-    by_hint = {e.seq_hint: e for e in log.events()}
-    assert by_hint[0].activity == "PH" and by_hint[0].case_ref == "312"
-    assert by_hint[2].activity == "PH" and by_hint[2].case_ref == "711"
-    assert sorted(by_hint) == list(range(19))
+    assert log.cases["312"].activities == ("PH", "PH")
 
 
 # -- XES parsing --------------------------------------------------------------
@@ -357,7 +347,12 @@ def test_serialize_round_trip_identity(hospital_log):
     assert serialize_log(again) == text
 
 
-_cells = st.text(st.characters() | st.sampled_from(',"\r\n\x00 é'), max_size=8)
+# A CR goes in only beside a comma, quote or LF: csv.writer with an LF
+# terminator writes a bare CR unquoted, which no reader reads back, while
+# format_rows quotes it (see the bare-CR round trips).
+_cells = st.text(
+    st.characters(blacklist_characters="\r") | st.sampled_from(',"\n\x00 é'), max_size=8
+) | st.sampled_from(["\r\n", "a\r,b", '"\r'])
 
 
 @settings(max_examples=200)
@@ -381,6 +376,24 @@ def test_format_rows_matches_csv_writer(rows):
 
     events = [Event(ref, activity, ts, org) for ref, ts, activity, org in rows]
     assert outcome(lambda: format_rows(events)) == outcome(written)
+
+
+@pytest.mark.parametrize("activity", ["A\rB", "A\r\rB"])
+def test_serialize_round_trips_a_bare_carriage_return(activity):
+    log = EventLog.from_events([Event("c1", activity, parse_timestamp("2022-07-14T10:36"), "H")])
+    text = serialize_log(log)
+    assert text == f'case,timestamp,activity,org\nc1,2022-07-14T10:36:00.000Z,"{activity}",H\n'
+    assert parse_csv(text) == log
+
+
+def test_serialize_writes_a_pooled_log_in_time_order(merged_log):
+    # merged_log pools three files; their rows are written as one timeline
+    text = serialize_log(merged_log)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    stamps = [parse_timestamp(row[1]) for row in rows]
+    assert stamps == sorted(stamps)
+    assert len(rows) == merged_log.event_count()
+    assert parse_csv(text) == merged_log
 
 
 def test_serialize_header():
@@ -428,7 +441,7 @@ def test_partition_then_merge_restores_case(merged_log):
     for sub in parts.values():
         if "312" in sub.cases:
             collected.extend(sub.cases["312"].events)
-    oracle = sorted(collected, key=lambda e: (e.timestamp, e.org, e.activity, e.seq_hint))
+    oracle = sorted(collected, key=lambda e: (e.timestamp, e.org, e.activity))
     assert tuple(oracle) == merged_log.cases["312"].events
     assert merged_log.cases["312"].activities == T_312
 
@@ -440,18 +453,14 @@ def test_partition_union_is_event_multiset_identity(seed, k):
     acts = [f"A{i}" for i in range(12)]
     base = parse_timestamp("2022-01-01T00:00")
     events = []
-    seq = 0
     for c in range(rng.randrange(1, 8)):
         for _ in range(rng.randrange(1, 10)):
-            events.append(
-                Event(f"c{c}", rng.choice(acts), base.replace(hour=rng.randrange(24)), "", seq)
-            )
-            seq += 1
+            events.append(Event(f"c{c}", rng.choice(acts), base.replace(hour=rng.randrange(24))))
     log = EventLog.from_events(events)
     mapping = {a: f"O{rng.randrange(k)}" for a in acts}
     parts = partition_by_org(log, mapping)
     union = [ev for sub in parts.values() for ev in sub.events()]
-    key = lambda e: (e.case_ref, e.activity, e.timestamp, e.org, e.seq_hint)
+    key = lambda e: (e.case_ref, e.activity, e.timestamp, e.org)
     assert sorted(union, key=key) == sorted(log.events(), key=key)
 
 

@@ -5,7 +5,16 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from confine.eventlog import CaseView, Event, EventLog, PartitionError, parse_csv, partition_by_org
+from confine.eventlog import (
+    CaseView,
+    Event,
+    EventLog,
+    PartitionError,
+    parse_csv,
+    parse_timestamp,
+    partition_by_org,
+    serialize_log,
+)
 from confine.harness import (
     ALL_ACTIVITIES,
     LOOP_UNIT,
@@ -91,13 +100,15 @@ def test_generator_timing_grid():
     assert steps == [60.0] * (len(view.events) - 1)
 
 
-def test_seq_hints_follow_global_time_order():
+def test_serialize_log_writes_scenario_in_global_time_order():
+    # cases overlap in time, so case order alone would not be time order
     log, _ = generate_scenario_log(ScenarioParams(cases=20, seed=3))
-    events = sorted(log.events(), key=lambda ev: ev.seq_hint)
-    assert [ev.seq_hint for ev in events] == list(range(log.event_count()))
-    assert all(
-        a.timestamp <= b.timestamp for a, b in zip(events, events[1:])
-    )
+    text = serialize_log(log)
+    stamps = [parse_timestamp(line.split(",")[1]) for line in text.splitlines()[1:]]
+    assert len(stamps) == log.event_count()
+    assert stamps == sorted(stamps)
+    assert stamps != [ev.timestamp for ev in log.events()]
+    assert parse_csv(text) == log
 
 
 def test_org_map_three_way_pools():
@@ -321,7 +332,7 @@ def test_scalability_unknown_test():
 def _toy_log(rows):
     base = datetime(2022, 1, 1, tzinfo=timezone.utc)
     events = [
-        Event(ref, act, base + timedelta(minutes=i), org, seq_hint=i)
+        Event(ref, act, base + timedelta(minutes=i), org)
         for i, (ref, act, org) in enumerate(rows)
     ]
     return EventLog.from_events(events)
@@ -407,12 +418,10 @@ def test_protocol_standalone_agreement_is_meaningful():
 
 
 def test_protocol_matches_standalone_when_holders_tie():
-    # an empty org column cannot tell the holders apart; the tie must fall
-    # to the activity, since a row's source position differs between the
-    # pooled log and a holder's segment
+    # an empty org column cannot tell the holders apart; the tie falls to
+    # the activity, which orders the pooled log and the merge alike
     t0 = datetime(2022, 7, 14, 10, tzinfo=timezone.utc)
     t1 = t0 + timedelta(hours=1)
-    log = EventLog.from_events([Event("c1", "S", t0, "", 0), Event("c1", "B", t1, "", 1),
-                                Event("c1", "A", t1, "", 2)])
+    log = EventLog.from_events([Event("c1", "S", t0), Event("c1", "B", t1), Event("c1", "A", t1)])
     parts = partition_by_org(log, {"S": "X", "B": "X", "A": "Y"})
     assert serialize_net(run_protocol(parts).net) == serialize_net(standalone_net(log))

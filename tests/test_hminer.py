@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confine.eventlog import CaseView, Event, merge_case, parse_timestamp
+from confine.eventlog import merge_case
 from confine.hminer import (
     DfStats,
     MinerConfig,
@@ -21,20 +21,10 @@ from confine.hminer import (
 )
 
 
-def _case(ref: str, acts: list[str], minute_base: int = 0) -> CaseView:
-    base = parse_timestamp("2022-01-01T00:00")
-    events = tuple(
-        Event(ref, a, base.replace(hour=(minute_base + i) // 60 % 24, minute=(minute_base + i) % 60), "", i)
-        for i, a in enumerate(acts)
-    )
-    return CaseView(ref, events)
-
-
 def _oracle_counts(cases):
     # independent single-pass counting, no shared code with DfStats
     df, act, start, end = Counter(), Counter(), Counter(), Counter()
-    for view in cases:
-        acts = view.activities
+    for acts in cases:
         act.update(acts)
         start[acts[0]] += 1
         end[acts[-1]] += 1
@@ -50,7 +40,7 @@ def test_accumulate_two_case_ground_truth(hospital_log, pharma_log, clinic_log):
         [hospital_log.cases["312"], pharma_log.cases["312"], clinic_log.cases["312"]]
     )
     t711 = merge_case([hospital_log.cases["711"], pharma_log.cases["711"]])
-    stats = accumulate(DfStats(), [t312, t711])
+    stats = accumulate(DfStats(), [t312.activities, t711.activities])
     assert stats.df_count[("PH", "COPA")] == 2
     assert stats.df_count[("AD", "TP")] == 1
     assert stats.df_count[("AD", "PRTA")] == 1
@@ -60,7 +50,7 @@ def test_accumulate_two_case_ground_truth(hospital_log, pharma_log, clinic_log):
 
 
 def test_accumulate_empty_batch_is_noop():
-    stats = accumulate(DfStats(), [_case("1", ["A", "B"])])
+    stats = accumulate(DfStats(), [["A", "B"]])
     before = (dict(stats.df_count), dict(stats.activity_count), stats.case_count)
     accumulate(stats, [])
     assert (dict(stats.df_count), dict(stats.activity_count), stats.case_count) == before
@@ -68,14 +58,14 @@ def test_accumulate_empty_batch_is_noop():
 
 def test_accumulate_rejects_empty_case():
     with pytest.raises(ValueError):
-        accumulate(DfStats(), [CaseView("1", ())])
+        accumulate(DfStats(), [()])
 
 
 def test_accumulate_invariants_on_random_cases():
     rng = random.Random(11)
     cases = [
-        _case(f"c{i}", [rng.choice("ABCDE") for _ in range(rng.randrange(1, 9))], i)
-        for i in range(50)
+        [rng.choice("ABCDE") for _ in range(rng.randrange(1, 9))]
+        for _ in range(50)
     ]
     stats = accumulate(DfStats(), cases)
     assert sum(stats.start_count.values()) == stats.case_count == 50
@@ -86,8 +76,8 @@ def test_accumulate_invariants_on_random_cases():
 def test_accumulate_batched_equals_single_pass_oracle():
     rng = random.Random(3)
     cases = [
-        _case(f"c{i}", [rng.choice("ABCDE") for _ in range(rng.randrange(1, 9))], i)
-        for i in range(50)
+        [rng.choice("ABCDE") for _ in range(rng.randrange(1, 9))]
+        for _ in range(50)
     ]
     batched = DfStats()
     for i in range(0, 50, 10):
@@ -104,8 +94,8 @@ def test_accumulate_batched_equals_single_pass_oracle():
 def test_batch_order_and_partition_independence(seed, nbatches):
     rng = random.Random(seed)
     cases = [
-        _case(f"c{i}", [rng.choice("ABCD") for _ in range(rng.randrange(1, 7))], i)
-        for i in range(rng.randrange(2, 25))
+        [rng.choice("ABCD") for _ in range(rng.randrange(1, 7))]
+        for _ in range(rng.randrange(2, 25))
     ]
     once = accumulate(DfStats(), cases)
     shuffled = cases[:]
@@ -139,7 +129,7 @@ def test_dependency_from_two_case_counts(hospital_log, pharma_log, clinic_log):
         [hospital_log.cases["312"], pharma_log.cases["312"], clinic_log.cases["312"]]
     )
     t711 = merge_case([hospital_log.cases["711"], pharma_log.cases["711"]])
-    stats = accumulate(DfStats(), [t312, t711])
+    stats = accumulate(DfStats(), [t312.activities, t711.activities])
     assert stats.df_count[("PH", "COPA")] == 2
     assert stats.df_count.get(("COPA", "PH"), 0) == 0
     assert dependency_measure(stats, "PH", "COPA") == pytest.approx(2 / 3)
@@ -203,7 +193,7 @@ def test_config_range_validation(kwargs):
 
 
 def test_build_net_minimal_log():
-    net = build_net(accumulate(DfStats(), [_case("1", ["A", "B"])]))
+    net = build_net(accumulate(DfStats(), [["A", "B"]]))
     assert net.arc_pairs() == {("A", "B")}
     assert net.start_activities == ("A",)
     assert net.end_activities == ("B",)
@@ -217,8 +207,8 @@ def test_build_net_empty_stats_is_error():
 def test_build_net_threshold_zero_brute_force_oracle():
     rng = random.Random(17)
     cases = [
-        _case(f"c{i}", [rng.choice("ABCDE") for _ in range(rng.randrange(2, 10))], i)
-        for i in range(40)
+        [rng.choice("ABCDE") for _ in range(rng.randrange(2, 10))]
+        for _ in range(40)
     ]
     stats = accumulate(DfStats(), cases)
     cfg = MinerConfig(dependency_threshold=0.0, all_activities_connected=False)
@@ -236,8 +226,8 @@ def test_build_net_threshold_zero_brute_force_oracle():
 def test_build_net_threshold_monotonicity():
     rng = random.Random(23)
     cases = [
-        _case(f"c{i}", [rng.choice("ABCD") for _ in range(rng.randrange(2, 8))], i)
-        for i in range(30)
+        [rng.choice("ABCD") for _ in range(rng.randrange(2, 8))]
+        for _ in range(30)
     ]
     stats = accumulate(DfStats(), cases)
     previous = None
@@ -251,10 +241,7 @@ def test_build_net_threshold_monotonicity():
 
 
 def test_all_connected_rescues_isolated_activities():
-    cases = (
-        [_case(f"a{i}", ["A", "B", "C"], i) for i in range(2)]
-        + [_case(f"x{i}", ["A", "X", "C"], 10 + i) for i in range(8)]
-    )
+    cases = [["A", "B", "C"]] * 2 + [["A", "X", "C"]] * 8
     stats = accumulate(DfStats(), cases)
     bare = build_net(stats, MinerConfig(all_activities_connected=False))
     assert bare.arc_pairs() == set()
@@ -293,7 +280,7 @@ def test_all_connected_tie_breaks_on_df_then_label():
 def test_all_connected_excludes_self_loop_rescue():
     # a self-loop must not satisfy the connectivity requirement: B's rescue
     # arcs are A->B and B->C even though (B,B) has the same dependency
-    stats = accumulate(DfStats(), [_case("1", ["A", "B", "B", "C"], 0)])
+    stats = accumulate(DfStats(), [["A", "B", "B", "C"]])
     net = build_net(stats, MinerConfig())
     assert net.arc_pairs() == {("A", "B"), ("B", "C")}
 
@@ -302,8 +289,8 @@ def test_every_activity_connected_property():
     rng = random.Random(31)
     for trial in range(10):
         cases = [
-            _case(f"c{i}", [rng.choice("ABCDEF") for _ in range(rng.randrange(2, 9))], i)
-            for i in range(25)
+            [rng.choice("ABCDEF") for _ in range(rng.randrange(2, 9))]
+            for _ in range(25)
         ]
         stats = accumulate(DfStats(), cases)
         net = build_net(stats, MinerConfig())
@@ -318,10 +305,7 @@ def test_every_activity_connected_property():
 def test_split_classification_xor_and():
     # S goes to both B and C in parallel (both orders observed), then one
     # of D or E exclusively
-    cases = []
-    for i in range(5):
-        cases.append(_case(f"p{i}", ["S", "B", "C", "Z", "D"], i))
-        cases.append(_case(f"q{i}", ["S", "C", "B", "Z", "E"], 50 + i))
+    cases = [["S", "B", "C", "Z", "D"], ["S", "C", "B", "Z", "E"]] * 5
     stats = accumulate(DfStats(), cases)
     net = build_net(stats, MinerConfig(dependency_threshold=0.5))
     assert net.splits["S"] == (("B", "C"),)
@@ -354,14 +338,14 @@ def test_and_group_merges_two_earlier_groups():
 
 
 def test_serialize_dot_single_edge():
-    net = build_net(accumulate(DfStats(), [_case("1", ["A", "B"])]))
+    net = build_net(accumulate(DfStats(), [["A", "B"]]))
     dot = serialize_net(net, "dot")
     assert dot.count("->") == 1
     assert '"A" -> "B"' in dot
 
 
 def test_serialize_dot_no_arcs_lists_nodes():
-    stats = accumulate(DfStats(), [_case("1", ["A"]), _case("2", ["B"])])
+    stats = accumulate(DfStats(), [["A"], ["B"]])
     net = build_net(stats, MinerConfig(all_activities_connected=False))
     dot = serialize_net(net, "dot")
     assert "->" not in dot
@@ -373,7 +357,8 @@ def test_serialize_json_round_trip(hospital_log, pharma_log, clinic_log):
         [hospital_log.cases["312"], pharma_log.cases["312"], clinic_log.cases["312"]]
     )
     t711 = merge_case([hospital_log.cases["711"], pharma_log.cases["711"]])
-    net = build_net(accumulate(DfStats(), [t312, t711]), MinerConfig(dependency_threshold=0.5))
+    stats = accumulate(DfStats(), [t312.activities, t711.activities])
+    net = build_net(stats, MinerConfig(dependency_threshold=0.5))
     text = serialize_net(net)
     assert net_from_json(text) == net
     assert serialize_net(net_from_json(text)) == text
@@ -383,20 +368,20 @@ def test_serialize_json_round_trip(hospital_log, pharma_log, clinic_log):
 def test_serialize_deterministic_ordering():
     rng = random.Random(5)
     cases = [
-        _case(f"c{i}", [rng.choice("ABCDE") for _ in range(rng.randrange(2, 8))], i)
-        for i in range(20)
+        [rng.choice("ABCDE") for _ in range(rng.randrange(2, 8))]
+        for _ in range(20)
     ]
     stats = accumulate(DfStats(), cases)
     assert serialize_net(build_net(stats)) == serialize_net(build_net(stats))
 
 
 def test_serialize_unknown_format():
-    net = build_net(accumulate(DfStats(), [_case("1", ["A", "B"])]))
+    net = build_net(accumulate(DfStats(), [["A", "B"]]))
     with pytest.raises(ValueError):
         serialize_net(net, "yaml")
 
 
 def test_estimate_bytes_grows_with_content():
     empty = DfStats().estimate_bytes()
-    stats = accumulate(DfStats(), [_case("1", ["A", "B", "C"])])
+    stats = accumulate(DfStats(), [["A", "B", "C"]])
     assert stats.estimate_bytes() > empty

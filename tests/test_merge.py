@@ -76,16 +76,15 @@ def test_merge_random_split_equals_global_sort(seed):
             rng.choice("ABCDEF"),
             base.replace(hour=rng.randrange(24), minute=rng.randrange(60)),
             rng.choice(["X", "Y", "Z"]),
-            i,
         )
-        for i in range(rng.randrange(3, 30))
+        for _ in range(rng.randrange(3, 30))
     ]
     buckets: list[list[Event]] = [[], [], []]
     for ev in events:
         buckets[rng.randrange(3)].append(ev)
     parts = [CaseView("c1", tuple(b)) for b in buckets if b]
     merged = merge_case(parts)
-    oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.activity, e.seq_hint))
+    oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.activity))
     assert list(merged.events) == oracle
 
 
@@ -95,11 +94,11 @@ def test_merge_random_split_equals_global_sort(seed):
 
 
 def _split_log(rows, holders: int) -> tuple[EventLog, dict[str, EventLog]]:
-    """The pooled log, whose seq_hint is the row, and each holder's share of it."""
+    """The pooled log and each holder's share of it."""
     base = parse_timestamp("2024-01-01T10:00")
     events = [
-        (Event(ref, act, base + timedelta(minutes=minute), "", row), holder)
-        for row, (ref, act, minute, holder) in enumerate(rows)
+        (Event(ref, act, base + timedelta(minutes=minute)), holder)
+        for ref, act, minute, holder in rows
     ]
     parts = {
         f"org{h}": EventLog.from_events([ev for ev, holder in events if holder == h])

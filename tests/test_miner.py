@@ -1,6 +1,7 @@
 """Miner session tests: budget accounting, staged runs, delivery edge cases."""
 
 import csv
+import gc
 import itertools
 import json
 import random
@@ -8,6 +9,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.parse
 from dataclasses import replace
 
@@ -238,6 +240,28 @@ def test_budget_returns_to_zero_after_run(hospital_log, pharma_log, clinic_log, 
     session.run()
     assert session.budget.in_use == 0
     assert session.budget.peak > 0
+
+
+# The budget charges payload bytes and fixed overheads, not Python objects;
+# README "Enclave budget" states the factor this pins.
+CHARGE_FACTOR = 2
+
+
+@pytest.mark.parametrize("seg_size", [1 * KIB, 100 * KIB], ids=["1KiB", "100KiB"])
+def test_memory_held_after_acquisition_within_factor_of_charge(identity, seg_size):
+    log_data, org_map = generate_scenario_log(ScenarioParams())
+    _, session = _setup(partition_by_org(log_data, org_map), identity, seg_size=seg_size)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        session.run_initialization()
+        session.run_acquisition()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert session.stats.case_count == 0 and session.budget.in_use > 0
+    assert held <= CHARGE_FACTOR * session.budget.in_use, (held, session.budget.in_use)
 
 
 def test_compute_disabled_cleans_up(hospital_log, pharma_log, clinic_log, identity):
@@ -693,7 +717,7 @@ def test_oversized_field_ends_session_in_parse_error(identity):
     # the provider's in-memory log holds it, but no payload parser may take it
     stamp = parse_timestamp("2022-07-14T10:36")
     activity = "x" * (csv.field_size_limit() + 1)
-    log_data = EventLog.from_events([Event("c1", "A", stamp, "H", 0), Event("c1", activity, stamp, "H", 1)])
+    log_data = EventLog.from_events([Event("c1", "A", stamp, "H"), Event("c1", activity, stamp, "H")])
     _, session = _setup({"H": log_data}, identity)
     with pytest.raises(LogParseError, match="field larger than field limit"):
         session.run()

@@ -59,7 +59,12 @@ def test_parse_size_binary_units(text, expected):
     assert parse_size(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "0", "-5", "tenKB", "5TB", "KB"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "0", "-5", "tenKB", "5TB", "KB"]
+    + [pytest.param(n, id=f"int{n}") for n in (0, -5)]
+    + [pytest.param(b, id=f"bool-{b}") for b in (True, False)],
+)
 def test_parse_size_rejects(text):
     with pytest.raises(ValueError):
         parse_size(text)
@@ -72,12 +77,12 @@ def _sized_log(sizes: dict[str, int]) -> EventLog:
     """Build a log whose per-case canonical payloads hit exact byte sizes."""
     base = parse_timestamp("2022-01-01T00:00")
     events = []
-    for i, (ref, size) in enumerate(sorted(sizes.items())):
-        probe = Event(ref, "x", base, "org1", 0)
+    for ref, size in sorted(sizes.items()):
+        probe = Event(ref, "x", base, "org1")
         row_overhead = len(case_payload(type("V", (), {"events": (probe,)})()))
         pad = size - row_overhead + 1
         assert pad >= 1, f"target {size} too small"
-        events.append(Event(ref, "x" * pad, base, "org1", i))
+        events.append(Event(ref, "x" * pad, base, "org1"))
     log = EventLog.from_events(events)
     for ref, size in sizes.items():
         assert len(case_payload(log.cases[ref])) == size
@@ -188,11 +193,11 @@ def test_parsed_case_sizes_equal_case_payload():
     # also where csv quoting, line breaks inside fields or UTF-8 widen a row
     stamp = parse_timestamp("2022-07-14T10:36:00.000250Z")
     events = [
-        Event("c1", "admit, triage", stamp, "H", 0),
-        Event("c1", 'say "ok"', parse_timestamp("2022-07-14T11:00:00.000Z"), "H", 1),
-        Event("c2", "line one\nline two", stamp, "Klinik Zürich", 2),
-        Event("c2", "discharge", parse_timestamp("2022-07-15T09:30:00.120Z"), "Klinik Zürich", 3),
-        Event("c3", "plain", stamp, "München", 4),
+        Event("c1", "admit, triage", stamp, "H"),
+        Event("c1", 'say "ok"', parse_timestamp("2022-07-14T11:00:00.000Z"), "H"),
+        Event("c2", "line one\nline two", stamp, "Klinik Zürich"),
+        Event("c2", "discharge", parse_timestamp("2022-07-15T09:30:00.120Z"), "Klinik Zürich"),
+        Event("c3", "plain", stamp, "München"),
     ]
     log = EventLog.from_events(events)
     for seg_size in (1, 10_000):
@@ -203,6 +208,16 @@ def test_parsed_case_sizes_equal_case_payload():
             for ref, events in back.items():
                 view = CaseView(ref, tuple(events))
                 assert sizes[ref] == len(case_payload(view)) == len(case_payload(log.cases[ref]))
+
+
+@pytest.mark.parametrize("activity", ["A\rB", "A\r", "\rA\r\r"])
+def test_case_payload_round_trips_a_bare_carriage_return(activity):
+    view = CaseView("c1", (Event("c1", activity, parse_timestamp("2022-07-14T10:36"), "H"),))
+    payload = case_payload(view)
+    assert payload == f'c1,2022-07-14T10:36:00.000Z,"{activity}",H\n'.encode()
+    cases, sizes = parse_segment_payload(payload)
+    assert CaseView("c1", tuple(cases["c1"])) == view
+    assert sizes == {"c1": len(payload)}
 
 
 @pytest.mark.parametrize(
@@ -236,7 +251,7 @@ def _payload_outcome(parse, payload):
     except LogParseError as exc:
         return type(exc), str(exc), type(exc.__context__)
     events = {
-        ref: [(e.case_ref, e.activity, e.timestamp, e.timestamp.tzinfo, e.org, e.seq_hint) for e in evs]
+        ref: [(e.case_ref, e.activity, e.timestamp, e.timestamp.tzinfo, e.org) for e in evs]
         for ref, evs in cases.items()
     }
     return list(events.items()), list(sizes.items())
