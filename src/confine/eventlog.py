@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -20,6 +21,8 @@ from typing import Iterable, Sequence
 __all__ = [
     "Event",
     "CaseView",
+    "Row",
+    "event_row",
     "merge_case",
     "EventLog",
     "LogParseError",
@@ -107,9 +110,15 @@ class Event:
             raise ValueError("event requires a non-empty activity")
 
 
-def _order_key(ev: Event) -> tuple[datetime, str, str]:
-    # Order inside a case: timestamp, then org, then activity. Events equal
-    # in all three are the same record, so their order changes nothing.
+# An event of a known case as the enclave holds it: (timestamp, org,
+# activity). A case is ordered by these rows as tuples compare, so timestamp
+# first, then org, then activity; events equal in all three are the same
+# record, so their order changes nothing.
+Row = tuple[datetime, str, str]
+
+
+def event_row(ev: Event) -> Row:
+    """The row of an event, which is also its order key inside its case."""
     return (ev.timestamp, ev.org, ev.activity)
 
 
@@ -126,7 +135,7 @@ class CaseView:
                 raise ValueError(
                     f"event of case {ev.case_ref!r} placed in view {self.case_ref!r}"
                 )
-        ordered = tuple(sorted(self.events, key=_order_key))
+        ordered = tuple(sorted(self.events, key=event_row))
         object.__setattr__(self, "events", ordered)
 
     @property
@@ -136,23 +145,21 @@ class CaseView:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self):
-        return iter(self.events)
 
+def merge_case(parts: Iterable[Iterable[Row]]) -> tuple[str, ...]:
+    """Reassemble one case from its holders' rows into its activity sequence.
 
-def merge_case(parts: Iterable[Iterable[Event]]) -> CaseView:
-    """Reassemble one case from its holders' parts into its ordered view.
-
-    Merging concatenates the parts, each a plain list or a ``CaseView``,
-    and applies the shared total order, so it is commutative and
-    associative. It is not idempotent: two holders' identical records both
-    survive, as they do in the pooled log. Building the view is the case's
-    only sort, and it refuses an event of another case with a ValueError.
+    Merging concatenates the parts and sorts the rows as plain tuples, which
+    is the order ``CaseView`` gives the same events, so it is commutative
+    and associative. It is not idempotent: two holders' identical records
+    both survive, as they do in the pooled log. Rows carry no case ref; the
+    caller groups them by case.
     """
-    events = [ev for part in parts for ev in part]
-    if not events:
-        raise ValueError("merge_case needs at least one event")
-    return CaseView(events[0].case_ref, tuple(events))
+    rows = list(chain.from_iterable(parts))
+    if not rows:
+        raise ValueError("merge_case needs at least one row")
+    rows.sort()
+    return tuple([activity for _, _, activity in rows])
 
 
 @dataclass(frozen=True)

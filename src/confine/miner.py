@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .attest import EnclaveIdentity, make_report
-from .eventlog import Event, merge_case
+from .eventlog import Row, merge_case
 from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, serialize_net
 from .transport import BODY_ALLOWANCE, JsonServer, TransportError, segment_routes
 from .wire import (
@@ -145,17 +145,18 @@ class _Waiting:
     """A case some announced holder still owes: who, the parts so far, their bytes."""
 
     owed: set[str]
-    parts: list[list[Event]] = field(default_factory=list)
+    parts: list[list[Row]] = field(default_factory=list)
     charged: int = 0
 
 
 class MinerSession:
     """Runs initialization, acquisition and computation against providers.
 
-    A partial case waits in one table entry, as plain event lists, one per
-    delivering org, until its last holder delivers; ``merge_case`` then
-    orders it, the entry leaves the table, and only the case's activity
-    sequence waits to be folded.
+    A partial case waits in one table entry, as lists of plain
+    ``(timestamp, org, activity)`` rows, one per delivering org, until its
+    last holder delivers; ``merge_case`` then sorts its rows, the entry
+    leaves the table, and only the case's activity sequence waits to be
+    folded. No ``Event`` or ``CaseView`` is built inside the enclave.
 
     mode is "single_batch" (mine once after all cases merged) or
     "incremental" (fold merged cases into the statistics every
@@ -379,8 +380,8 @@ class MinerSession:
             payload = decrypt_segment(env, self._delivery_secret(env))
             self.budget.charge(len(payload))
             held += len(payload)
-            part_events, part_sizes = parse_segment_payload(payload)
-            for ref, events in part_events.items():
+            part_rows, part_sizes = parse_segment_payload(payload)
+            for ref, rows in part_rows.items():
                 case = self._waiting.get(ref)
                 if case is None or env.org not in case.owed:
                     how = "twice" if ref in self._org_refs[env.org] else "which it never announced"
@@ -391,10 +392,10 @@ class MinerSession:
                 self.budget.charge(size)
                 case.owed.remove(env.org)
                 self.budget.release(_entry_size(ref, env.org))
-                case.parts.append(events)
+                case.parts.append(rows)
                 case.charged += size
                 if not case.owed:
-                    self._eligible.append(merge_case(case.parts).activities)
+                    self._eligible.append(merge_case(case.parts))
                     del self._waiting[ref]
                     self._eligible_charged += case.charged
                     if self.mode == "incremental" and len(self._eligible) >= self.batch_cases:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import sys
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
@@ -24,7 +25,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .codec import b64u_decode, b64u_encode
-from .eventlog import CaseView, Event, EventLog, LogParseError, csv_errors, format_rows, parse_timestamp
+from .eventlog import CaseView, EventLog, LogParseError, Row, csv_errors, format_rows, parse_timestamp
 
 __all__ = [
     "KIB",
@@ -125,13 +126,14 @@ def case_payload(view: CaseView) -> bytes:
     return format_rows(view.events).encode("utf-8")
 
 
-def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[str, int]]:
-    """Parse headerless rows (fixed column order) into each case's events.
+def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str, int]]:
+    """Parse headerless rows (fixed column order) into each case's rows.
 
-    Returns the events per case ref in payload order, and per case ref the
-    payload bytes its rows arrived in: for a payload built by ``segment_log``
-    that is ``len(case_payload(view))``. Views and sorting are left to
-    ``merge_case``, once per case.
+    Returns per case ref its ``(timestamp, org, activity)`` rows in payload
+    order, and the payload bytes they arrived in: for a payload built by
+    ``segment_log`` that is ``len(case_payload(view))``. Sorting is left to
+    ``merge_case``, once per case. Activity names are interned, so a merged
+    case's activity sequence shares one string per distinct name.
 
     A plain payload is split directly; any other goes, whole, through
     csv.reader, which raises every error. An error names the payload row
@@ -144,7 +146,7 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[
     return parsed
 
 
-def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[str, int]] | None:
+def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str, int]] | None:
     """``parse_segment_payload`` of a plain payload, else None; never raises.
 
     A payload is plain when csv.reader would read each of its lines as one
@@ -163,7 +165,7 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[s
     if text is None:
         return None
     limit = csv.field_size_limit()
-    cases: dict[str, list[Event]] = {}
+    cases: dict[str, list[Row]] = {}
     sizes: dict[str, int] = {}
     for raw, line in zip(payload.split(b"\n"), text.split("\n")):
         if not line:
@@ -180,12 +182,12 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Event]], dict[s
             ts = None
         if ts is None:
             return None
-        cases.setdefault(case_ref, []).append(Event(case_ref, activity, ts, org))
+        cases.setdefault(case_ref, []).append((ts, org, sys.intern(activity)))
         sizes[case_ref] = sizes.get(case_ref, 0) + len(raw) + 1
     return cases, sizes
 
 
-def _parse_payload_csv(payload: bytes) -> tuple[dict[str, list[Event]], dict[str, int]]:
+def _parse_payload_csv(payload: bytes) -> tuple[dict[str, list[Row]], dict[str, int]]:
     """``parse_segment_payload`` of any payload through csv.reader."""
     consumed = 0
 
@@ -203,7 +205,7 @@ def _parse_payload_csv(payload: bytes) -> tuple[dict[str, list[Event]], dict[str
                 raise LogParseError(f"payload line {line_no}: not UTF-8")
             yield text
 
-    cases: dict[str, list[Event]] = {}
+    cases: dict[str, list[Row]] = {}
     sizes: dict[str, int] = {}
     row_start = 0
     # csv.reader pulls lines only until the current record is complete, so
@@ -228,7 +230,7 @@ def _parse_payload_csv(payload: bytes) -> tuple[dict[str, list[Event]], dict[str
                 raise LogParseError(f"payload row {seq}: empty case reference")
             if not activity:
                 raise LogParseError(f"payload row {seq}: empty activity")
-            cases.setdefault(case_ref, []).append(Event(case_ref, activity, ts, org))
+            cases.setdefault(case_ref, []).append((ts, org, sys.intern(activity)))
             sizes[case_ref] = sizes.get(case_ref, 0) + row_bytes
     return cases, sizes
 

@@ -15,7 +15,16 @@ import pytest
 from confine.attest import EnclaveIdentity
 from confine.eventlog import EventLog, parse_csv
 from confine.miner import LEDGER_ENTRY_BYTES, MinerSession
-from confine.wire import Ack, AttestationChallenge, CaseRefResponse, SealingKey, encrypt_segment, segment_log
+from confine.wire import (
+    Ack,
+    AttestationChallenge,
+    CaseRefResponse,
+    SealingKey,
+    case_payload,
+    encrypt_segment,
+    parse_segment_payload,
+    segment_log,
+)
 
 HOSPITAL_CSV = """\
 case,timestamp,activity,org
@@ -96,6 +105,12 @@ class SilentProvisioner:
 
     def handle_attestation(self, body):
         return Ack(status="trusted").to_dict()
+
+
+def enclave_rows(view) -> list:
+    """A case view's rows as the enclave parses them from the view's payload."""
+    cases, _ = parse_segment_payload(case_payload(view))
+    return cases[view.case_ref]
 
 
 def sealed_envelopes(log_data: EventLog, refs, org: str, identity, seg_size: int = 10**6) -> list[dict]:

@@ -12,9 +12,9 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import T_312, T_711
+from conftest import T_312, T_711, enclave_rows
 from confine.attest import ReferenceRegistry, make_report, verify_report
-from confine.eventlog import Event, EventLog, format_timestamp, merge_case, partition_by_org
+from confine.eventlog import Event, EventLog, event_row, format_timestamp, merge_case, partition_by_org
 from confine.harness import (
     ALL_ACTIVITIES,
     REFERENCE_SCALABILITY_STATS,
@@ -70,17 +70,18 @@ def test_criterion_01_networked_convergence():
 
 def test_criterion_02_merge_ground_truth(hospital_log, pharma_log, clinic_log):
     with _criterion(2, "three-way merge ground truth"):
+        # the enclave's merge of the rows it parses from each holder's payload
         merged_312 = merge_case([
-            hospital_log.cases["312"],
-            pharma_log.cases["312"],
-            clinic_log.cases["312"],
+            enclave_rows(hospital_log.cases["312"]),
+            enclave_rows(pharma_log.cases["312"]),
+            enclave_rows(clinic_log.cases["312"]),
         ])
-        assert merged_312.activities == T_312
+        assert merged_312 == T_312
         merged_711 = merge_case([
-            hospital_log.cases["711"],
-            pharma_log.cases["711"],
+            enclave_rows(hospital_log.cases["711"]),
+            enclave_rows(pharma_log.cases["711"]),
         ])
-        assert merged_711.activities == T_711
+        assert merged_711 == T_711
 
 
 def test_criterion_03_generator_statistics():
@@ -192,7 +193,7 @@ def test_criterion_06_segmentation_invariants():
                         assert len(case_payload(log.cases[s.case_refs[0]])) > seg_size
                     back, _ = parse_segment_payload(s.payload)
                     for ref in s.case_refs:
-                        assert tuple(e.activity for e in back[ref]) == log.cases[ref].activities
+                        assert back[ref] == [event_row(e) for e in log.cases[ref].events]
             # requesting a subset filters the packed union down to it
             subset = log.case_refs()[::2]
             packed = segment_log(log, subset, sizes[0], "X")

@@ -20,6 +20,8 @@ from confine.hminer import (
     serialize_net,
 )
 
+from conftest import enclave_rows
+
 
 def _oracle_counts(cases):
     # independent single-pass counting, no shared code with DfStats
@@ -36,11 +38,9 @@ def _oracle_counts(cases):
 
 
 def test_accumulate_two_case_ground_truth(hospital_log, pharma_log, clinic_log):
-    t312 = merge_case(
-        [hospital_log.cases["312"], pharma_log.cases["312"], clinic_log.cases["312"]]
-    )
-    t711 = merge_case([hospital_log.cases["711"], pharma_log.cases["711"]])
-    stats = accumulate(DfStats(), [t312.activities, t711.activities])
+    t312 = merge_case([enclave_rows(log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)])
+    t711 = merge_case([enclave_rows(log.cases["711"]) for log in (hospital_log, pharma_log)])
+    stats = accumulate(DfStats(), [t312, t711])
     assert stats.df_count[("PH", "COPA")] == 2
     assert stats.df_count[("AD", "TP")] == 1
     assert stats.df_count[("AD", "PRTA")] == 1
@@ -125,11 +125,9 @@ def test_dependency_direct_formula_values():
 
 
 def test_dependency_from_two_case_counts(hospital_log, pharma_log, clinic_log):
-    t312 = merge_case(
-        [hospital_log.cases["312"], pharma_log.cases["312"], clinic_log.cases["312"]]
-    )
-    t711 = merge_case([hospital_log.cases["711"], pharma_log.cases["711"]])
-    stats = accumulate(DfStats(), [t312.activities, t711.activities])
+    t312 = merge_case([enclave_rows(log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)])
+    t711 = merge_case([enclave_rows(log.cases["711"]) for log in (hospital_log, pharma_log)])
+    stats = accumulate(DfStats(), [t312, t711])
     assert stats.df_count[("PH", "COPA")] == 2
     assert stats.df_count.get(("COPA", "PH"), 0) == 0
     assert dependency_measure(stats, "PH", "COPA") == pytest.approx(2 / 3)
@@ -353,11 +351,9 @@ def test_serialize_dot_no_arcs_lists_nodes():
 
 
 def test_serialize_json_round_trip(hospital_log, pharma_log, clinic_log):
-    t312 = merge_case(
-        [hospital_log.cases["312"], pharma_log.cases["312"], clinic_log.cases["312"]]
-    )
-    t711 = merge_case([hospital_log.cases["711"], pharma_log.cases["711"]])
-    stats = accumulate(DfStats(), [t312.activities, t711.activities])
+    t312 = merge_case([enclave_rows(log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)])
+    t711 = merge_case([enclave_rows(log.cases["711"]) for log in (hospital_log, pharma_log)])
+    stats = accumulate(DfStats(), [t312, t711])
     net = build_net(stats, MinerConfig(dependency_threshold=0.5))
     text = serialize_net(net)
     assert net_from_json(text) == net

@@ -244,7 +244,7 @@ def test_budget_returns_to_zero_after_run(hospital_log, pharma_log, clinic_log, 
 
 # The budget charges payload bytes and fixed overheads, not Python objects;
 # README "Enclave budget" states the factor this pins.
-CHARGE_FACTOR = 2
+CHARGE_FACTOR = 1
 
 
 @pytest.mark.parametrize("seg_size", [1 * KIB, 100 * KIB], ids=["1KiB", "100KiB"])

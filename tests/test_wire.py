@@ -3,6 +3,7 @@
 import csv
 import io
 import random
+import sys
 from dataclasses import replace
 from datetime import timezone
 
@@ -11,7 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confine.attest import EnclaveIdentity
-from confine.eventlog import CaseView, Event, EventLog, LogParseError, format_timestamp, parse_csv, parse_timestamp
+from confine.eventlog import (
+    CaseView,
+    Event,
+    EventLog,
+    LogParseError,
+    event_row,
+    format_timestamp,
+    parse_csv,
+    parse_timestamp,
+)
 from confine.wire import (
     KIB,
     MIB,
@@ -181,11 +191,8 @@ def test_segment_payload_round_trip(hospital_log):
     assert len(segments) == 1
     back, _ = parse_segment_payload(segments[0].payload)
     assert list(back) == ["312", "711"]
-    assert tuple(e.activity for e in back["312"]) == hospital_log.cases["312"].activities
     for ref in ("312", "711"):
-        assert [e.timestamp for e in back[ref]] == [
-            e.timestamp for e in hospital_log.cases[ref].events
-        ]
+        assert back[ref] == [event_row(e) for e in hospital_log.cases[ref].events]
 
 
 def test_parsed_case_sizes_equal_case_payload():
@@ -205,8 +212,8 @@ def test_parsed_case_sizes_equal_case_payload():
             back, sizes = parse_segment_payload(seg.payload)
             assert sorted(sizes) == sorted(seg.case_refs)
             assert sum(sizes.values()) == len(seg.payload)
-            for ref, events in back.items():
-                view = CaseView(ref, tuple(events))
+            for ref, rows in back.items():
+                view = CaseView(ref, tuple(Event(ref, activity, ts, org) for ts, org, activity in rows))
                 assert sizes[ref] == len(case_payload(view)) == len(case_payload(log.cases[ref]))
 
 
@@ -216,7 +223,7 @@ def test_case_payload_round_trips_a_bare_carriage_return(activity):
     payload = case_payload(view)
     assert payload == f'c1,2022-07-14T10:36:00.000Z,"{activity}",H\n'.encode()
     cases, sizes = parse_segment_payload(payload)
-    assert CaseView("c1", tuple(cases["c1"])) == view
+    assert cases["c1"] == [event_row(ev) for ev in view.events]
     assert sizes == {"c1": len(payload)}
 
 
@@ -240,8 +247,17 @@ def test_bad_payload_row_is_parse_error_naming_it(row, message):
 
 def test_blank_payload_row_is_skipped():
     cases, sizes = parse_segment_payload(b"c1,2022-07-14T10:36:00.000Z,A,H\n\n")
-    assert [e.activity for e in cases["c1"]] == ["A"]
+    assert [activity for _, _, activity in cases["c1"]] == ["A"]
     assert sizes == {"c1": len(b"c1,2022-07-14T10:36:00.000Z,A,H\n")}
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "csv"])
+def test_payload_rows_share_one_string_per_activity_name(quote):
+    # a merged case keeps its activity names, so equal names are one string
+    row = f'2022-07-14T10:36:00.000Z,{quote}Discharge patient{quote},H\n'
+    cases, _ = parse_segment_payload(f"c1,{row}c2,{row}".encode())
+    (_, _, first), (_, _, second) = cases["c1"] + cases["c2"]
+    assert first is second is sys.intern("Discharge patient")
 
 
 def _payload_outcome(parse, payload):
@@ -250,11 +266,11 @@ def _payload_outcome(parse, payload):
         cases, sizes = parse(payload)
     except LogParseError as exc:
         return type(exc), str(exc), type(exc.__context__)
-    events = {
-        ref: [(e.case_ref, e.activity, e.timestamp, e.timestamp.tzinfo, e.org) for e in evs]
-        for ref, evs in cases.items()
+    rows = {
+        ref: [(ts, ts.tzinfo, org, activity) for ts, org, activity in part]
+        for ref, part in cases.items()
     }
-    return list(events.items()), list(sizes.items())
+    return list(rows.items()), list(sizes.items())
 
 
 _plain_cells = st.text("abzé ß:-.+", max_size=5)
