@@ -20,9 +20,7 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "Event",
-    "CaseView",
     "Row",
-    "event_row",
     "merge_case",
     "EventLog",
     "LogParseError",
@@ -110,49 +108,20 @@ class Event:
             raise ValueError("event requires a non-empty activity")
 
 
-# An event of a known case as the enclave holds it: (timestamp, org,
-# activity). A case is ordered by these rows as tuples compare, so timestamp
+# An event of a known case as a log and the enclave hold it: (timestamp, org,
+# activity). A case is its rows sorted as tuples compare, so timestamp
 # first, then org, then activity; events equal in all three are the same
 # record, so their order changes nothing.
 Row = tuple[datetime, str, str]
-
-
-def event_row(ev: Event) -> Row:
-    """The row of an event, which is also its order key inside its case."""
-    return (ev.timestamp, ev.org, ev.activity)
-
-
-@dataclass(frozen=True, slots=True)
-class CaseView:
-    """The (possibly partial) event sequence of one case, kept sorted."""
-
-    case_ref: str
-    events: tuple[Event, ...]
-
-    def __post_init__(self) -> None:
-        for ev in self.events:
-            if ev.case_ref != self.case_ref:
-                raise ValueError(
-                    f"event of case {ev.case_ref!r} placed in view {self.case_ref!r}"
-                )
-        ordered = tuple(sorted(self.events, key=event_row))
-        object.__setattr__(self, "events", ordered)
-
-    @property
-    def activities(self) -> tuple[str, ...]:
-        return tuple(ev.activity for ev in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 def merge_case(parts: Iterable[Iterable[Row]]) -> tuple[str, ...]:
     """Reassemble one case from its holders' rows into its activity sequence.
 
     Merging concatenates the parts and sorts the rows as plain tuples, which
-    is the order ``CaseView`` gives the same events, so it is commutative
-    and associative. It is not idempotent: two holders' identical records
-    both survive, as they do in the pooled log. Rows carry no case ref; the
+    is the order an ``EventLog`` keeps a case in, so it is commutative and
+    associative. It is not idempotent: two holders' identical records both
+    survive, as they do in the pooled log. Rows carry no case ref; the
     caller groups them by case.
     """
     rows = list(chain.from_iterable(parts))
@@ -164,38 +133,45 @@ def merge_case(parts: Iterable[Iterable[Row]]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class EventLog:
-    """A set of case views, keyed and iterated in sorted case_ref order."""
+    """Each case's rows, keyed and iterated in sorted case ref order.
 
-    cases: dict[str, CaseView] = field(default_factory=dict)
+    A case is the tuple of its rows in ``Row`` order; a log built from rows
+    in any order is sorted on construction.
+    """
+
+    cases: dict[str, tuple[Row, ...]] = field(default_factory=dict)
     source_org: str | None = None
 
     def __post_init__(self) -> None:
-        for ref, view in self.cases.items():
-            if ref != view.case_ref:
-                raise ValueError(f"case {view.case_ref!r} keyed as {ref!r}")
-        ordered = {ref: self.cases[ref] for ref in sorted(self.cases)}
+        ordered = {}
+        for ref in sorted(self.cases):
+            if not ref:
+                raise ValueError("a case requires a non-empty case ref")
+            rows = tuple(sorted(self.cases[ref]))
+            if not all(activity for _, _, activity in rows):
+                raise ValueError(f"case {ref!r} has an empty activity")
+            ordered[ref] = rows
         object.__setattr__(self, "cases", ordered)
 
     @classmethod
     def from_events(cls, events: list[Event] | tuple[Event, ...], source_org: str | None = None) -> "EventLog":
-        by_case: dict[str, list[Event]] = {}
+        by_case: dict[str, list[Row]] = {}
         for ev in events:
-            by_case.setdefault(ev.case_ref, []).append(ev)
-        cases = {ref: CaseView(ref, tuple(evs)) for ref, evs in by_case.items()}
-        return cls(cases=cases, source_org=source_org)
+            by_case.setdefault(ev.case_ref, []).append((ev.timestamp, ev.org, ev.activity))
+        return cls(cases=by_case, source_org=source_org)
 
     def case_refs(self) -> list[str]:
         """Sorted references of all cases, possibly empty."""
         return list(self.cases)
 
     def events(self) -> list[Event]:
-        return [ev for view in self.cases.values() for ev in view.events]
+        return [Event(ref, act, ts, org) for ref, rows in self.cases.items() for ts, org, act in rows]
 
     def event_count(self) -> int:
-        return sum(len(view) for view in self.cases.values())
+        return sum(len(rows) for rows in self.cases.values())
 
     def activities(self) -> set[str]:
-        return {ev.activity for view in self.cases.values() for ev in view.events}
+        return {act for rows in self.cases.values() for _, _, act in rows}
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -225,7 +201,7 @@ def parse_csv(text: str, source_org: str | None = None) -> EventLog:
     names the physical line its row ends on.
     """
     reader = csv.reader(io.StringIO(text))
-    events: list[Event] = []
+    cases: dict[str, list[Row]] = {}
     with csv_errors(reader):
         header = next(reader, None)
         if header is None:
@@ -253,8 +229,8 @@ def parse_csv(text: str, source_org: str | None = None) -> EventLog:
                 ts = parse_timestamp(row[idx["timestamp"]])
             except LogParseError as exc:
                 raise LogParseError(f"line {line_no}: {exc}") from None
-            events.append(Event(case_ref, activity, ts, org))
-    return EventLog.from_events(events, source_org=source_org)
+            cases.setdefault(case_ref, []).append((ts, org, activity))
+    return EventLog(cases, source_org=source_org)
 
 
 def _local_name(tag: str) -> str:
@@ -272,7 +248,8 @@ def parse_xes(text: str | bytes, source_org: str | None = None) -> EventLog:
     except ET.ParseError as exc:
         raise LogParseError(f"bad XES document: {exc}") from None
 
-    events: list[Event] = []
+    cases: dict[str, list[Row]] = {}
+    parsed = 0
     for trace in root:
         if _local_name(trace.tag) != "trace":
             continue
@@ -296,10 +273,11 @@ def parse_xes(text: str | bytes, source_org: str | None = None) -> EventLog:
                     stamp = attr.get("value")
             if not activity or stamp is None:
                 raise LogParseError(
-                    f"event #{len(events)} of case {case_ref!r} lacks concept:name or time:timestamp"
+                    f"event #{parsed} of case {case_ref!r} lacks concept:name or time:timestamp"
                 )
-            events.append(Event(case_ref, activity, parse_timestamp(stamp)))
-    return EventLog.from_events(events, source_org=source_org)
+            cases.setdefault(case_ref, []).append((parse_timestamp(stamp), "", activity))
+            parsed += 1
+    return EventLog(cases, source_org=source_org)
 
 
 def parse_log(path: str | Path, fmt: str | None = None, source_org: str | None = None) -> EventLog:
@@ -315,17 +293,18 @@ def parse_log(path: str | Path, fmt: str | None = None, source_org: str | None =
     raise ValueError(f"unknown log format {fmt!r}")
 
 
-def format_rows(events: Sequence[Event]) -> str:
-    """Canonical CSV rows ``case,timestamp,activity,org``, one per event.
+def format_rows(records: Sequence[tuple[datetime, str, str, str]]) -> str:
+    """Canonical CSV rows ``case,timestamp,activity,org``, one per record.
 
-    Each row is built directly; only when a cell holds a comma, quote, CR
-    or LF, which must be quoted, or a NUL, which Python 3.10's csv refuses
-    to write, are the rows written by csv.writer.
+    A record is a row with its case ref second: ``(timestamp, case, org,
+    activity)``. Each CSV row is built directly; only when a cell holds a
+    comma, quote, CR or LF, which must be quoted, or a NUL, which Python
+    3.10's csv refuses to write, are the rows written by csv.writer.
     """
-    text = "".join([f"{ev.case_ref},{format_timestamp(ev.timestamp)},{ev.activity},{ev.org}\n" for ev in events])
+    text = "".join([f"{ref},{format_timestamp(ts)},{act},{org}\n" for ts, ref, org, act in records])
     if (
-        text.count(",") == 3 * len(events)
-        and text.count("\n") == len(events)
+        text.count(",") == 3 * len(records)
+        and text.count("\n") == len(records)
         and '"' not in text
         and "\r" not in text
         and "\x00" not in text
@@ -336,7 +315,7 @@ def format_rows(events: Sequence[Event]) -> str:
     # row is one write, and its terminator is then cut back to LF.
     rows: list[str] = []
     csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n").writerows(
-        (ev.case_ref, format_timestamp(ev.timestamp), ev.activity, ev.org) for ev in events
+        (ref, format_timestamp(ts), act, org) for ts, ref, org, act in records
     )
     return "".join([row[:-2] + "\n" for row in rows])
 
@@ -347,25 +326,23 @@ def serialize_log(log: EventLog) -> str:
     Rows are sorted by timestamp, then case, org and activity, so a log
     pooled from several files is written as one timeline.
     """
-    rows = sorted(log.events(), key=lambda ev: (ev.timestamp, ev.case_ref, ev.org, ev.activity))
-    return ",".join(CSV_COLUMNS) + "\n" + format_rows(rows)
+    records = sorted([(ts, ref, org, act) for ref, rows in log.cases.items() for ts, org, act in rows])
+    return ",".join(CSV_COLUMNS) + "\n" + format_rows(records)
 
 
 def partition_by_org(log: EventLog, activity_to_org: dict[str, str]) -> dict[str, EventLog]:
     """Split a log into one sub-log per organization.
 
-    Events are kept verbatim (the org field is not rewritten), so for each
-    case the concatenation of the sub-log views re-sorts to the original
-    view. Every activity of the log must be mapped.
+    Rows are kept verbatim (the org field is not rewritten), so for each
+    case the concatenation of its sub-log rows re-sorts to the original
+    case. Every activity of the log must be mapped.
     """
     seen_orgs = sorted(set(activity_to_org.values()))
-    buckets: dict[str, list[Event]] = {org: [] for org in seen_orgs}
-    for view in log.cases.values():
-        for ev in view.events:
-            org = activity_to_org.get(ev.activity)
+    buckets: dict[str, dict[str, list[Row]]] = {org: {} for org in seen_orgs}
+    for ref, rows in log.cases.items():
+        for row in rows:
+            org = activity_to_org.get(row[2])
             if org is None:
-                raise PartitionError(f"activity {ev.activity!r} is not mapped to any organization")
-            buckets[org].append(ev)
-    return {
-        org: EventLog.from_events(evs, source_org=org) for org, evs in buckets.items()
-    }
+                raise PartitionError(f"activity {row[2]!r} is not mapped to any organization")
+            buckets[org].setdefault(ref, []).append(row)
+    return {org: EventLog(cases, source_org=org) for org, cases in buckets.items()}

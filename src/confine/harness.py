@@ -23,7 +23,7 @@ from datetime import timedelta
 from pathlib import Path
 
 from .attest import EnclaveIdentity, ReferenceRegistry
-from .eventlog import Event, EventLog, PartitionError, parse_timestamp, partition_by_org, serialize_log
+from .eventlog import EventLog, PartitionError, Row, parse_timestamp, partition_by_org, serialize_log
 from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, serialize_net
 from .miner import DEFAULT_CAPACITY, EnclaveMemoryExceeded, MinerReceiver, MinerSession
 from .provisioner import ProvisionerServer, ProvisionerService
@@ -110,7 +110,7 @@ def generate_scenario_log(params: ScenarioParams = ScenarioParams()) -> tuple[Ev
     """Deterministic synthetic log plus its activity to org assignment."""
     rng = random.Random(params.seed)
     org_map = activity_org_map(params.org_count)
-    events: list[Event] = []
+    cases: dict[str, list[Row]] = {}
     for i in range(params.cases):
         ref = f"case{i:05d}"
         if rng.random() < params.specialized_care_prob:
@@ -118,9 +118,10 @@ def generate_scenario_log(params: ScenarioParams = ScenarioParams()) -> tuple[Ev
         else:
             acts = list(VARIANT_STANDARD)
         start = _BASE_TIME + timedelta(seconds=i * _CASE_SPACING_S)
-        for j, act in enumerate(acts):
-            events.append(Event(ref, act, start + timedelta(seconds=j * _EVENT_STEP_S), org_map[act]))
-    return EventLog.from_events(events), org_map
+        cases[ref] = [
+            (start + timedelta(seconds=j * _EVENT_STEP_S), org_map[act], act) for j, act in enumerate(acts)
+        ]
+    return EventLog(cases), org_map
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +131,7 @@ def generate_scenario_log(params: ScenarioParams = ScenarioParams()) -> tuple[Ev
 def standalone_net(log_data: EventLog, config: MinerConfig = MinerConfig()) -> HeuristicsNet:
     """Reference result: mine the unpartitioned log in one process."""
     stats = DfStats()
-    accumulate(stats, [view.activities for view in log_data.cases.values()])
+    accumulate(stats, [[act for _, _, act in rows] for rows in log_data.cases.values()])
     return build_net(stats, config)
 
 
@@ -530,7 +531,7 @@ def split_real_log(log_data: EventLog, scheme: str) -> dict[str, EventLog]:
             )
         return partition_by_org(log_data, SEPSIS_SCHEME_MAP)
     if scheme == "bpic_departments":
-        orgs = sorted({ev.org for ev in log_data.events()})
+        orgs = sorted({org for rows in log_data.cases.values() for _, org, _ in rows})
         if "" in orgs:
             raise ValueError("bpic_departments needs an org value on every event")
         if len(orgs) != 3:
@@ -538,10 +539,11 @@ def split_real_log(log_data: EventLog, scheme: str) -> dict[str, EventLog]:
                 f"bpic_departments expects exactly 3 departments, found {len(orgs)}: "
                 + ", ".join(orgs)
             )
-        buckets: dict[str, list[Event]] = {org: [] for org in orgs}
-        for ev in log_data.events():
-            buckets[ev.org].append(ev)
-        return {org: EventLog.from_events(evs, source_org=org) for org, evs in buckets.items()}
+        buckets: dict[str, dict[str, list[Row]]] = {org: {} for org in orgs}
+        for ref, rows in log_data.cases.items():
+            for row in rows:
+                buckets[row[1]].setdefault(ref, []).append(row)
+        return {org: EventLog(cases, source_org=org) for org, cases in buckets.items()}
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SPLIT_SCHEMES}")
 
 

@@ -156,7 +156,7 @@ class MinerSession:
     ``(timestamp, org, activity)`` rows, one per delivering org, until its
     last holder delivers; ``merge_case`` then sorts its rows, the entry
     leaves the table, and only the case's activity sequence waits to be
-    folded. No ``Event`` or ``CaseView`` is built inside the enclave.
+    folded. No ``Event`` is built inside the enclave.
 
     mode is "single_batch" (mine once after all cases merged) or
     "incremental" (fold merged cases into the statistics every

@@ -221,13 +221,16 @@ class _JsonHandler(BaseHTTPRequestHandler):
         if not length.isdecimal():
             self._send(400, {"error": f"bad Content-Length {length!r}"}, close=True)
             return
-        # refused before reading, so an announced size is never allocated
-        if int(length) > self.server.max_body:
+        # refused before reading, so an announced size is never allocated;
+        # int() refuses over 4,300 digits, so a longer size is refused unread
+        digits = length.lstrip("0") or "0"
+        if len(digits) > len(str(self.server.max_body)) or int(digits) > self.server.max_body:
             error = f"body of {length} bytes exceeds {self.server.max_body}"
             self._send(413, {"error": error}, close=True)
             return
-        raw = self.rfile.read(int(length))
-        if len(raw) < int(length):
+        size = int(digits)
+        raw = self.rfile.read(size)
+        if len(raw) < size:
             # the client closed early; an answer would meet a closed socket
             self.close_connection = True
             return

@@ -18,6 +18,7 @@ import io
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -25,7 +26,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .codec import b64u_decode, b64u_encode
-from .eventlog import CaseView, EventLog, LogParseError, Row, csv_errors, format_rows, parse_timestamp
+from .eventlog import EventLog, LogParseError, Row, csv_errors, format_rows, parse_timestamp
 
 __all__ = [
     "KIB",
@@ -93,9 +94,10 @@ def parse_size(text: str | int) -> int:
         number, suffix = raw, "b"
     try:
         value = float(number) if "." in number else int(number)
-    except ValueError:
+        # a decimal past the float range reads as inf, which int() refuses
+        size = int(value * _SIZE_UNITS[suffix])
+    except (ValueError, OverflowError):
         raise ValueError(f"bad size {text!r}") from None
-    size = int(value * _SIZE_UNITS[suffix])
     if size <= 0:
         raise ValueError(f"size must be positive, got {text!r}")
     return size
@@ -121,9 +123,9 @@ class EnvelopeFormatError(ValueError):
 # payload serialization
 
 
-def case_payload(view: CaseView) -> bytes:
-    """Headerless canonical CSV rows of one case, in view order."""
-    return format_rows(view.events).encode("utf-8")
+def case_payload(ref: str, rows: Sequence[Row]) -> bytes:
+    """Headerless canonical CSV rows of one case, in the given row order."""
+    return format_rows([(ts, ref, org, act) for ts, org, act in rows]).encode("utf-8")
 
 
 def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str, int]]:
@@ -131,7 +133,7 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[st
 
     Returns per case ref its ``(timestamp, org, activity)`` rows in payload
     order, and the payload bytes they arrived in: for a payload built by
-    ``segment_log`` that is ``len(case_payload(view))``. Sorting is left to
+    ``segment_log`` that is ``len(case_payload(ref, rows))``. Sorting is left to
     ``merge_case``, once per case. Activity names are interned, so a merged
     case's activity sequence shares one string per distinct name.
 
@@ -275,7 +277,7 @@ def segment_log(log: EventLog, refs: list[str] | set[str], seg_size: int, org: s
     open_chunks: list[bytes] = []
     open_size = 0
     for ref in wanted:
-        chunk = case_payload(log.cases[ref])
+        chunk = case_payload(ref, log.cases[ref])
         if open_refs and open_size + len(chunk) > seg_size:
             packed.append((open_refs, open_chunks))
             open_refs, open_chunks, open_size = [], [], 0

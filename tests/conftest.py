@@ -107,10 +107,15 @@ class SilentProvisioner:
         return Ack(status="trusted").to_dict()
 
 
-def enclave_rows(view) -> list:
-    """A case view's rows as the enclave parses them from the view's payload."""
-    cases, _ = parse_segment_payload(case_payload(view))
-    return cases[view.case_ref]
+def activities(rows) -> tuple[str, ...]:
+    """A case's activity sequence, read from its rows in their order."""
+    return tuple(activity for _, _, activity in rows)
+
+
+def enclave_rows(ref: str, rows) -> list:
+    """A case's rows as the enclave parses them from the case's payload."""
+    cases, _ = parse_segment_payload(case_payload(ref, rows))
+    return cases[ref]
 
 
 def sealed_envelopes(log_data: EventLog, refs, org: str, identity, seg_size: int = 10**6) -> list[dict]:

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import T_312, T_711, enclave_rows
 from confine.attest import ReferenceRegistry, make_report, verify_report
-from confine.eventlog import Event, EventLog, event_row, format_timestamp, merge_case, partition_by_org
+from confine.eventlog import Event, EventLog, format_timestamp, merge_case, partition_by_org
 from confine.harness import (
     ALL_ACTIVITIES,
     REFERENCE_SCALABILITY_STATS,
@@ -72,14 +72,14 @@ def test_criterion_02_merge_ground_truth(hospital_log, pharma_log, clinic_log):
     with _criterion(2, "three-way merge ground truth"):
         # the enclave's merge of the rows it parses from each holder's payload
         merged_312 = merge_case([
-            enclave_rows(hospital_log.cases["312"]),
-            enclave_rows(pharma_log.cases["312"]),
-            enclave_rows(clinic_log.cases["312"]),
+            enclave_rows("312", hospital_log.cases["312"]),
+            enclave_rows("312", pharma_log.cases["312"]),
+            enclave_rows("312", clinic_log.cases["312"]),
         ])
         assert merged_312 == T_312
         merged_711 = merge_case([
-            enclave_rows(hospital_log.cases["711"]),
-            enclave_rows(pharma_log.cases["711"]),
+            enclave_rows("711", hospital_log.cases["711"]),
+            enclave_rows("711", pharma_log.cases["711"]),
         ])
         assert merged_711 == T_711
 
@@ -88,7 +88,7 @@ def test_criterion_03_generator_statistics():
     with _criterion(3, "scenario generator statistics"):
         for seed in (42, 0, 1, 7, 123):
             log, _ = generate_scenario_log(ScenarioParams(seed=seed))
-            lengths = [len(v.events) for v in log.cases.values()]
+            lengths = [len(rows) for rows in log.cases.values()]
             assert len(log.cases) == 1000
             assert len(log.activities()) == 19
             assert max(lengths) == 18
@@ -101,7 +101,7 @@ def test_criterion_04_loop_length_formula():
     with _criterion(4, "loop iteration length formula"):
         for x in range(2, 17, 2):
             log, _ = generate_scenario_log(ScenarioParams(loop_iterations=x))
-            lengths = {len(v.events) for v in log.cases.values()}
+            lengths = {len(rows) for rows in log.cases.values()}
             assert lengths == {12, 18 + 16 * (x - 1)}, f"x={x}: {lengths}"
 
 
@@ -184,22 +184,22 @@ def test_criterion_06_segmentation_invariants():
                 seen = [r for s in segments for r in s.case_refs]
                 assert sorted(seen) == log.case_refs()  # no split, no loss
                 for s in segments:
-                    expected = b"".join(case_payload(log.cases[r]) for r in s.case_refs)
+                    expected = b"".join(case_payload(r, log.cases[r]) for r in s.case_refs)
                     assert s.payload == expected
                     if len(s.case_refs) > 1:
                         assert len(s.payload) <= seg_size
                     elif len(s.payload) > seg_size:
                         # only a case that alone exceeds seg_size may overflow
-                        assert len(case_payload(log.cases[s.case_refs[0]])) > seg_size
+                        assert len(case_payload(s.case_refs[0], log.cases[s.case_refs[0]])) > seg_size
                     back, _ = parse_segment_payload(s.payload)
                     for ref in s.case_refs:
-                        assert back[ref] == [event_row(e) for e in log.cases[ref].events]
+                        assert back[ref] == list(log.cases[ref])
             # requesting a subset filters the packed union down to it
             subset = log.case_refs()[::2]
             packed = segment_log(log, subset, sizes[0], "X")
             assert sorted(r for s in packed for r in s.case_refs) == sorted(subset)
             # breakpoint: one segment as soon as everything fits
-            total = sum(len(case_payload(v)) for v in log.cases.values())
+            total = sum(len(case_payload(ref, rows)) for ref, rows in log.cases.items())
             assert len(segment_log(log, log.case_refs(), total, "X")) == 1
 
 

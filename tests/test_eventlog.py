@@ -24,7 +24,7 @@ from confine.eventlog import (
     serialize_log,
 )
 
-from conftest import CLINIC_CSV, T_312
+from conftest import CLINIC_CSV, T_312, activities
 
 UTC = timezone.utc
 
@@ -157,7 +157,7 @@ def test_parse_timestamp_matches_reference_parser(text):
     assert _parse_outcome(parse_timestamp, text) == _parse_outcome(_reference_parse, text)
 
 
-# -- Event and CaseView invariants -------------------------------------------
+# -- Event and case invariants ----------------------------------------------
 
 
 def test_event_rejects_empty_fields():
@@ -168,7 +168,16 @@ def test_event_rejects_empty_fields():
         Event("312", "", ts, "H")
 
 
-def test_case_view_sorts_on_construction():
+def test_log_rejects_empty_case_ref_or_activity():
+    # a log built from rows, without an Event, refuses them too
+    ts = parse_timestamp("2022-07-14T10:36")
+    with pytest.raises(ValueError):
+        EventLog({"": [(ts, "H", "PH")]})
+    with pytest.raises(ValueError):
+        EventLog({"312": [(ts, "H", "PH"), (ts, "H", "")]})
+
+
+def test_case_rows_sort_on_construction():
     # Out-of-file-order events; oracle is an explicit comparison sort over
     # the (timestamp, org, activity) key.
     csv = (
@@ -178,10 +187,9 @@ def test_case_view_sorts_on_construction():
         "1,2022-07-14T11:00,C,X\n"
     )
     log = parse_csv(csv)
-    view = log.cases["1"]
-    oracle = sorted(view.events, key=lambda e: (e.timestamp, e.org, e.activity))
-    assert list(view.events) == oracle
-    assert view.activities == ("A", "C", "B")
+    rows = log.cases["1"]
+    assert list(rows) == sorted(rows, key=lambda row: (row[0], row[1], row[2]))
+    assert activities(rows) == ("A", "C", "B")
 
 
 def _random_events(rng: random.Random, n: int) -> list[Event]:
@@ -206,10 +214,10 @@ def test_ordering_is_deterministic_and_idempotent():
         shuffled = events[:]
         rng.shuffle(shuffled)
         log = EventLog.from_events(shuffled)
-        again = EventLog.from_events(list(log.cases["1"].events))
-        assert log.cases["1"].events == again.cases["1"].events
+        again = EventLog.from_events(log.events())
+        assert log.cases["1"] == again.cases["1"]
         oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.activity))
-        assert list(log.cases["1"].events) == oracle
+        assert log.events() == oracle
 
 
 # -- CSV parsing --------------------------------------------------------------
@@ -220,7 +228,7 @@ def test_parse_csv_hospital_table(hospital_log):
     assert len(hospital_log.cases["312"]) == 10
     assert len(hospital_log.cases["711"]) == 9
     assert hospital_log.event_count() == 19
-    assert hospital_log.cases["312"].activities[:3] == ("PH", "COPA", "OD")
+    assert activities(hospital_log.cases["312"])[:3] == ("PH", "COPA", "OD")
 
 
 def test_parse_csv_header_only():
@@ -235,8 +243,8 @@ def test_parse_csv_column_order_free_and_extra_columns_ignored():
         "PH,H,312,2022-07-14T10:36,hello\n"
     )
     log = parse_csv(csv)
-    ev = log.cases["312"].events[0]
-    assert (ev.activity, ev.org) == ("PH", "H")
+    _, org, activity = log.cases["312"][0]
+    assert (activity, org) == ("PH", "H")
 
 
 def test_parse_csv_missing_column_is_schema_error():
@@ -259,7 +267,7 @@ def test_parse_csv_empty_input_is_schema_error():
 def test_parse_csv_skips_blank_lines():
     log = parse_csv("case,timestamp,activity,org\n\n312,2022-07-14T10:36,PH,H\n  \n")
     assert log.event_count() == 1
-    assert log.cases["312"].activities == ("PH",)
+    assert activities(log.cases["312"]) == ("PH",)
 
 
 @pytest.mark.parametrize(
@@ -294,7 +302,7 @@ def test_parse_csv_duplicate_record_kept():
     )
     log = parse_csv(csv)
     assert len(log.cases["312"]) == 2
-    assert log.cases["312"].activities == ("PH", "PH")
+    assert activities(log.cases["312"]) == ("PH", "PH")
 
 
 # -- XES parsing --------------------------------------------------------------
@@ -327,8 +335,8 @@ XES_SAMPLE = """<?xml version="1.0" encoding="UTF-8"?>
 def test_parse_xes_subset():
     log = parse_xes(XES_SAMPLE)
     assert log.case_refs() == ["312", "711"]
-    assert log.cases["312"].activities == ("PH", "COPA")
-    assert log.cases["711"].events[0].org == ""
+    assert activities(log.cases["312"]) == ("PH", "COPA")
+    assert log.cases["711"][0][1] == ""
 
 
 def test_parse_xes_missing_trace_name_is_error():
@@ -374,8 +382,8 @@ def test_format_rows_matches_csv_writer(rows):
         except csv.Error as exc:  # Python 3.10 refuses to write a NUL
             return type(exc), str(exc)
 
-    events = [Event(ref, activity, ts, org) for ref, ts, activity, org in rows]
-    assert outcome(lambda: format_rows(events)) == outcome(written)
+    records = [(ts, ref, org, activity) for ref, ts, activity, org in rows]
+    assert outcome(lambda: format_rows(records)) == outcome(written)
 
 
 @pytest.mark.parametrize("activity", ["A\rB", "A\r\rB"])
@@ -416,8 +424,8 @@ def test_partition_case_312_matches_published_counts(merged_log):
     parts = partition_by_org(merged_log, FIG1_MAP)
     assert set(parts) == {"H", "P", "C"}
     assert len(parts["H"].cases["312"]) == 10
-    assert set(parts["P"].cases["312"].activities) == {"DOR", "PDL", "SD"}
-    assert set(parts["C"].cases["312"].activities) == {"PAFH", "PIA", "PT", "VRT", "TPB"}
+    assert set(activities(parts["P"].cases["312"])) == {"DOR", "PDL", "SD"}
+    assert set(activities(parts["C"].cases["312"])) == {"PAFH", "PIA", "PT", "VRT", "TPB"}
 
 
 def test_partition_identity_with_single_org(merged_log):
@@ -435,15 +443,15 @@ def test_partition_unmapped_activity_named_in_error(merged_log):
 
 
 def test_partition_then_merge_restores_case(merged_log):
-    # re-sort oracle: concatenated sub-views equal the original view
+    # re-sort oracle: concatenated sub-log rows equal the original case
     parts = partition_by_org(merged_log, FIG1_MAP)
     collected = []
     for sub in parts.values():
         if "312" in sub.cases:
-            collected.extend(sub.cases["312"].events)
-    oracle = sorted(collected, key=lambda e: (e.timestamp, e.org, e.activity))
-    assert tuple(oracle) == merged_log.cases["312"].events
-    assert merged_log.cases["312"].activities == T_312
+            collected.extend(sub.cases["312"])
+    oracle = sorted(collected)
+    assert tuple(oracle) == merged_log.cases["312"]
+    assert activities(merged_log.cases["312"]) == T_312
 
 
 @settings(max_examples=40, deadline=None)

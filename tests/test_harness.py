@@ -6,12 +6,12 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from confine.eventlog import (
-    CaseView,
     Event,
     EventLog,
     PartitionError,
     parse_csv,
     parse_timestamp,
+    parse_xes,
     partition_by_org,
     serialize_log,
 )
@@ -60,7 +60,7 @@ def test_generate_counts_and_lengths():
     assert len(log.cases) == 200
     assert log.case_refs()[0] == "case00000"
     assert log.case_refs()[-1] == "case00199"
-    assert {len(view.events) for view in log.cases.values()} == {12, 18}
+    assert {len(rows) for rows in log.cases.values()} == {12, 18}
     assert org_map == SCENARIO_ORG_MAP
     assert all(ev.org == org_map[ev.activity] for ev in log.events())
 
@@ -74,7 +74,7 @@ def test_generate_mean_length_near_mixture():
 @pytest.mark.parametrize("x", [2, 5, 16])
 def test_loop_iterations_stretch_specialized_variant(x):
     log, _ = generate_scenario_log(ScenarioParams(cases=60, loop_iterations=x, seed=11))
-    lengths = {len(view.events) for view in log.cases.values()}
+    lengths = {len(rows) for rows in log.cases.values()}
     assert lengths == {12, 16 * x + 2}
 
 
@@ -91,13 +91,10 @@ def test_generator_is_deterministic_per_seed():
 def test_generator_timing_grid():
     log, _ = generate_scenario_log(ScenarioParams(cases=3, seed=9))
     base = datetime(2022, 7, 14, 8, 0, tzinfo=timezone.utc)
-    view = log.cases["case00002"]
-    assert view.events[0].timestamp == base + timedelta(seconds=120)
-    steps = [
-        (b.timestamp - a.timestamp).total_seconds()
-        for a, b in zip(view.events, view.events[1:])
-    ]
-    assert steps == [60.0] * (len(view.events) - 1)
+    stamps = [ts for ts, _, _ in log.cases["case00002"]]
+    assert stamps[0] == base + timedelta(seconds=120)
+    steps = [(b - a).total_seconds() for a, b in zip(stamps, stamps[1:])]
+    assert steps == [60.0] * (len(stamps) - 1)
 
 
 def test_serialize_log_writes_scenario_in_global_time_order():
@@ -165,19 +162,28 @@ def test_run_convergence_networked():
 
 
 @pytest.mark.parametrize("networked", [False, True])
-def test_run_protocol_builds_no_event_or_view(hospital_log, pharma_log, clinic_log, monkeypatch, networked):
-    # the enclave parses and merges plain rows: a session that builds an
-    # Event or a CaseView anywhere pays for objects mining never reads
+def test_run_protocol_builds_no_event_or_view(monkeypatch, networked):
+    # logs are built, split, parsed and mined as plain rows: a set-up or a
+    # session that builds an Event anywhere pays for objects mining never reads
     built: list[str] = []
-    for cls in (Event, CaseView):
-        post_init = cls.__post_init__
+    post_init = Event.__post_init__
 
-        def counted(obj, post_init=post_init):
-            built.append(f"{type(obj).__name__} {obj.case_ref}")
-            post_init(obj)
+    def counted(ev):
+        built.append(ev.case_ref)
+        post_init(ev)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    parts = {"H": hospital_log, "P": pharma_log, "C": clinic_log}
+    monkeypatch.setattr(Event, "__post_init__", counted)
+    log, org_map = generate_scenario_log(ScenarioParams(cases=20, seed=3))
+    parts = {
+        org: parse_csv(serialize_log(part), source_org=org)
+        for org, part in partition_by_org(log, org_map).items()
+    }
+    xes = parse_xes(
+        "<log><trace><string key='concept:name' value='312'/><event>"
+        "<string key='concept:name' value='PH'/><date key='time:timestamp' value='2022-07-14T10:36'/>"
+        "</event></trace></log>"
+    )
+    assert xes.event_count() == 1
     session = run_protocol(parts, networked=networked)
     assert session.net is not None
     assert built == []

@@ -38,8 +38,10 @@ def _oracle_counts(cases):
 
 
 def test_accumulate_two_case_ground_truth(hospital_log, pharma_log, clinic_log):
-    t312 = merge_case([enclave_rows(log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)])
-    t711 = merge_case([enclave_rows(log.cases["711"]) for log in (hospital_log, pharma_log)])
+    t312 = merge_case(
+        [enclave_rows("312", log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)]
+    )
+    t711 = merge_case([enclave_rows("711", log.cases["711"]) for log in (hospital_log, pharma_log)])
     stats = accumulate(DfStats(), [t312, t711])
     assert stats.df_count[("PH", "COPA")] == 2
     assert stats.df_count[("AD", "TP")] == 1
@@ -125,8 +127,10 @@ def test_dependency_direct_formula_values():
 
 
 def test_dependency_from_two_case_counts(hospital_log, pharma_log, clinic_log):
-    t312 = merge_case([enclave_rows(log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)])
-    t711 = merge_case([enclave_rows(log.cases["711"]) for log in (hospital_log, pharma_log)])
+    t312 = merge_case(
+        [enclave_rows("312", log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)]
+    )
+    t711 = merge_case([enclave_rows("711", log.cases["711"]) for log in (hospital_log, pharma_log)])
     stats = accumulate(DfStats(), [t312, t711])
     assert stats.df_count[("PH", "COPA")] == 2
     assert stats.df_count.get(("COPA", "PH"), 0) == 0
@@ -351,8 +355,10 @@ def test_serialize_dot_no_arcs_lists_nodes():
 
 
 def test_serialize_json_round_trip(hospital_log, pharma_log, clinic_log):
-    t312 = merge_case([enclave_rows(log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)])
-    t711 = merge_case([enclave_rows(log.cases["711"]) for log in (hospital_log, pharma_log)])
+    t312 = merge_case(
+        [enclave_rows("312", log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)]
+    )
+    t711 = merge_case([enclave_rows("711", log.cases["711"]) for log in (hospital_log, pharma_log)])
     stats = accumulate(DfStats(), [t312, t711])
     net = build_net(stats, MinerConfig(dependency_threshold=0.5))
     text = serialize_net(net)

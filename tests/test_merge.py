@@ -7,21 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confine.eventlog import CaseView, Event, EventLog, merge_case, parse_timestamp, partition_by_org
+from confine.eventlog import Event, EventLog, merge_case, parse_timestamp, partition_by_org
 from confine.harness import ScenarioParams, generate_scenario_log, run_protocol, standalone_net
 from confine.hminer import serialize_net
 from confine.miner import LEDGER_ENTRY_BYTES, DeliveryError, IncompleteDeliveryError, MinerSession
 from confine.transport import LoopbackHub
 from confine.wire import KIB, segment_log
 
-from conftest import T_312, T_711, SilentProvisioner, enclave_rows, held_bytes, sealed_envelopes
+from conftest import T_312, T_711, SilentProvisioner, activities, enclave_rows, held_bytes, sealed_envelopes
 
 
 def test_merge_case_312_ground_truth(hospital_log, pharma_log, clinic_log):
     parts = [
-        enclave_rows(hospital_log.cases["312"]),
-        enclave_rows(pharma_log.cases["312"]),
-        enclave_rows(clinic_log.cases["312"]),
+        enclave_rows("312", hospital_log.cases["312"]),
+        enclave_rows("312", pharma_log.cases["312"]),
+        enclave_rows("312", clinic_log.cases["312"]),
     ]
     merged = merge_case(parts)
     assert merged == T_312
@@ -29,14 +29,16 @@ def test_merge_case_312_ground_truth(hospital_log, pharma_log, clinic_log):
 
 
 def test_merge_case_711_ground_truth(hospital_log, pharma_log):
-    merged = merge_case([enclave_rows(hospital_log.cases["711"]), enclave_rows(pharma_log.cases["711"])])
+    merged = merge_case(
+        [enclave_rows("711", hospital_log.cases["711"]), enclave_rows("711", pharma_log.cases["711"])]
+    )
     assert merged == T_711
     assert len(merged) == 12
 
 
 def test_merge_single_part_is_identity(hospital_log):
     part = hospital_log.cases["312"]
-    assert merge_case([enclave_rows(part)]) == part.activities
+    assert merge_case([enclave_rows("312", part)]) == activities(part)
 
 
 def test_merge_with_empty_part_list_is_error():
@@ -44,23 +46,16 @@ def test_merge_with_empty_part_list_is_error():
         merge_case([])
 
 
-def test_merge_key_mismatch(hospital_log):
-    # rows carry no case ref, since the payload parser groups them by ref;
-    # the pooled log's view is where an event of another case is refused
-    with pytest.raises(ValueError, match="event of case '711' placed in view '312'"):
-        CaseView("312", hospital_log.cases["312"].events + hospital_log.cases["711"].events)
-
-
 def test_merge_keeps_identical_records_of_two_holders(hospital_log):
     # two holders' identical records both survive, as in the pooled log
     part = hospital_log.cases["312"]
-    merged = merge_case([enclave_rows(part), enclave_rows(part)])
-    assert merged == tuple(a for a in part.activities for _ in range(2))
+    merged = merge_case([enclave_rows("312", part), enclave_rows("312", part)])
+    assert merged == tuple(a for a in activities(part) for _ in range(2))
 
 
 def test_merge_idempotent_with_result(hospital_log, pharma_log, clinic_log):
     # the merged case's rows, merged again as one part, give the same case
-    parts = [enclave_rows(log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)]
+    parts = [enclave_rows("312", log.cases["312"]) for log in (hospital_log, pharma_log, clinic_log)]
     merged_rows = sorted(row for part in parts for row in part)
     assert merge_case([merged_rows]) == merge_case(parts)
 
@@ -79,15 +74,15 @@ _stamps = st.integers(min_value=0, max_value=3).map(
     )
 )
 def test_merge_random_split_equals_global_sort(records):
-    # oracle: the pooled log's view of the undivided events; stamps, orgs and
+    # oracle: the pooled log's case of the undivided events; stamps, orgs and
     # activities collide, and each holder's rows come through its payload
-    events = [Event("c1", activity, ts, org) for ts, org, activity, _ in records]
     parts = [
-        enclave_rows(CaseView("c1", tuple(ev for ev, rec in zip(events, records) if rec[3] == h)))
+        enclave_rows("c1", [(ts, org, activity) for ts, org, activity, holder in records if holder == h])
         for h in range(4)
         if any(rec[3] == h for rec in records)
     ]
-    assert merge_case(parts) == CaseView("c1", tuple(events)).activities
+    events = [Event("c1", activity, ts, org) for ts, org, activity, _ in records]
+    assert merge_case(parts) == activities(EventLog.from_events(events).cases["c1"])
 
 
 # -- the protocol equals standalone mining for every split ---------------------

@@ -282,10 +282,11 @@ def test_sequential_posts_do_not_wait_for_delayed_acks():
     "framing,status",
     [
         (f"Content-Length: {10**13}", b"413"),
+        (f"Content-Length: {'9' * 5000}", b"413"),
         ("Content-Length: ten", b"400"),
         ("Transfer-Encoding: chunked", b"400"),
     ],
-    ids=["oversized", "bad-length", "chunked"],
+    ids=["oversized", "past-int-digit-limit", "bad-length", "chunked"],
 )
 def test_unread_body_is_never_parsed_as_a_request(json_server, framing, status):
     # the bytes after the head look like a second request on the connection
