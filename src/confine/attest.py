@@ -19,7 +19,7 @@ from pathlib import Path
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
-from .codec import b64u_decode, b64u_encode
+from .wire import Message
 
 __all__ = [
     "NONCE_BYTES",
@@ -38,7 +38,6 @@ __all__ = [
 NONCE_BYTES = 16
 _MEASUREMENT_BYTES = 32
 _RSA_BITS = 3072
-_REPORT_FIELDS = ("measurement", "nonce", "enc_pub", "att_pub", "sig")
 
 _PSS = padding.PSS(
     mgf=padding.MGF1(hashes.SHA256()),
@@ -100,7 +99,7 @@ class EnclaveIdentity:
 
 
 @dataclass(frozen=True, slots=True)
-class AttestationReport:
+class AttestationReport(Message):
     """Signed evidence: measurement, echoed nonce and both public keys."""
 
     measurement: bytes
@@ -108,22 +107,6 @@ class AttestationReport:
     enc_pub: bytes
     att_pub: bytes
     sig: bytes
-
-    def to_dict(self) -> dict[str, str]:
-        return {
-            "measurement": b64u_encode(self.measurement),
-            "nonce": b64u_encode(self.nonce),
-            "enc_pub": b64u_encode(self.enc_pub),
-            "att_pub": b64u_encode(self.att_pub),
-            "sig": b64u_encode(self.sig),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "AttestationReport":
-        missing = [f for f in _REPORT_FIELDS if f not in raw]
-        if missing:
-            raise ValueError(f"report misses field(s): {', '.join(missing)}")
-        return cls(**{f: b64u_decode(raw[f]) for f in _REPORT_FIELDS})
 
 
 def _signing_input(measurement: bytes, nonce: bytes, enc_pub: bytes) -> bytes:
@@ -171,9 +154,9 @@ class ReferenceRegistry:
     @classmethod
     def from_json(cls, text: str) -> "ReferenceRegistry":
         raw = json.loads(text)
-        digests = raw.get("accepted_measurements")
-        if not isinstance(digests, list):
-            raise ValueError("registry needs an accepted_measurements list")
+        digests = raw.get("accepted_measurements") if isinstance(raw, dict) else None
+        if not isinstance(digests, list) or not all(isinstance(d, str) for d in digests):
+            raise ValueError("registry needs an accepted_measurements list of hex digests")
         return cls(frozenset(bytes.fromhex(d) for d in digests))
 
     @classmethod

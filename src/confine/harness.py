@@ -151,12 +151,11 @@ def run_protocol(
     mode: str = "single_batch",
     batch_cases: int = 100,
     capacity: int = DEFAULT_CAPACITY,
-    compute_enabled: bool = True,
 ) -> MinerSession:
     """Run one full protocol session against per-org provisioners.
 
-    Returns the finished session; the discovered net (if computed) is on
-    session.net, budget and metrics on the session as well.
+    Returns the finished session; the discovered net is on session.net,
+    budget and metrics on the session as well.
     """
     identity = shared_identity()
     registry = ReferenceRegistry.of(identity.measurement)
@@ -171,7 +170,6 @@ def run_protocol(
         capacity=capacity,
         identity=identity,
         miner_id=_MINER_ID,
-        compute_enabled=compute_enabled,
     )
     with ExitStack() as servers:
         if networked:
@@ -284,20 +282,19 @@ def run_memory_experiment(
     log_data, org_map = generate_scenario_log(params)
     partitions = partition_by_org(log_data, org_map)
 
-    def _run(seg: int, compute: bool, cap: int) -> MinerSession:
+    def _run(seg: int) -> MinerSession:
         return run_protocol(
             partitions,
             seg_size=seg,
             mode=mode,
             batch_cases=batch_cases,
-            capacity=cap,
-            compute_enabled=compute,
+            capacity=capacity,
         )
 
     summary: dict = {"preset": preset, "cases": len(log_data), "events": log_data.event_count()}
 
     if preset == "stage_profile":
-        session = _run(seg_size, True, capacity)
+        session = _run(seg_size)
         _write(out_dir, "stage_profile_metrics.csv", session.metrics_csv())
         summary.update(
             seg_size=seg_size,
@@ -306,14 +303,20 @@ def run_memory_experiment(
             stages=sorted({row[1] for row in session.metrics}),
         )
     elif preset == "with_without_compute":
-        runs = {}
-        for label, compute in (("with_compute", True), ("without_compute", False)):
-            session = _run(seg_size, compute, capacity)
-            _write(out_dir, f"{label}_metrics.csv", session.metrics_csv())
-            runs[label] = {
-                "peak_bytes": session.budget.peak,
-                "final_in_use": session.budget.in_use,
-            }
+        # Without computation a session records the same rows up to and
+        # including its first compute row, then frees everything.
+        session = _run(seg_size)
+        first = next(i for i, row in enumerate(session.metrics) if row[1] == "compute")
+        text = session.metrics_csv()
+        _write(out_dir, "with_compute_metrics.csv", text)
+        _write(out_dir, "without_compute_metrics.csv", "".join(text.splitlines(True)[: first + 2]))
+        runs = {
+            label: {"peak_bytes": peak, "final_in_use": session.budget.in_use}
+            for label, peak in (
+                ("with_compute", session.budget.peak),
+                ("without_compute", session.metrics[first][3]),
+            )
+        }
         summary.update(seg_size=seg_size, runs=runs)
     else:  # segsize_sweep
         rows = []
@@ -323,7 +326,7 @@ def run_memory_experiment(
                 "single_segment": _single_segment_everywhere(partitions, seg),
             }
             try:
-                session = _run(seg, True, capacity)
+                session = _run(seg)
             except EnclaveMemoryExceeded as exc:
                 entry.update(status="memory_exceeded", error=str(exc))
             else:

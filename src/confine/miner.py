@@ -175,7 +175,6 @@ class MinerSession:
         miner_config: MinerConfig = MinerConfig(),
         identity: EnclaveIdentity | None = None,
         miner_id: str = "miner1",
-        compute_enabled: bool = True,
     ):
         if mode not in ("single_batch", "incremental"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -193,7 +192,6 @@ class MinerSession:
         self.miner_config = miner_config
         self.identity = identity or EnclaveIdentity.generate()
         self.miner_id = miner_id
-        self.compute_enabled = compute_enabled
 
         self.stats = DfStats()
         self.net: HeuristicsNet | None = None
@@ -434,12 +432,10 @@ class MinerSession:
 
     # -- stage 4: computation --------------------------------------------------
 
-    def run_computation(self) -> HeuristicsNet | None:
-        """Mine the merged cases; with computation disabled, mine nothing."""
+    def run_computation(self) -> HeuristicsNet:
+        """Mine the merged cases."""
         self._stage = "compute"
         self._metric()
-        if not self.compute_enabled:
-            return None
         self._flush()
         if self.stats.case_count == 0:
             raise ValueError("no eligible cases were delivered, nothing to mine")
@@ -462,7 +458,7 @@ class MinerSession:
             self._org_keys.clear()
             self._metric()
 
-    def run(self) -> HeuristicsNet | None:
+    def run(self) -> HeuristicsNet:
         """Full protocol: initialization, acquisition, computation.
 
         ``finish`` runs whatever the outcome, so a failure keeps no case

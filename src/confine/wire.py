@@ -14,11 +14,13 @@ it once and opens each segment with AES-GCM alone.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
+import re
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Sequence, get_type_hints
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -36,6 +38,7 @@ __all__ = [
     "UnknownCaseRefsError",
     "IntegrityError",
     "EnvelopeFormatError",
+    "Message",
     "Segment",
     "SegmentEnvelope",
     "case_payload",
@@ -295,11 +298,105 @@ def segment_log(log: EventLog, refs: list[str] | set[str], seg_size: int, org: s
 
 
 # ---------------------------------------------------------------------------
+# message JSON codec
+
+_STRS = tuple[str, ...]
+# the field annotations the codec reads, and what each one's JSON value must be
+_EXPECTED: dict[object, str] = {
+    str: "a string",
+    int: "an integer",
+    bytes: "base64url text",
+    _STRS: "a list of strings",
+    dict: "an object",
+    str | None: "a string",
+}
+_WRONG = object()  # what _read returns for a JSON value of the wrong type
+
+
+def _read(kind: object, value: object) -> object:
+    """The field value a JSON value holds for annotation ``kind``, or _WRONG."""
+    if kind is bytes:
+        try:
+            return b64u_decode(value)
+        except ValueError:
+            return _WRONG
+    if kind is int:
+        # bool is an int subclass, but JSON true is no number
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind == _STRS:
+        ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
+        return tuple(value) if ok else _WRONG
+    else:  # str, dict or str | None
+        ok = isinstance(value, kind)
+    return value if ok else _WRONG
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[str, tuple[tuple[str, object, bool], ...]]:
+    """A message's name in errors, and each field's name, annotation and whether it is required."""
+    hints = get_type_hints(cls)
+    schema = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        if kind not in _EXPECTED:
+            raise TypeError(f"{cls.__name__}.{f.name}: no JSON codec for {kind!r}")
+        schema.append((f.name, kind, f.default is MISSING and f.default_factory is MISSING))
+    return re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower(), tuple(schema)
+
+
+def _encode_message(message: Message) -> dict:
+    out: dict = {}
+    for name, _, _ in _schema(type(message))[1]:
+        value = getattr(message, name)
+        if isinstance(value, bytes):
+            value = b64u_encode(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        if value is not None:
+            out[name] = value
+    return out
+
+
+def _decode_message(cls: type[Message], raw: object) -> Message:
+    # raised outside any except block, so no chained error holds the refused value
+    name, schema = _schema(cls)
+    if not isinstance(raw, dict):
+        raise cls.format_error(f"bad {name}: not a JSON object")
+    values = {}
+    for field_name, kind, required in schema:
+        if field_name in raw:
+            value = _read(kind, raw[field_name])
+            if value is _WRONG:
+                raise cls.format_error(f"bad {name}: {field_name} must be {_EXPECTED[kind]}")
+            values[field_name] = value
+        elif required:
+            raise cls.format_error(f"bad {name}: {field_name} is missing")
+    return cls(**values)
+
+
+class Message:
+    """A protocol message, a dataclass whose fields are its JSON schema.
+
+    ``to_dict`` writes the fields in field order: bytes as unpadded
+    base64url, tuples as lists, and an optional field that is None not at
+    all. ``from_dict`` reads each field by its annotation and refuses a
+    non-object, a missing field or a wrong JSON type as ``format_error``.
+    An annotation the codec has no reader for raises TypeError on first use.
+    """
+
+    __slots__ = ()
+    format_error: type[ValueError] = ValueError
+
+    to_dict = _encode_message
+    from_dict = classmethod(_decode_message)
+
+
+# ---------------------------------------------------------------------------
 # hybrid encryption
 
 
 @dataclass(frozen=True, slots=True)
-class SegmentEnvelope:
+class SegmentEnvelope(Message):
     """Encrypted segment as it travels to the enclave."""
 
     org: str
@@ -309,35 +406,15 @@ class SegmentEnvelope:
     ciphertext: bytes
     auth_tag: bytes
 
+    format_error = EnvelopeFormatError
+    # bound in this class's own body, where perfbench/tracer.py patches it
+    from_dict = classmethod(_decode_message)
+
     def __post_init__(self) -> None:
         if self.total < 1 or not 0 <= self.seq_no < self.total:
             raise EnvelopeFormatError(
                 f"segment index {self.seq_no} outside 0..{self.total - 1}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "org": self.org,
-            "seq_no": self.seq_no,
-            "total": self.total,
-            "wrapped_key": b64u_encode(self.wrapped_key),
-            "ciphertext": b64u_encode(self.ciphertext),
-            "auth_tag": b64u_encode(self.auth_tag),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SegmentEnvelope":
-        try:
-            return cls(
-                org=str(raw["org"]),
-                seq_no=int(raw["seq_no"]),
-                total=int(raw["total"]),
-                wrapped_key=b64u_decode(raw["wrapped_key"]),
-                ciphertext=b64u_decode(raw["ciphertext"]),
-                auth_tag=b64u_decode(raw["auth_tag"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EnvelopeFormatError(f"bad segment envelope: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,90 +494,29 @@ def decrypt_segment(envelope: SegmentEnvelope, secret: bytes) -> bytes:
 
 
 @dataclass(frozen=True, slots=True)
-class CaseRefResponse:
+class CaseRefResponse(Message):
     org: str
     refs: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {"org": self.org, "refs": list(self.refs)}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CaseRefResponse":
-        org, refs = raw.get("org"), raw.get("refs")
-        if not isinstance(org, str):
-            raise ValueError("bad case ref response: org must be a string")
-        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-            raise ValueError("bad case ref response: refs must be a list of strings")
-        return cls(org=org, refs=tuple(refs))
-
 
 @dataclass(frozen=True, slots=True)
-class CaseRequest:
+class CaseRequest(Message):
     seg_size: int
     refs: tuple[str, ...]
     callback: str
 
-    def to_dict(self) -> dict:
-        return {"seg_size": self.seg_size, "refs": list(self.refs), "callback": self.callback}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CaseRequest":
-        seg_size, refs, callback = raw.get("seg_size"), raw.get("refs"), raw.get("callback")
-        if not isinstance(seg_size, int) or isinstance(seg_size, bool):
-            raise ValueError("bad case request: seg_size must be an integer")
-        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-            raise ValueError("bad case request: refs must be a list of strings")
-        if not isinstance(callback, str):
-            raise ValueError("bad case request: callback must be a string")
-        return cls(seg_size=seg_size, refs=tuple(refs), callback=callback)
-
 
 @dataclass(frozen=True, slots=True)
-class AttestationChallenge:
+class AttestationChallenge(Message):
     nonce: bytes
 
-    def to_dict(self) -> dict:
-        return {"nonce": b64u_encode(self.nonce)}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "AttestationChallenge":
-        try:
-            return cls(nonce=b64u_decode(raw["nonce"]))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad attestation challenge: {exc}") from None
-
 
 @dataclass(frozen=True, slots=True)
-class AttestationAnswer:
+class AttestationAnswer(Message):
     report: dict
 
-    def to_dict(self) -> dict:
-        return {"report": dict(self.report)}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "AttestationAnswer":
-        report = raw.get("report")
-        if not isinstance(report, dict):
-            raise ValueError("attestation answer needs a report object")
-        return cls(report=report)
-
 
 @dataclass(frozen=True, slots=True)
-class Ack:
+class Ack(Message):
     status: str
     reason: str | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"status": self.status}
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Ack":
-        status, reason = raw.get("status"), raw.get("reason")
-        if not isinstance(status, str):
-            raise ValueError("bad ack: status must be a string")
-        if reason is not None and not isinstance(reason, str):
-            raise ValueError("bad ack: reason must be a string")
-        return cls(status=status, reason=reason)

@@ -52,3 +52,7 @@ def test_rig_session_succeeds(bench, identity, networked):
     assert result.layers["merge.parts_per_case"] > 1
     # and the fold of the merged cases' activity sequences
     assert result.layers["hminer.accumulate_s"] > 0
+    # and the message codec, through the base64 and envelope names the rig patches
+    assert result.layers["codec.b64u_encode_s"] > 0
+    assert result.layers["codec.b64u_decode_s"] > 0
+    assert result.layers["wire.envelope_decode_s"] > 0

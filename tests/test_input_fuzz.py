@@ -10,7 +10,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confine.attest import AttestationReport
+from confine.attest import AttestationReport, ReferenceRegistry
 from confine.eventlog import LogParseError, parse_csv, parse_timestamp
 from confine.wire import (
     Ack,
@@ -91,10 +91,23 @@ def test_parse_segment_payload_fuzz(payload):
 
 
 @settings(max_examples=300)
-@given(st.sampled_from(MESSAGES), json_objects)
+@given(st.sampled_from(MESSAGES), json_objects | json_values)
 def test_message_from_dict_fuzz(message, obj):
     raw = json.loads(json.dumps(obj))  # only what a JSON body can carry
     try:
         message.from_dict(raw)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=200)
+@given(st.one_of(
+    st.text(max_size=40),
+    json_values.map(json.dumps),
+    st.fixed_dictionaries({"accepted_measurements": json_values}).map(json.dumps),
+))
+def test_registry_from_json_fuzz(text):
+    try:
+        ReferenceRegistry.from_json(text)
     except ValueError:
         pass

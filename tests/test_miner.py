@@ -264,14 +264,6 @@ def test_memory_held_after_acquisition_within_factor_of_charge(identity, seg_siz
     assert held <= CHARGE_FACTOR * session.budget.in_use, (held, session.budget.in_use)
 
 
-def test_compute_disabled_cleans_up(hospital_log, pharma_log, clinic_log, identity):
-    _, session = _setup(_org_logs(hospital_log, pharma_log, clinic_log),
-                        identity, compute_enabled=False)
-    assert session.run() is None
-    assert session.net is None
-    assert session.budget.in_use == 0
-
-
 def test_finish_is_idempotent(hospital_log, identity):
     _, session = _setup({"H": hospital_log}, identity)
     session.run()

@@ -2,16 +2,17 @@
 
 import csv
 import io
+import json
 import random
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import timezone
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confine.attest import EnclaveIdentity
+from confine.attest import AttestationReport, EnclaveIdentity
 from confine.eventlog import (
     Event,
     EventLog,
@@ -30,6 +31,7 @@ from confine.wire import (
     CaseRequest,
     EnvelopeFormatError,
     IntegrityError,
+    Message,
     SealingKey,
     Segment,
     SegmentEnvelope,
@@ -513,6 +515,88 @@ def test_ack_rejects_wrong_json_types(raw):
 
 def test_ack_reason_omitted_when_absent():
     assert "reason" not in Ack(status="trusted").to_dict()
+
+
+# One valid instance of each message, and its JSON as the hand-written
+# encoders wrote it before the shared codec replaced them.
+GOLDEN = [
+    (CaseRefResponse(org="H", refs=("312", "711")), '{"org": "H", "refs": ["312", "711"]}'),
+    (
+        CaseRequest(seg_size=1500, refs=("312",), callback="http://127.0.0.1:9/segments"),
+        '{"seg_size": 1500, "refs": ["312"], "callback": "http://127.0.0.1:9/segments"}',
+    ),
+    (AttestationChallenge(nonce=bytes(range(16))), '{"nonce": "AAECAwQFBgcICQoLDA0ODw"}'),
+    (
+        AttestationAnswer(report={"measurement": "AAEC", "sig": "_-8"}),
+        '{"report": {"measurement": "AAEC", "sig": "_-8"}}',
+    ),
+    (Ack(status="trusted"), '{"status": "trusted"}'),
+    (Ack(status="rejected", reason="stale_nonce"), '{"status": "rejected", "reason": "stale_nonce"}'),
+    (
+        SegmentEnvelope(org="H", seq_no=1, total=3, wrapped_key=b"\xfb\xff" * 3,
+                        ciphertext=b"payload\x00\xff", auth_tag=bytes(range(240, 256))),
+        '{"org": "H", "seq_no": 1, "total": 3, "wrapped_key": "-__7__v_", '
+        '"ciphertext": "cGF5bG9hZAD_", "auth_tag": "8PHy8_T19vf4-fr7_P3-_w"}',
+    ),
+    (
+        AttestationReport(measurement=bytes(32), nonce=bytes(range(16)), enc_pub=b"\xfe\xed",
+                          att_pub=b"\xbe\xef\xff", sig=b"s" * 5),
+        '{"measurement": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+        '"nonce": "AAECAwQFBgcICQoLDA0ODw", "enc_pub": "_u0", "att_pub": "vu__", "sig": "c3Nzc3M"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("msg,text", GOLDEN, ids=[type(m).__name__ for m, _ in GOLDEN])
+def test_message_json_is_unchanged(msg, text):
+    assert json.dumps(msg.to_dict()) == text
+    assert type(msg).from_dict(json.loads(text)) == msg
+
+
+ENVELOPE = next(json.loads(text) for msg, text in GOLDEN if isinstance(msg, SegmentEnvelope))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("org", ["H"]),
+    ("seq_no", 0.5),
+    ("seq_no", "0"),
+    ("total", True),
+], ids=["list-org", "float-seq-no", "text-seq-no", "bool-total"])
+def test_envelope_rejects_wrong_json_types(field, value):
+    with pytest.raises(EnvelopeFormatError, match=f"bad segment envelope: {field} must be") as info:
+        SegmentEnvelope.from_dict({**ENVELOPE, field: value})
+    assert info.value.__cause__ is None and info.value.__context__ is None
+
+
+@pytest.mark.parametrize("cls", sorted({type(msg) for msg, _ in GOLDEN}, key=lambda c: c.__name__),
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("raw", [[], "x", None, 7], ids=["list", "string", "null", "number"])
+def test_message_non_object_is_its_own_error(cls, raw):
+    with pytest.raises(ValueError, match="not a JSON object") as info:
+        cls.from_dict(raw)
+    assert type(info.value) is (EnvelopeFormatError if cls is SegmentEnvelope else ValueError)
+
+
+def test_message_field_without_a_codec_fails_on_first_use():
+    @dataclass(frozen=True)
+    class Reading(Message):
+        value: float
+
+    with pytest.raises(TypeError, match="no JSON codec"):
+        Reading(0.5).to_dict()
+    with pytest.raises(TypeError, match="no JSON codec"):
+        Reading.from_dict({"value": 0.5})
+
+
+def test_message_schema_is_worked_out_once(monkeypatch):
+    Ack.from_dict({"status": "ok"})
+
+    def fail(cls):
+        raise AssertionError(f"type hints of {cls.__name__} read again")
+
+    monkeypatch.setattr("confine.wire.get_type_hints", fail)
+    assert Ack.from_dict({"status": "ok"}) == Ack(status="ok")
+    assert Ack(status="ok").to_dict() == {"status": "ok"}
 
 
 @given(st.binary(max_size=200))
