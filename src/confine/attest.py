@@ -153,7 +153,10 @@ class ReferenceRegistry:
 
     @classmethod
     def from_json(cls, text: str) -> "ReferenceRegistry":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raw = None  # nested too deeply to be a registry
         digests = raw.get("accepted_measurements") if isinstance(raw, dict) else None
         if not isinstance(digests, list) or not all(isinstance(d, str) for d in digests):
             raise ValueError("registry needs an accepted_measurements list of hex digests")

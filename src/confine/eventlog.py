@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Iterable, Sequence
+from types import MappingProxyType, SimpleNamespace
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Event",
@@ -92,6 +92,30 @@ def format_timestamp(ts: datetime) -> str:
     return ts.isoformat(timespec=timespec)[:-6] + "Z"
 
 
+def is_canonical_stamp(text: str, ts: datetime) -> bool:
+    """Whether ``format_timestamp(ts) == text``, for a ``text`` that
+    ``parse_timestamp`` read as ``ts``; cheaper than formatting ``ts``.
+
+    Only a text shaped ``YYYY-MM-DDTHH:MM:SS.fffZ``, or ``.ffffffZ`` with
+    its last three digits not all zero, reads back as itself.
+    """
+    n = len(text)
+    return (
+        (n == 24 or (n == 27 and ts.microsecond % 1000 != 0))
+        and text[10] == "T"
+        and text[19] == "."
+        and text[-1] == "Z"
+        and text[4] == "-"
+        and text[7] == "-"
+        and text.isascii()
+    )
+
+
+# An instant's canonical text by instant, as a log keeps it for formatting.
+Stamps = Mapping[datetime, str]
+NO_STAMPS: Stamps = MappingProxyType({})
+
+
 @dataclass(frozen=True, slots=True)
 class Event:
     """One observed activity execution."""
@@ -136,13 +160,19 @@ class EventLog:
     """Each case's rows, keyed and iterated in sorted case ref order.
 
     A case is the tuple of its rows in ``Row`` order; a log built from rows
-    in any order is sorted on construction.
+    in any order is sorted on construction. ``stamps`` is a read-only table
+    of canonical stamp texts by instant that formatting looks up before it
+    formats an instant itself; a parser fills it with the texts it read, and
+    it takes no part in comparing logs.
     """
 
     cases: dict[str, tuple[Row, ...]] = field(default_factory=dict)
     source_org: str | None = None
+    stamps: Stamps = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.stamps, MappingProxyType):
+            object.__setattr__(self, "stamps", MappingProxyType(dict(self.stamps)))
         ordered = {}
         for ref in sorted(self.cases):
             if not ref:
@@ -198,10 +228,15 @@ def parse_csv(text: str, source_org: str | None = None) -> EventLog:
     """Parse the canonical CSV layout into an EventLog.
 
     Columns may appear in any order, extra columns are ignored. An error
-    names the physical line its row ends on.
+    names the physical line its row ends on. Each distinct stamp text is
+    parsed once, and the log's ``stamps`` keeps each instant's canonical
+    text: the text read when it is canonical, else the instant formatted
+    once.
     """
     reader = csv.reader(io.StringIO(text))
     cases: dict[str, list[Row]] = {}
+    read: dict[str, datetime] = {}  # stamp text -> instant, successes only
+    stamps: dict[datetime, str] = {}
     with csv_errors(reader):
         header = next(reader, None)
         if header is None:
@@ -225,12 +260,18 @@ def parse_csv(text: str, source_org: str | None = None) -> EventLog:
                 raise LogParseError(f"line {line_no}: empty case reference")
             if not activity:
                 raise LogParseError(f"line {line_no}: empty activity")
-            try:
-                ts = parse_timestamp(row[idx["timestamp"]])
-            except LogParseError as exc:
-                raise LogParseError(f"line {line_no}: {exc}") from None
+            stamp = row[idx["timestamp"]]
+            ts = read.get(stamp)
+            if ts is None:
+                try:
+                    ts = parse_timestamp(stamp)
+                except LogParseError as exc:
+                    raise LogParseError(f"line {line_no}: {exc}") from None
+                read[stamp] = ts
+                if ts not in stamps:
+                    stamps[ts] = stamp if is_canonical_stamp(stamp, ts) else format_timestamp(ts)
             cases.setdefault(case_ref, []).append((ts, org, activity))
-    return EventLog(cases, source_org=source_org)
+    return EventLog(cases, source_org=source_org, stamps=MappingProxyType(stamps))
 
 
 def _local_name(tag: str) -> str:
@@ -293,15 +334,18 @@ def parse_log(path: str | Path, fmt: str | None = None, source_org: str | None =
     raise ValueError(f"unknown log format {fmt!r}")
 
 
-def format_rows(records: Sequence[tuple[datetime, str, str, str]]) -> str:
+def format_rows(records: Sequence[tuple[datetime, str, str, str]], stamps: Stamps = NO_STAMPS) -> str:
     """Canonical CSV rows ``case,timestamp,activity,org``, one per record.
 
     A record is a row with its case ref second: ``(timestamp, case, org,
-    activity)``. Each CSV row is built directly; only when a cell holds a
-    comma, quote, CR or LF, which must be quoted, or a NUL, which Python
-    3.10's csv refuses to write, are the rows written by csv.writer.
+    activity)``. A stamp's text is looked up in ``stamps`` and formatted
+    only when the table lacks its instant. Each CSV row is built directly;
+    only when a cell holds a comma, quote, CR or LF, which must be quoted,
+    or a NUL, which Python 3.10's csv refuses to write, are the rows
+    written by csv.writer.
     """
-    text = "".join([f"{ref},{format_timestamp(ts)},{act},{org}\n" for ts, ref, org, act in records])
+    known = stamps.get
+    text = "".join([f"{ref},{known(ts) or format_timestamp(ts)},{act},{org}\n" for ts, ref, org, act in records])
     if (
         text.count(",") == 3 * len(records)
         and text.count("\n") == len(records)
@@ -315,7 +359,7 @@ def format_rows(records: Sequence[tuple[datetime, str, str, str]]) -> str:
     # row is one write, and its terminator is then cut back to LF.
     rows: list[str] = []
     csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n").writerows(
-        (ref, format_timestamp(ts), act, org) for ts, ref, org, act in records
+        (ref, known(ts) or format_timestamp(ts), act, org) for ts, ref, org, act in records
     )
     return "".join([row[:-2] + "\n" for row in rows])
 
@@ -327,7 +371,7 @@ def serialize_log(log: EventLog) -> str:
     pooled from several files is written as one timeline.
     """
     records = sorted([(ts, ref, org, act) for ref, rows in log.cases.items() for ts, org, act in rows])
-    return ",".join(CSV_COLUMNS) + "\n" + format_rows(records)
+    return ",".join(CSV_COLUMNS) + "\n" + format_rows(records, log.stamps)
 
 
 def partition_by_org(log: EventLog, activity_to_org: dict[str, str]) -> dict[str, EventLog]:
@@ -335,7 +379,8 @@ def partition_by_org(log: EventLog, activity_to_org: dict[str, str]) -> dict[str
 
     Rows are kept verbatim (the org field is not rewritten), so for each
     case the concatenation of its sub-log rows re-sorts to the original
-    case. Every activity of the log must be mapped.
+    case. Every activity of the log must be mapped. Each sub-log shares the
+    log's ``stamps``.
     """
     seen_orgs = sorted(set(activity_to_org.values()))
     buckets: dict[str, dict[str, list[Row]]] = {org: {} for org in seen_orgs}
@@ -345,4 +390,4 @@ def partition_by_org(log: EventLog, activity_to_org: dict[str, str]) -> dict[str
             if org is None:
                 raise PartitionError(f"activity {row[2]!r} is not mapped to any organization")
             buckets[org].setdefault(ref, []).append(row)
-    return {org: EventLog(cases, source_org=org) for org, cases in buckets.items()}
+    return {org: EventLog(cases, source_org=org, stamps=log.stamps) for org, cases in buckets.items()}

@@ -546,7 +546,7 @@ def split_real_log(log_data: EventLog, scheme: str) -> dict[str, EventLog]:
         for ref, rows in log_data.cases.items():
             for row in rows:
                 buckets[row[1]].setdefault(ref, []).append(row)
-        return {org: EventLog(cases, source_org=org) for org, cases in buckets.items()}
+        return {org: EventLog(cases, source_org=org, stamps=log_data.stamps) for org, cases in buckets.items()}
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SPLIT_SCHEMES}")
 
 

@@ -134,7 +134,7 @@ class HttpTransport:
                 self._idle.setdefault(peer, []).append(conn)
         try:
             answer = json.loads(raw, parse_constant=_no_constant)
-        except ValueError:
+        except (ValueError, RecursionError):  # too deeply nested raises RecursionError
             answer = None
         if not isinstance(answer, dict):
             raise TransportError(url, f"answer is not a JSON object (HTTP {status})", status)
@@ -238,7 +238,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
             body = json.loads(raw, parse_constant=_no_constant)
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deeply nested raises RecursionError
             self._send(400, {"error": f"bad JSON body: {exc}"})
             return
         self._answer(body)

@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .codec import b64u_decode, b64u_encode
-from .eventlog import EventLog, LogParseError, Row, csv_errors, format_rows, parse_timestamp
+from .eventlog import NO_STAMPS, EventLog, LogParseError, Row, Stamps, csv_errors, format_rows, parse_timestamp
 
 __all__ = [
     "KIB",
@@ -126,9 +126,13 @@ class EnvelopeFormatError(ValueError):
 # payload serialization
 
 
-def case_payload(ref: str, rows: Sequence[Row]) -> bytes:
-    """Headerless canonical CSV rows of one case, in the given row order."""
-    return format_rows([(ts, ref, org, act) for ts, org, act in rows]).encode("utf-8")
+def case_payload(ref: str, rows: Sequence[Row], stamps: Stamps = NO_STAMPS) -> bytes:
+    """Headerless canonical CSV rows of one case, in the given row order.
+
+    Stamp texts come from ``stamps`` where it holds the instant (see
+    ``format_rows``).
+    """
+    return format_rows([(ts, ref, org, act) for ts, org, act in rows], stamps).encode("utf-8")
 
 
 def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str, int]]:
@@ -280,7 +284,7 @@ def segment_log(log: EventLog, refs: list[str] | set[str], seg_size: int, org: s
     open_chunks: list[bytes] = []
     open_size = 0
     for ref in wanted:
-        chunk = case_payload(ref, log.cases[ref])
+        chunk = case_payload(ref, log.cases[ref], log.stamps)
         if open_refs and open_size + len(chunk) > seg_size:
             packed.append((open_refs, open_chunks))
             open_refs, open_chunks, open_size = [], [], 0

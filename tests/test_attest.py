@@ -164,6 +164,11 @@ def test_registry_round_trip(tmp_path, identity):
     assert again.measurements == registry.measurements
 
 
+def test_registry_from_json_refuses_deep_nesting():
+    with pytest.raises(ValueError, match="registry"):
+        ReferenceRegistry.from_json("[" * 100_000)
+
+
 def test_registry_rejects_non_measurement_sizes():
     with pytest.raises(ValueError):
         ReferenceRegistry.of(b"short")

@@ -17,6 +17,7 @@ from confine.eventlog import (
     PartitionError,
     format_rows,
     format_timestamp,
+    is_canonical_stamp,
     parse_csv,
     parse_timestamp,
     parse_xes,
@@ -157,6 +158,84 @@ def test_parse_timestamp_matches_reference_parser(text):
     assert _parse_outcome(parse_timestamp, text) == _parse_outcome(_reference_parse, text)
 
 
+def _written_in(ts, date, sep, digits, point, zone):
+    """``ts``'s wall time written with one ISO 8601 variant per argument."""
+    if date == "week":
+        year, week, day = ts.isocalendar()
+        day_text = f"{year:04d}-W{week:02d}-{day}"
+    else:
+        day_text = ts.date().isoformat()
+    fraction = f"{point}{ts.microsecond:06d}"[: digits + 1] if digits else ""
+    return f"{day_text}{sep}{ts.strftime('%H:%M:%S')}{fraction}{zone}"
+
+
+_stamp_shapes = st.builds(
+    _written_in,
+    st.one_of(
+        st.datetimes(),
+        st.datetimes().map(lambda ts: ts.replace(microsecond=ts.microsecond // 1000 * 1000)),
+        st.datetimes().map(lambda ts: ts.replace(microsecond=0)),
+    ),
+    st.sampled_from(["calendar", "week"]),
+    st.sampled_from(["T", " ", "t"]),
+    st.sampled_from([0, 1, 3, 5, 6]),
+    st.sampled_from([".", ","]),
+    st.sampled_from(["Z", "z", "", "+00:00", "-00:00", "+0000", "+05:30", "-08:00"]),
+)
+
+
+@given(st.one_of(
+    _stamp_shapes,
+    st.datetimes(timezones=st.just(UTC)).map(format_timestamp),
+    _written_stamps,
+    st.text(max_size=30),
+))
+@example("2022-07-14T08:00:00.000Z")
+@example("2022-07-14T08:00:00.123456Z")
+@example("2022-07-14T08:00:00.123000Z")
+@example("2022-07-14T08:00:00.000+00:00")
+@example("2022-07-14T08:00:00.000z")
+@example("2022-07-14 08:00:00.000Z")
+@example("2022-07-14T08:00:00,000Z")
+@example("2022-W28-4T08:00:00.000Z")
+@example("0001-01-01T00:00:00.000Z")
+def test_canonical_stamp_check_agrees_with_round_trip(text):
+    try:
+        ts = parse_timestamp(text)
+    except LogParseError:
+        return  # the check is only asked about stamps the parser read
+    assert is_canonical_stamp(text, ts) == (format_timestamp(ts) == text)
+
+
+def test_parse_csv_keeps_each_instants_canonical_text():
+    text = (
+        "case,timestamp,activity,org\n"
+        "c1,2022-07-14T08:00:00.000Z,A,H\n"
+        "c1,2022-07-14T10:00:00+02:00,B,H\n"
+        "c2,2022-07-14T09:00,C,H\n"
+        "c2,2022-07-14T09:00:00.000500Z,D,H\n"
+        "c2,2022-07-14T08:00:00.000Z,E,H\n"
+    )
+    log = parse_csv(text)
+    assert dict(log.stamps) == {
+        parse_timestamp("2022-07-14T08:00:00Z"): "2022-07-14T08:00:00.000Z",
+        parse_timestamp("2022-07-14T09:00Z"): "2022-07-14T09:00:00.000Z",
+        parse_timestamp("2022-07-14T09:00:00.000500Z"): "2022-07-14T09:00:00.000500Z",
+    }
+    # rows that wrote the same text share one instant
+    assert log.cases["c1"][0][0] is log.cases["c2"][0][0]
+    with pytest.raises(TypeError):
+        log.stamps[log.cases["c1"][0][0]] = "x"
+
+
+def test_log_equality_ignores_the_stamp_table(hospital_log):
+    bare = EventLog(hospital_log.cases, source_org=hospital_log.source_org)
+    assert len(hospital_log.stamps) == hospital_log.event_count()
+    assert dict(bare.stamps) == {}
+    assert bare == hospital_log
+    assert serialize_log(bare) == serialize_log(hospital_log)
+
+
 # -- Event and case invariants ----------------------------------------------
 
 
@@ -292,6 +371,26 @@ def test_parse_csv_names_the_physical_line_after_a_multiline_field():
     text = 'case,timestamp,activity,org\n312,2022-07-14T10:36,"P\nH",H\n312,bad,COPA,H\n'
     with pytest.raises(LogParseError, match="^line 4: bad timestamp 'bad'"):
         parse_csv(text)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (["312,bad,PH,H", "312,bad,COPA,H"], "line 2: bad timestamp 'bad': Invalid isoformat string: 'bad'"),
+        (["312,2022-07-14T10:36,PH,H", "312,2022-07-14T10:36,,H"], "line 3: empty activity"),
+        (["312,2022-07-14T10:36,PH,H", "312, 2022-07-14T10:3x,COPA,H"],
+         "line 3: bad timestamp ' 2022-07-14T10:3x': Invalid isoformat string: '2022-07-14T10:3x'"),
+        (["312,2022-07-14T10:36,PH,H", '312,"2022-07-14T10:36\n",COPA,H', "312,0001-01-01T00:00+05:00,OD,H"],
+         "line 5: bad timestamp '0001-01-01T00:00+05:00': date value out of range"),
+    ],
+    ids=["repeated-bad-stamp", "known-stamp-empty-activity", "padded-bad-stamp", "out-of-range-after-multiline"],
+)
+def test_parse_csv_errors_name_the_first_bad_line(rows, message):
+    # each distinct stamp text is parsed once; errors still name the line
+    # they are on, and a stamp read before checks nothing else of its row
+    with pytest.raises(LogParseError) as err:
+        parse_csv("case,timestamp,activity,org\n" + "\n".join(rows) + "\n")
+    assert str(err.value) == message
 
 
 def test_parse_csv_duplicate_record_kept():

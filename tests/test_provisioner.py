@@ -160,6 +160,17 @@ def test_trusted_report_delivers_envelopes(hospital_log, identity):
     assert sum(len(events) for events in back.values()) == 19
 
 
+def test_delivery_leaves_the_log_stamp_table_unchanged(hospital_log, identity):
+    # the table is complete before a session starts; delivering reads it only
+    stamps = hospital_log.stamps
+    before = dict(stamps)
+    assert len(before) == hospital_log.event_count()
+    service = _service(hospital_log, identity, push=PushRecorder())
+    assert _attested_delivery(service, identity, seg_size=1) == {"status": "trusted"}
+    assert hospital_log.stamps is stamps
+    assert dict(stamps) == before
+
+
 def test_segments_pushed_in_seq_order_constant_total(hospital_log, identity):
     push = PushRecorder()
     service = _service(hospital_log, identity, push=push)
@@ -365,6 +376,16 @@ def test_http_bad_json_is_400(server):
     assert status == 400
 
 
+def test_http_deeply_nested_json_is_400(server):
+    # json.loads raises RecursionError, not ValueError, past its nesting limit
+    srv, push = server
+    status, body = http_request("POST", f"{srv.url}/cases", b"[" * 100_000)
+    assert status == 400
+    assert json.loads(body)["error"].startswith("bad JSON body: ")
+    assert HttpTransport(timeout_s=5).get_case_refs(srv.url, "miner1")["org"] == "H"
+    assert push.envelopes == []
+
+
 def test_http_missing_miner_id_is_400(server):
     srv, _push = server
     assert http_request("GET", f"{srv.url}/caserefs")[0] == 400
@@ -410,8 +431,9 @@ def test_http_transport_refused_connection():
     [
         (500, b"<html>internal error</html>", "answer is not a JSON object (HTTP 500)"),
         (502, b"[1, 2]", "answer is not a JSON object (HTTP 502)"),
+        (200, b"[" * 100_000, "answer is not a JSON object (HTTP 200)"),
     ],
-    ids=["html-500", "json-list-502"],
+    ids=["html-500", "json-list-502", "deeply-nested-200"],
 )
 def test_http_transport_bad_error_answer(status, body, detail):
     class Handler(BaseHTTPRequestHandler):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import confine.eventlog
 from confine.attest import AttestationReport, EnclaveIdentity
 from confine.eventlog import (
     Event,
@@ -20,6 +21,7 @@ from confine.eventlog import (
     format_timestamp,
     parse_csv,
     parse_timestamp,
+    serialize_log,
 )
 from confine.wire import (
     KIB,
@@ -183,6 +185,57 @@ def test_segment_count_non_increasing_in_seg_size(case_sizes):
         for seg in (500, 1000, 2000, 4000, 8000)
     ]
     assert counts == sorted(counts, reverse=True)
+
+
+def _count_format_timestamp(monkeypatch) -> list:
+    calls = []
+    real = confine.eventlog.format_timestamp
+
+    def counted(ts):
+        calls.append(ts)
+        return real(ts)
+
+    monkeypatch.setattr(confine.eventlog, "format_timestamp", counted)
+    return calls
+
+
+def test_segment_log_formats_no_stamp_a_parsed_log_read_canonical(monkeypatch):
+    # a canonical stamp's text is copied from the input, never formatted again
+    log = parse_csv(HOSPITAL_CSV)
+    text = serialize_log(log)
+    again = parse_csv(text)
+    calls = _count_format_timestamp(monkeypatch)
+    segments = segment_log(again, again.case_refs(), 1, "H")
+    assert len(segments) > 1
+    assert calls == []
+    assert serialize_log(again) == text
+    assert calls == []
+
+
+_NON_CANONICAL_CSV = """\
+case,timestamp,activity,org
+c1,2022-07-14T10:36:00+02:00,PH,H
+c1,2022-07-14T08:37:00.000+00:00,COPA,H
+c1,2022-07-14T08:38:00.000500+00:00,"OD, late",H
+c2,2022-07-14t08:39:00z,PH,H
+c2,2022-07-14 08:40:00.123000Z,RD,H
+c2,2022-07-14T08:41,AD,H
+c2,2022-07-14T03:41:00.000001-05:00,TP,H
+c3,2022-07-14T08:42:00.000Z,PH,H
+c3,2022-07-14T08:42:00.000000Z,COPA,H
+"""
+
+
+@pytest.mark.parametrize("seg_size", [1, 200, 10_000])
+def test_payloads_of_non_canonical_input_equal_those_built_without_a_table(seg_size):
+    log = parse_csv(_NON_CANONICAL_CSV)
+    bare = EventLog(log.cases, source_org=log.source_org)
+    assert len(log.stamps) == 8 and not bare.stamps
+    refs = log.case_refs()
+    assert segment_log(log, refs, seg_size, "H") == segment_log(bare, refs, seg_size, "H")
+    assert serialize_log(log) == serialize_log(bare)
+    for ref in refs:
+        assert case_payload(ref, log.cases[ref], log.stamps) == case_payload(ref, bare.cases[ref])
 
 
 def test_segment_payload_round_trip(hospital_log):
