@@ -162,17 +162,15 @@ class EventLog:
     A case is the tuple of its rows in ``Row`` order; a log built from rows
     in any order is sorted on construction. ``stamps`` is a read-only table
     of canonical stamp texts by instant that formatting looks up before it
-    formats an instant itself; a parser fills it with the texts it read, and
-    it takes no part in comparing logs.
+    formats an instant itself; ``parse_csv`` fills it with the canonical
+    texts it read, and it takes no part in comparing logs.
     """
 
     cases: dict[str, tuple[Row, ...]] = field(default_factory=dict)
     source_org: str | None = None
-    stamps: Stamps = field(default_factory=dict, compare=False, repr=False)
+    stamps: Stamps = field(default_factory=lambda: NO_STAMPS, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.stamps, MappingProxyType):
-            object.__setattr__(self, "stamps", MappingProxyType(dict(self.stamps)))
         ordered = {}
         for ref in sorted(self.cases):
             if not ref:
@@ -229,9 +227,9 @@ def parse_csv(text: str, source_org: str | None = None) -> EventLog:
 
     Columns may appear in any order, extra columns are ignored. An error
     names the physical line its row ends on. Each distinct stamp text is
-    parsed once, and the log's ``stamps`` keeps each instant's canonical
-    text: the text read when it is canonical, else the instant formatted
-    once.
+    parsed once, and the log's ``stamps`` keeps each text that is already
+    canonical; an instant read only in another form is formatted when the
+    log is written.
     """
     reader = csv.reader(io.StringIO(text))
     cases: dict[str, list[Row]] = {}
@@ -268,8 +266,8 @@ def parse_csv(text: str, source_org: str | None = None) -> EventLog:
                 except LogParseError as exc:
                     raise LogParseError(f"line {line_no}: {exc}") from None
                 read[stamp] = ts
-                if ts not in stamps:
-                    stamps[ts] = stamp if is_canonical_stamp(stamp, ts) else format_timestamp(ts)
+                if is_canonical_stamp(stamp, ts):
+                    stamps[ts] = stamp
             cases.setdefault(case_ref, []).append((ts, org, activity))
     return EventLog(cases, source_org=source_org, stamps=MappingProxyType(stamps))
 

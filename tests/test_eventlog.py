@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import confine.eventlog
 from confine.eventlog import (
     Event,
     EventLog,
@@ -207,7 +208,7 @@ def test_canonical_stamp_check_agrees_with_round_trip(text):
     assert is_canonical_stamp(text, ts) == (format_timestamp(ts) == text)
 
 
-def test_parse_csv_keeps_each_instants_canonical_text():
+def test_parse_csv_keeps_only_canonical_stamp_texts(monkeypatch):
     text = (
         "case,timestamp,activity,org\n"
         "c1,2022-07-14T08:00:00.000Z,A,H\n"
@@ -216,24 +217,32 @@ def test_parse_csv_keeps_each_instants_canonical_text():
         "c2,2022-07-14T09:00:00.000500Z,D,H\n"
         "c2,2022-07-14T08:00:00.000Z,E,H\n"
     )
+    formatted = []
+    real = confine.eventlog.format_timestamp
+    monkeypatch.setattr(confine.eventlog, "format_timestamp", lambda ts: formatted.append(ts) or real(ts))
     log = parse_csv(text)
+    # parsing formats nothing; an instant read only in another form has no text
+    assert formatted == []
     assert dict(log.stamps) == {
         parse_timestamp("2022-07-14T08:00:00Z"): "2022-07-14T08:00:00.000Z",
-        parse_timestamp("2022-07-14T09:00Z"): "2022-07-14T09:00:00.000Z",
         parse_timestamp("2022-07-14T09:00:00.000500Z"): "2022-07-14T09:00:00.000500Z",
     }
     # rows that wrote the same text share one instant
     assert log.cases["c1"][0][0] is log.cases["c2"][0][0]
     with pytest.raises(TypeError):
         log.stamps[log.cases["c1"][0][0]] = "x"
+    # writing the log formats that instant, once per row as without a table
+    assert serialize_log(log).splitlines()[4] == "c2,2022-07-14T09:00:00.000Z,C,H"
+    assert formatted == [parse_timestamp("2022-07-14T09:00Z")]
 
 
 def test_log_equality_ignores_the_stamp_table(hospital_log):
-    bare = EventLog(hospital_log.cases, source_org=hospital_log.source_org)
-    assert len(hospital_log.stamps) == hospital_log.event_count()
+    log = parse_csv(serialize_log(hospital_log))
+    bare = EventLog(log.cases, source_org=log.source_org)
+    assert len(log.stamps) == log.event_count()
     assert dict(bare.stamps) == {}
-    assert bare == hospital_log
-    assert serialize_log(bare) == serialize_log(hospital_log)
+    assert bare == log == EventLog(hospital_log.cases)
+    assert serialize_log(bare) == serialize_log(log)
 
 
 # -- Event and case invariants ----------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from confine.attest import EnclaveIdentity, ReferenceRegistry, make_report
 from confine.codec import b64u_decode
-from confine.eventlog import parse_csv
+from confine.eventlog import parse_csv, serialize_log
 from confine.provisioner import AccessDeniedError, ProvisionerServer, ProvisionerService
 from confine.transport import HttpTransport, LoopbackHub, TransportError, _JsonHandler
 from confine.wire import (
@@ -162,12 +162,13 @@ def test_trusted_report_delivers_envelopes(hospital_log, identity):
 
 def test_delivery_leaves_the_log_stamp_table_unchanged(hospital_log, identity):
     # the table is complete before a session starts; delivering reads it only
-    stamps = hospital_log.stamps
+    log = parse_csv(serialize_log(hospital_log), source_org="H")
+    stamps = log.stamps
     before = dict(stamps)
-    assert len(before) == hospital_log.event_count()
-    service = _service(hospital_log, identity, push=PushRecorder())
+    assert len(before) == log.event_count()
+    service = _service(log, identity, push=PushRecorder())
     assert _attested_delivery(service, identity, seg_size=1) == {"status": "trusted"}
-    assert hospital_log.stamps is stamps
+    assert log.stamps is stamps
     assert dict(stamps) == before
 
 

@@ -230,7 +230,9 @@ c3,2022-07-14T08:42:00.000000Z,COPA,H
 def test_payloads_of_non_canonical_input_equal_those_built_without_a_table(seg_size):
     log = parse_csv(_NON_CANONICAL_CSV)
     bare = EventLog(log.cases, source_org=log.source_org)
-    assert len(log.stamps) == 8 and not bare.stamps
+    # only c3's first stamp is written canonically; the rest are formatted
+    assert dict(log.stamps) == {parse_timestamp("2022-07-14T08:42Z"): "2022-07-14T08:42:00.000Z"}
+    assert not bare.stamps
     refs = log.case_refs()
     assert segment_log(log, refs, seg_size, "H") == segment_log(bare, refs, seg_size, "H")
     assert serialize_log(log) == serialize_log(bare)
