@@ -239,9 +239,11 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    log_data = parse_log(args.log)
     org_map = json.loads(Path(args.map).read_text(encoding="utf-8"))
-    _write_partitions(partition_by_org(log_data, org_map), Path(args.out))
+    if not isinstance(org_map, dict) or not all(isinstance(org, str) and org for org in org_map.values()):
+        print(f"error: {args.map} must map each activity to a non-empty org name", file=sys.stderr)
+        return 1
+    _write_partitions(partition_by_org(parse_log(args.log), org_map), Path(args.out))
     return 0
 
 

@@ -23,7 +23,6 @@ from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, 
 from .transport import BODY_ALLOWANCE, JsonServer, TransportError, segment_routes
 from .wire import (
     Ack,
-    AttestationAnswer,
     AttestationChallenge,
     CaseRefResponse,
     CaseRequest,
@@ -296,8 +295,9 @@ class MinerSession:
                     exc.__cause__ = exc.__context__ = None
                     self._fatal = exc.with_traceback(None)
                 ack = Ack(status="error", reason=type(exc).__name__)
-            self._emit(ack.to_dict())
-            return ack.to_dict()
+            reply = ack.to_dict()
+            self._emit(reply)
+            return reply
 
     # -- stage 1: initialization ---------------------------------------------
 
@@ -348,9 +348,8 @@ class MinerSession:
                 request = CaseRequest(seg_size=self.seg_size, refs=refs, callback=self.callback_url)
                 challenge = self._send(org, "cases", request.to_dict(), AttestationChallenge.from_dict)
                 report = make_report(self.identity, challenge.nonce)
-                answer = AttestationAnswer(report=report.to_dict())
                 self._stage = "transmit"
-                ack = self._send(org, "attestation", answer.to_dict(), Ack.from_dict)
+                ack = self._send(org, "attestation", report.to_dict(), Ack.from_dict)
                 # a segment this session refused keeps its own error type
                 if self._fatal is not None:
                     raise self._fatal

@@ -23,7 +23,6 @@ from .eventlog import EventLog
 from .transport import BODY_ALLOWANCE, JsonServer, TransportError, provisioner_routes
 from .wire import (
     Ack,
-    AttestationAnswer,
     AttestationChallenge,
     CaseRefResponse,
     CaseRequest,
@@ -93,7 +92,7 @@ class ProvisionerService:
         answered ``trusted`` only when every segment was acknowledged.
         """
         try:
-            report = AttestationReport.from_dict(AttestationAnswer.from_dict(body).report)
+            report = AttestationReport.from_dict(body)
         except ValueError:
             return Ack(status="rejected", reason="bad_signature").to_dict()
 

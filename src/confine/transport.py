@@ -262,15 +262,38 @@ class _JsonHandler(BaseHTTPRequestHandler):
         log.debug("%s %s", self.address_string(), fmt % args)
 
 
-class _Server(ThreadingHTTPServer):
-    """Keeps each open connection's thread, so closing the server can end it."""
+class JsonServer(ThreadingHTTPServer):
+    """HTTP server answering one route table, one daemon thread per connection.
 
-    def __init__(self, address: tuple[str, int], routes: Routes, max_body: int):
-        super().__init__(address, _JsonHandler)
+    A provisioner may serve many miners and a miner's receiver many orgs,
+    so a slow or stalled client holds only its own thread; the handler
+    timeout ends that thread once the client goes silent. A kept-alive
+    connection keeps its thread between requests: one thread per delivery.
+    Each open connection's thread is kept, so closing the server can end it.
+    """
+
+    def __init__(self, routes: Routes, max_body: int, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _JsonHandler)
         self.routes = routes
         self.max_body = max_body
         self._open: dict[socket.socket, threading.Thread] = {}
         self._open_lock = threading.Lock()
+        self._serving = threading.Thread(target=self.serve_forever, args=(SERVE_POLL_S,), daemon=True)
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self) -> "JsonServer":
+        self._serving.start()
+        return self
+
+    def close(self) -> None:
+        """Stop accepting, end every open connection and join its thread."""
+        self.shutdown()
+        self.server_close()
+        self._serving.join(timeout=5)
 
     def process_request(self, request, client_address) -> None:
         # registered on the accepting thread, so once serve_forever has
@@ -298,37 +321,6 @@ class _Server(ThreadingHTTPServer):
                 pass  # the peer already reset it
         for _sock, thread in still_open:
             thread.join(timeout=5)
-
-
-class JsonServer:
-    """HTTP server answering one route table, one daemon thread per connection.
-
-    A provisioner may serve many miners and a miner's receiver many orgs,
-    so a slow or stalled client holds only its own thread; the handler
-    timeout ends that thread once the client goes silent. A kept-alive
-    connection keeps its thread between requests: one thread per delivery.
-    """
-
-    def __init__(self, routes: Routes, max_body: int, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = _Server((host, port), routes, max_body)
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(SERVE_POLL_S,), daemon=True
-        )
-
-    @property
-    def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "JsonServer":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        """Stop accepting, end every open connection and join its thread."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5)
 
 
 class LoopbackHub:

@@ -13,6 +13,7 @@ it once and opens each segment with AES-GCM alone.
 
 from __future__ import annotations
 
+import base64
 import csv
 import functools
 import io
@@ -27,7 +28,6 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .codec import b64u_decode, b64u_encode
 from .eventlog import NO_STAMPS, EventLog, LogParseError, Row, Stamps, csv_errors, format_rows, parse_timestamp
 
 __all__ = [
@@ -51,8 +51,9 @@ __all__ = [
     "CaseRefResponse",
     "CaseRequest",
     "AttestationChallenge",
-    "AttestationAnswer",
     "Ack",
+    "b64u_encode",
+    "b64u_decode",
 ]
 
 KIB = 1024
@@ -304,6 +305,28 @@ def segment_log(log: EventLog, refs: list[str] | set[str], seg_size: int, org: s
 # ---------------------------------------------------------------------------
 # message JSON codec
 
+_B64U_CHARS = re.compile(r"[A-Za-z0-9_-]*")
+
+
+def b64u_encode(data: bytes) -> str:
+    """Encode bytes as unpadded base64url text."""
+    return base64.urlsafe_b64encode(data).decode("ascii").rstrip("=")
+
+
+def b64u_decode(text: str) -> bytes:
+    """Decode unpadded (or padded) base64url text; rejects foreign characters."""
+    if not isinstance(text, str):
+        raise ValueError("base64url field must be a string")
+    stripped = text.rstrip("=")
+    if not _B64U_CHARS.fullmatch(stripped):
+        raise ValueError("bad base64url field: invalid characters")
+    pad = -len(stripped) % 4
+    try:
+        return base64.urlsafe_b64decode(stripped + "=" * pad)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"bad base64url field: {exc}") from None
+
+
 _STRS = tuple[str, ...]
 # the field annotations the codec reads, and what each one's JSON value must be
 _EXPECTED: dict[object, str] = {
@@ -311,7 +334,6 @@ _EXPECTED: dict[object, str] = {
     int: "an integer",
     bytes: "base64url text",
     _STRS: "a list of strings",
-    dict: "an object",
     str | None: "a string",
 }
 _WRONG = object()  # what _read returns for a JSON value of the wrong type
@@ -330,7 +352,7 @@ def _read(kind: object, value: object) -> object:
     elif kind == _STRS:
         ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
         return tuple(value) if ok else _WRONG
-    else:  # str, dict or str | None
+    else:  # str or str | None
         ok = isinstance(value, kind)
     return value if ok else _WRONG
 
@@ -513,11 +535,6 @@ class CaseRequest(Message):
 @dataclass(frozen=True, slots=True)
 class AttestationChallenge(Message):
     nonce: bytes
-
-
-@dataclass(frozen=True, slots=True)
-class AttestationAnswer(Message):
-    report: dict
 
 
 @dataclass(frozen=True, slots=True)

@@ -153,7 +153,7 @@ def test_criterion_05_attestation_soundness(identity):
         )
         req = CaseRequest(seg_size=KIB, refs=("c1",), callback="cb").to_dict()
         challenge = AttestationChallenge.from_dict(svc.handle_case_request(req))
-        answer = {"report": make_report(identity, challenge.nonce).to_dict()}
+        answer = make_report(identity, challenge.nonce).to_dict()
         assert svc.handle_attestation(answer)["status"] == "trusted"
         replay_ack = svc.handle_attestation(answer)
         assert replay_ack["status"] == "rejected"

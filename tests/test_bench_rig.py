@@ -56,3 +56,6 @@ def test_rig_session_succeeds(bench, identity, networked):
     assert result.layers["codec.b64u_encode_s"] > 0
     assert result.layers["codec.b64u_decode_s"] > 0
     assert result.layers["wire.envelope_decode_s"] > 0
+    # and the provider side, which the rig times by these names too
+    assert result.layers["provisioner.segment_log_s"] > 0
+    assert result.layers["eventlog.parse_csv_s"] > 0

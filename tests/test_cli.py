@@ -86,3 +86,16 @@ def test_split_bpic_departments_writes_one_file_per_org(tmp_path, merged_log):
     assert main(["split", "--log", str(log_path), "--scheme", "bpic_departments", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["C.csv", "H.csv", "P.csv"]
     assert parse_log(out / "C.csv").event_count() == 5
+
+
+@pytest.mark.parametrize("org_map", [["A"], {"A": 1}, {"A": ""}], ids=["list", "number", "empty"])
+def test_partition_refuses_a_bad_org_map(tmp_path, capsys, org_map):
+    log_path = tmp_path / "one_row.csv"
+    log_path.write_text("case,timestamp,activity,org\nc1,2022-01-01T00:00:00Z,A,H\n", encoding="utf-8")
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(org_map), encoding="utf-8")
+    out = tmp_path / "parts"
+    assert main(["partition", "--log", str(log_path), "--map", str(map_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-empty org name" in err
+    assert not out.exists()

@@ -14,7 +14,6 @@ from confine.attest import AttestationReport, ReferenceRegistry
 from confine.eventlog import LogParseError, parse_csv, parse_timestamp
 from confine.wire import (
     Ack,
-    AttestationAnswer,
     AttestationChallenge,
     CaseRefResponse,
     CaseRequest,
@@ -26,13 +25,12 @@ MESSAGES = (
     CaseRefResponse,
     CaseRequest,
     AttestationChallenge,
-    AttestationAnswer,
     Ack,
     SegmentEnvelope,
     AttestationReport,
 )
 FIELDS = sorted({
-    "org", "refs", "seg_size", "callback", "nonce", "report", "status", "reason",
+    "org", "refs", "seg_size", "callback", "nonce", "status", "reason",
     "seq_no", "total", "wrapped_key", "ciphertext", "auth_tag",
     "measurement", "enc_pub", "att_pub", "sig",
 })

@@ -16,7 +16,6 @@ from dataclasses import replace
 import pytest
 
 from confine.attest import ReferenceRegistry
-from confine.codec import b64u_encode
 from confine.eventlog import Event, EventLog, LogParseError, parse_timestamp, partition_by_org
 from confine.harness import ScenarioParams, generate_scenario_log, standalone_net
 from confine.hminer import serialize_net
@@ -40,6 +39,7 @@ from confine.wire import (
     IntegrityError,
     SealingKey,
     SegmentEnvelope,
+    b64u_encode,
     encrypt_segment,
     segment_log,
     unwrap_key,
@@ -430,9 +430,10 @@ def test_emitted_payloads_cover_all_outputs(hospital_log, pharma_log, clinic_log
     blobs = session.emitted_payloads()
     assert blobs == session.emitted + list(session.exports().values())
     assert all(isinstance(b, bytes) for b in blobs)
-    # each org's /caserefs query, /cases request and /attestation answer
+    # each org's /caserefs query, /cases request and /attestation report
     requests = [m for m in map(json.loads, session.emitted) if "status" not in m]
-    assert [sorted(r) for r in requests] == [["miner_id"]] * 3 + [["callback", "refs", "seg_size"], ["report"]] * 3
+    report = ["att_pub", "enc_pub", "measurement", "nonce", "sig"]
+    assert [sorted(r) for r in requests] == [["miner_id"]] * 3 + [["callback", "refs", "seg_size"], report] * 3
     assert acks(session) and all(ack == {"status": "ok"} for ack in acks(session))
 
 

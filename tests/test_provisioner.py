@@ -12,16 +12,15 @@ from pathlib import Path
 import pytest
 
 from confine.attest import EnclaveIdentity, ReferenceRegistry, make_report
-from confine.codec import b64u_decode
 from confine.eventlog import parse_csv, serialize_log
 from confine.provisioner import AccessDeniedError, ProvisionerServer, ProvisionerService
 from confine.transport import HttpTransport, LoopbackHub, TransportError, _JsonHandler
 from confine.wire import (
-    AttestationAnswer,
     AttestationChallenge,
     CaseRequest,
     SegmentEnvelope,
     UnknownCaseRefsError,
+    b64u_decode,
     decrypt_segment,
     parse_segment_payload,
     unwrap_key,
@@ -64,7 +63,7 @@ def _attested_delivery(service, identity, seg_size=10_000, refs=("312", "711")):
         )
     )
     report = make_report(identity, challenge.nonce)
-    return service.handle_attestation(AttestationAnswer(report=report.to_dict()).to_dict())
+    return service.handle_attestation(report.to_dict())
 
 
 # -- case refs ------------------------------------------------------------------
@@ -212,8 +211,9 @@ def test_rejected_report_sends_nothing(hospital_log, identity):
 def test_malformed_report_rejected_without_pushes(hospital_log, identity):
     push = PushRecorder()
     service = _service(hospital_log, identity, push=push)
-    ack = service.handle_attestation({"report": {"measurement": "zz"}})
-    assert ack["status"] == "rejected"
+    for report in ({"measurement": "zz"}, {"measurement": 5}):
+        ack = service.handle_attestation(report)
+        assert ack == {"status": "rejected", "reason": "bad_signature"}
     assert push.envelopes == []
 
 
@@ -227,9 +227,9 @@ def test_non_object_report_rejected_over_loopback(hospital_log, identity, report
     hub.register_provisioner("loop://H", _service(hospital_log, identity, push=push))
     request = CaseRequest(seg_size=10_000, refs=("312",), callback="cb://x").to_dict()
     challenge = AttestationChallenge.from_dict(hub.post_cases("loop://H", request))
-    ack = hub.post_attestation("loop://H", {"report": report})
+    ack = hub.post_attestation("loop://H", report)
     assert ack == {"status": "rejected", "reason": "bad_signature"}
-    honest = AttestationAnswer(report=make_report(identity, challenge.nonce).to_dict()).to_dict()
+    honest = make_report(identity, challenge.nonce).to_dict()
     assert hub.post_attestation("loop://H", honest) == {"status": "trusted"}
     assert len(push.envelopes) == 1
 
@@ -242,9 +242,7 @@ def test_replayed_answer_is_stale(hospital_log, identity):
             CaseRequest(seg_size=10_000, refs=("312",), callback="cb://x").to_dict()
         )
     )
-    answer = AttestationAnswer(
-        report=make_report(identity, challenge.nonce).to_dict()
-    ).to_dict()
+    answer = make_report(identity, challenge.nonce).to_dict()
     assert service.handle_attestation(answer) == {"status": "trusted"}
     assert len(push.envelopes) == 1
     # replay: challenge already consumed, nothing more is pushed
@@ -260,10 +258,10 @@ def test_rejected_verdict_consumes_challenge(hospital_log, identity):
         )
     )
     stranger = EnclaveIdentity.generate(manifest=b"unregistered build")
-    answer = AttestationAnswer(report=make_report(stranger, challenge.nonce).to_dict()).to_dict()
+    answer = make_report(stranger, challenge.nonce).to_dict()
     assert service.handle_attestation(answer)["reason"] == "unknown_measurement"
     # same nonce again: pending state was cleared on rejection
-    honest = AttestationAnswer(report=make_report(identity, challenge.nonce).to_dict()).to_dict()
+    honest = make_report(identity, challenge.nonce).to_dict()
     assert service.handle_attestation(honest)["reason"] == "stale_nonce"
 
 
@@ -348,9 +346,7 @@ def test_http_full_handshake(server, identity):
         )
     )
     report = make_report(identity, challenge.nonce)
-    ack = transport.post_attestation(
-        srv.url, AttestationAnswer(report=report.to_dict()).to_dict()
-    )
+    ack = transport.post_attestation(srv.url, report.to_dict())
     assert ack == {"status": "trusted"}
     assert len(push.envelopes) == 1
 
