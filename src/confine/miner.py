@@ -29,6 +29,7 @@ from .wire import (
     DEFAULT_SEG_SIZE,
     IntegrityError,
     MIB,
+    SealingKey,
     SegmentEnvelope,
     decrypt_segment,
     parse_segment_payload,
@@ -132,7 +133,7 @@ class EnclaveBudget:
 
 
 def _ct_size(env: SegmentEnvelope) -> int:
-    return len(env.wrapped_key) + len(env.ciphertext) + len(env.auth_tag)
+    return len(env.wrapped_key) + len(env.ciphertext)
 
 
 def _entry_size(ref: str, org: str) -> int:
@@ -211,7 +212,7 @@ class MinerSession:
         self._org_refs: dict[str, tuple[str, ...]] = {}
         # each org seals its whole delivery under one key: unwrapped on the
         # org's first envelope, then every later envelope must carry it
-        self._org_keys: dict[str, tuple[bytes, bytes]] = {}
+        self._org_keys: dict[str, SealingKey] = {}
         # Enclave-tagged store: raw case data is reachable only through
         # these private buffers and is never exported.
         self._waiting: dict[str, _Waiting] = {}
@@ -374,7 +375,7 @@ class MinerSession:
                 raise DeliveryError(f"segment from unannounced org {env.org!r}")
             # a relabeled header fails authentication; a replayed segment
             # delivers cases its org no longer owes and is refused below
-            payload = decrypt_segment(env, self._delivery_secret(env))
+            payload = decrypt_segment(env, self._delivery_key(env))
             self.budget.charge(len(payload))
             held += len(payload)
             part_rows, part_sizes = parse_segment_payload(payload)
@@ -401,19 +402,16 @@ class MinerSession:
             self.budget.release(held)
         self._metric()
 
-    def _delivery_secret(self, env: SegmentEnvelope) -> bytes:
-        """The org's unwrapped delivery key; unwrapped once, on its first envelope."""
+    def _delivery_key(self, env: SegmentEnvelope) -> SealingKey:
+        """The org's delivery key; unwrapped once, on its first envelope."""
         pinned = self._org_keys.get(env.org)
         if pinned is None:
-            secret = unwrap_key(env.wrapped_key, self.identity.enc_priv)
-            self._org_keys[env.org] = (env.wrapped_key, secret)
-            return secret
-        wrapped, secret = pinned
-        if env.wrapped_key != wrapped:
+            pinned = self._org_keys[env.org] = unwrap_key(env.wrapped_key, self.identity.enc_priv)
+        elif env.wrapped_key != pinned.wrapped:
             raise IntegrityError(
                 f"org {env.org!r} segment {env.seq_no}/{env.total} carries a different wrapped key"
             )
-        return secret
+        return pinned
 
     def _flush(self) -> None:
         """Fold buffered merged cases into the statistics, free their bytes."""
@@ -443,7 +441,7 @@ class MinerSession:
         return self.net
 
     def finish(self) -> None:
-        """Close intake; release every enclave buffer and delivery secret."""
+        """Close intake; release every enclave buffer and delivery key."""
         with self._intake_lock:
             self._open = False
             held = self._eligible_charged + self._stats_charged + sum(

@@ -94,7 +94,7 @@ class ProvisionerService:
         try:
             report = AttestationReport.from_dict(body)
         except ValueError:
-            return Ack(status="rejected", reason="bad_signature").to_dict()
+            return Ack(status="rejected", reason="malformed_report").to_dict()
 
         with self._lock:
             # challenges are single-use: consumed on first answer, whatever

@@ -62,7 +62,6 @@ DEFAULT_SEG_SIZE = 2 * MIB
 
 _GCM_KEY_BYTES = 32
 _GCM_NONCE_BYTES = 12
-_GCM_TAG_BYTES = 16
 
 _OAEP = padding.OAEP(
     mgf=padding.MGF1(algorithm=hashes.SHA256()),
@@ -175,9 +174,10 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str
     if text is None:
         return None
     limit = csv.field_size_limit()
+    ascii_only = len(text) == len(payload)  # then each character is one byte
     cases: dict[str, list[Row]] = {}
     sizes: dict[str, int] = {}
-    for raw, line in zip(payload.split(b"\n"), text.split("\n")):
+    for line in text.split("\n"):
         if not line:
             continue
         cells = line.split(",")
@@ -193,7 +193,8 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str
         if ts is None:
             return None
         cases.setdefault(case_ref, []).append((ts, org, sys.intern(activity)))
-        sizes[case_ref] = sizes.get(case_ref, 0) + len(raw) + 1
+        size = len(line) if ascii_only else len(line.encode("utf-8"))
+        sizes[case_ref] = sizes.get(case_ref, 0) + size + 1
     return cases, sizes
 
 
@@ -423,14 +424,13 @@ class Message:
 
 @dataclass(frozen=True, slots=True)
 class SegmentEnvelope(Message):
-    """Encrypted segment as it travels to the enclave."""
+    """Encrypted segment as it travels to the enclave; the ciphertext ends in its 16-byte GCM tag."""
 
     org: str
     seq_no: int
     total: int
     wrapped_key: bytes
     ciphertext: bytes
-    auth_tag: bytes
 
     format_error = EnvelopeFormatError
     # bound in this class's own body, where perfbench/tracer.py patches it
@@ -445,7 +445,7 @@ class SegmentEnvelope(Message):
 
 @dataclass(frozen=True, slots=True)
 class SealingKey:
-    """One delivery's AES-256-GCM key and base nonce, wrapped for the enclave."""
+    """One delivery's AES-256-GCM key and base nonce, wrapped for the enclave by ``for_enclave``."""
 
     key: bytes = field(repr=False)
     base_nonce: bytes = field(repr=False)
@@ -473,39 +473,36 @@ def _header_aad(org: str, seq_no: int, total: int) -> bytes:
 
 def encrypt_segment(segment: Segment, sealing: SealingKey) -> SegmentEnvelope:
     """Seal one segment under its delivery's key; the header is authenticated."""
-    sealed = AESGCM(sealing.key).encrypt(
-        _nonce(sealing.base_nonce, segment.seq_no),
-        segment.payload,
-        _header_aad(segment.org, segment.seq_no, segment.total),
-    )
     return SegmentEnvelope(
         org=segment.org,
         seq_no=segment.seq_no,
         total=segment.total,
         wrapped_key=sealing.wrapped,
-        ciphertext=sealed[:-_GCM_TAG_BYTES],
-        auth_tag=sealed[-_GCM_TAG_BYTES:],
+        ciphertext=AESGCM(sealing.key).encrypt(
+            _nonce(sealing.base_nonce, segment.seq_no),
+            segment.payload,
+            _header_aad(segment.org, segment.seq_no, segment.total),
+        ),
     )
 
 
-def unwrap_key(wrapped: bytes, enc_priv: rsa.RSAPrivateKey) -> bytes:
-    """RSA-OAEP unwrap of a delivery's key and base nonce."""
+def unwrap_key(wrapped: bytes, enc_priv: rsa.RSAPrivateKey) -> SealingKey:
+    """RSA-OAEP unwrap of a delivery's key and base nonce: the provider's ``SealingKey``."""
     try:
         secret = enc_priv.decrypt(wrapped, _OAEP)
     except ValueError as exc:
         raise IntegrityError(f"key unwrap failed: {exc}") from None
     if len(secret) != _GCM_KEY_BYTES + _GCM_NONCE_BYTES:
         raise IntegrityError("key unwrap failed: wrong secret length")
-    return secret
+    return SealingKey(key=secret[:_GCM_KEY_BYTES], base_nonce=secret[_GCM_KEY_BYTES:], wrapped=wrapped)
 
 
-def decrypt_segment(envelope: SegmentEnvelope, secret: bytes) -> bytes:
-    """Open an envelope with its unwrapped secret; any tampering raises IntegrityError."""
-    key, base_nonce = secret[:_GCM_KEY_BYTES], secret[_GCM_KEY_BYTES:]
+def decrypt_segment(envelope: SegmentEnvelope, sealing: SealingKey) -> bytes:
+    """Open an envelope with its delivery's key; any tampering raises IntegrityError."""
     try:
-        return AESGCM(key).decrypt(
-            _nonce(base_nonce, envelope.seq_no),
-            envelope.ciphertext + envelope.auth_tag,
+        return AESGCM(sealing.key).decrypt(
+            _nonce(sealing.base_nonce, envelope.seq_no),
+            envelope.ciphertext,
             _header_aad(envelope.org, envelope.seq_no, envelope.total),
         )
     except InvalidTag:

@@ -31,7 +31,7 @@ MESSAGES = (
 )
 FIELDS = sorted({
     "org", "refs", "seg_size", "callback", "nonce", "status", "reason",
-    "seq_no", "total", "wrapped_key", "ciphertext", "auth_tag",
+    "seq_no", "total", "wrapped_key", "ciphertext",
     "measurement", "enc_pub", "att_pub", "sig",
 })
 

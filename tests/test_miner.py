@@ -583,7 +583,7 @@ def test_one_unwrap_per_org(identity, monkeypatch):
     session.run()
     assert all(opened.count(org) > 1 for org in logs)
     assert len(calls) == len(set(calls)) == 3
-    assert session._org_keys == {}  # finish() drops the unwrapped secrets
+    assert session._org_keys == {}  # finish() drops the unwrapped keys
 
 
 def test_second_wrapped_key_from_pinned_org_rejected(hospital_log, identity):
@@ -646,6 +646,28 @@ def test_unannounced_org_rejected(hospital_log, identity):
         session.run_acquisition()
 
 
+def _flip_in_tag(sealed: bytes) -> bytes:
+    # the ciphertext ends in the 16-byte GCM tag
+    out = bytearray(sealed)
+    out[-7] ^= 0x20
+    return bytes(out)
+
+
+@pytest.mark.parametrize("tamper", [lambda ct: b"", lambda ct: ct[:15], _flip_in_tag],
+                         ids=["empty", "shorter-than-tag", "tag-bit-flip"])
+def test_bad_ciphertext_refused_as_integrity_error(hospital_log, identity, tamper):
+    _, session = _setup({"H": hospital_log}, identity)
+    session.run_initialization()
+    seg = segment_log(hospital_log, ["312"], 10**6, "H")[0]
+    env = encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub_der))
+    raw = replace(env, ciphertext=tamper(env.ciphertext)).to_dict()
+    assert session.enqueue(raw) == {"status": "error", "reason": "IntegrityError"}
+    assert isinstance(session._fatal, IntegrityError)
+    assert str(session._fatal) == "org 'H' segment 0/1 failed authentication"
+    session.finish()
+    assert session.budget.in_use == 0
+
+
 def test_duplicate_segment_rejected(hospital_log, identity):
     # two segments, so the replay is drained while delivery is still open
     hub, session = _setup({"H": hospital_log}, identity, seg_size=300)
@@ -683,7 +705,7 @@ def test_contradicting_total_rejected(hospital_log, identity):
 
 def test_failed_session_releases_enclave(identity):
     # P's fourth segment carries a corrupted tag; by then the enclave holds
-    # partial cases, merged views and every org's delivery secret
+    # partial cases, merged views and every org's delivery key
     log_data, org_map = generate_scenario_log(ScenarioParams(cases=60, seed=1))
     hub, session = _setup(partition_by_org(log_data, org_map), identity, seg_size=512)
     held = {}
@@ -693,8 +715,10 @@ def test_failed_session_releases_enclave(identity):
             held.update(parts=sum(len(case.parts) for case in session._waiting.values()),
                         views=len(session._eligible),
                         keys=len(session._org_keys), in_use=session.budget.in_use)
-            tag = SegmentEnvelope.from_dict(raw).auth_tag
-            raw = dict(raw, auth_tag=b64u_encode(bytes([tag[0] ^ 1]) + tag[1:]))
+            # the ciphertext ends in the 16-byte GCM tag
+            sealed = bytearray(SegmentEnvelope.from_dict(raw).ciphertext)
+            sealed[-16] ^= 1
+            raw = dict(raw, ciphertext=b64u_encode(bytes(sealed)))
         return session.enqueue(raw)
 
     hub.register_receiver("loop://miner", tampering)

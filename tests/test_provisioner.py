@@ -153,8 +153,8 @@ def test_trusted_report_delivers_envelopes(hospital_log, identity):
     assert len(push.envelopes) == 1
     env = SegmentEnvelope.from_dict(push.envelopes[0])
     assert env.org == "H" and env.seq_no == 0 and env.total == 1
-    secret = unwrap_key(env.wrapped_key, identity.enc_priv)
-    back, _ = parse_segment_payload(decrypt_segment(env, secret))
+    sealing = unwrap_key(env.wrapped_key, identity.enc_priv)
+    back, _ = parse_segment_payload(decrypt_segment(env, sealing))
     assert list(back) == ["312", "711"]
     assert sum(len(events) for events in back.values()) == 19
 
@@ -189,8 +189,8 @@ def test_one_wrapped_key_per_delivery(hospital_log, identity):
     assert len(first) > 1
     assert len({e.wrapped_key for e in first}) == 1
     assert len({e.ciphertext for e in first}) == len(first)
-    secret = unwrap_key(first[0].wrapped_key, identity.enc_priv)
-    back, _ = parse_segment_payload(b"".join(decrypt_segment(e, secret) for e in first))
+    sealing = unwrap_key(first[0].wrapped_key, identity.enc_priv)
+    back, _ = parse_segment_payload(b"".join(decrypt_segment(e, sealing) for e in first))
     assert list(back) == ["312", "711"]
     # the next attestation is a new delivery under a new key
     push.envelopes.clear()
@@ -211,10 +211,16 @@ def test_rejected_report_sends_nothing(hospital_log, identity):
 def test_malformed_report_rejected_without_pushes(hospital_log, identity):
     push = PushRecorder()
     service = _service(hospital_log, identity, push=push)
-    for report in ({"measurement": "zz"}, {"measurement": 5}):
+    challenge = AttestationChallenge.from_dict(service.handle_case_request(
+        CaseRequest(seg_size=10_000, refs=("312",), callback="cb://x").to_dict()
+    ))
+    honest = make_report(identity, challenge.nonce).to_dict()
+    # a missing field, a wrong JSON type, a non-object
+    for report in ({"measurement": "zz"}, {**honest, "sig": 5}, [honest]):
         ack = service.handle_attestation(report)
-        assert ack == {"status": "rejected", "reason": "bad_signature"}
+        assert ack == {"status": "rejected", "reason": "malformed_report"}
     assert push.envelopes == []
+    assert list(service._pending) == [challenge.nonce]
 
 
 @pytest.mark.parametrize(
@@ -228,7 +234,8 @@ def test_non_object_report_rejected_over_loopback(hospital_log, identity, report
     request = CaseRequest(seg_size=10_000, refs=("312",), callback="cb://x").to_dict()
     challenge = AttestationChallenge.from_dict(hub.post_cases("loop://H", request))
     ack = hub.post_attestation("loop://H", report)
-    assert ack == {"status": "rejected", "reason": "bad_signature"}
+    assert ack == {"status": "rejected", "reason": "malformed_report"}
+    assert push.envelopes == []
     honest = make_report(identity, challenge.nonce).to_dict()
     assert hub.post_attestation("loop://H", honest) == {"status": "trusted"}
     assert len(push.envelopes) == 1

@@ -24,6 +24,7 @@ from confine.wire import (
     SegmentEnvelope,
     encrypt_segment,
     parse_segment_payload,
+    unwrap_key,
 )
 
 from conftest import SilentProvisioner, acks
@@ -97,7 +98,10 @@ def _bad_row(identity, row):
 def _tampered_tag(identity):
     sealing = SealingKey.for_enclave(identity.enc_pub_der)
     envelope = _seal(ROW, [REF], sealing)
-    tampered = replace(envelope, auth_tag=bytes([envelope.auth_tag[0] ^ 1]) + envelope.auth_tag[1:])
+    # the last 16 bytes of the ciphertext are the GCM tag
+    sealed = bytearray(envelope.ciphertext)
+    sealed[-16] ^= 1
+    tampered = replace(envelope, ciphertext=bytes(sealed))
     return _session(identity, [REF], [tampered]), sealing.key, _cells(ROW)
 
 
@@ -118,7 +122,7 @@ def _budget_overrun(identity):
     _events, sizes = parse_segment_payload(payload)
     capacity = (
         sum(len(ref) + len("H") + LEDGER_ENTRY_BYTES for ref in (REF, REF2))
-        + len(envelope.wrapped_key) + len(envelope.ciphertext) + len(envelope.auth_tag)
+        + len(envelope.wrapped_key) + len(envelope.ciphertext)
         + len(payload) + sizes[REF] + PART_OVERHEAD_BYTES
     )
     return _session(identity, [REF, REF2], [envelope], capacity), sealing.key, _cells(payload)
@@ -234,6 +238,15 @@ def _holds(value, texts: list[str], blobs: list[bytes], seen: set[int]) -> bool:
         for klass in type(value).__mro__:
             children += [getattr(value, slot, None) for slot in getattr(klass, "__slots__", ())]
     return any(_holds(child, texts, blobs, seen) for child in children)
+
+
+def test_walker_finds_the_key_inside_a_pinned_sealing_key(identity):
+    # the enclave pins what unwrap_key returns, a slotted SealingKey; a kept
+    # frame holding it must still count as holding the key
+    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    pinned = unwrap_key(sealing.wrapped, identity.enc_priv)
+    assert _holds({"H": pinned}, [], [sealing.key], set())
+    assert not _holds({"H": replace(pinned, key=bytes(32))}, [], [sealing.key], set())
 
 
 @pytest.mark.parametrize("kind", list(FAILURES))

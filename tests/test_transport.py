@@ -139,8 +139,7 @@ def test_truncated_body_gets_no_answer(json_server):
 
 _CONSTANT_BODIES = {
     "/cases": '{"seg_size": %s, "refs": ["312"], "callback": "cb://x"}',
-    "/segments": '{"org": "H", "seq_no": %s, "total": 1, "wrapped_key": "", '
-                 '"ciphertext": "", "auth_tag": ""}',
+    "/segments": '{"org": "H", "seq_no": %s, "total": 1, "wrapped_key": "", "ciphertext": ""}',
 }
 
 

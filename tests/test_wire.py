@@ -430,8 +430,12 @@ def test_fresh_key_per_delivery_distinct_nonce_and_ciphertext_per_segment(identi
     envs = [encrypt_segment(replace(seg, seq_no=i, total=total), first) for i in range(total)]
     assert {env.wrapped_key for env in envs} == {first.wrapped}
     assert len({env.ciphertext for env in envs}) == total
-    secret = unwrap_key(first.wrapped, identity.enc_priv)
-    assert all(decrypt_segment(env, secret) == seg.payload for env in envs)
+    assert all(decrypt_segment(env, first) == seg.payload for env in envs)
+
+
+def test_unwrapped_key_is_the_providers_key(identity):
+    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    assert unwrap_key(sealing.wrapped, identity.enc_priv) == sealing
 
 
 @pytest.mark.parametrize("field,value", [("seq_no", 1), ("org", "P"), ("total", 21)])
@@ -446,16 +450,10 @@ def test_relabeled_header_is_integrity_error(identity, hospital_log, field, valu
 def test_decrypt_tampered_tag_is_integrity_error(identity, hospital_log):
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
     env = _seal(seg, identity)
-    bad = SegmentEnvelope(
-        org=env.org,
-        seq_no=env.seq_no,
-        total=env.total,
-        wrapped_key=env.wrapped_key,
-        ciphertext=env.ciphertext,
-        auth_tag=bytes(b ^ 1 for b in env.auth_tag),
-    )
+    # the ciphertext ends in the 16-byte GCM tag
+    tag = bytes(b ^ 1 for b in env.ciphertext[-16:])
     with pytest.raises(IntegrityError):
-        _open(bad, identity)
+        _open(replace(env, ciphertext=env.ciphertext[:-16] + tag), identity)
 
 
 def test_decrypt_bit_flipped_ciphertext_is_integrity_error(identity, hospital_log):
@@ -465,16 +463,8 @@ def test_decrypt_bit_flipped_ciphertext_is_integrity_error(identity, hospital_lo
     for _ in range(20):
         ct = bytearray(env.ciphertext)
         ct[rng.randrange(len(ct))] ^= 1 << rng.randrange(8)
-        bad = SegmentEnvelope(
-            org=env.org,
-            seq_no=env.seq_no,
-            total=env.total,
-            wrapped_key=env.wrapped_key,
-            ciphertext=bytes(ct),
-            auth_tag=env.auth_tag,
-        )
         with pytest.raises(IntegrityError):
-            _open(bad, identity)
+            _open(replace(env, ciphertext=bytes(ct)), identity)
 
 
 def test_decrypt_wrong_private_key_fails(identity, hospital_log):
@@ -508,8 +498,7 @@ def test_envelope_seq_no_bounds():
             seq_no=2,
             total=2,
             wrapped_key=b"k",
-            ciphertext=b"c",
-            auth_tag=b"t" * 16,
+            ciphertext=b"c" * 17,
         )
     with pytest.raises(ValueError):
         Segment(org="H", seq_no=0, total=1, case_refs=(), payload=b"x")
@@ -583,9 +572,9 @@ GOLDEN = [
     (Ack(status="rejected", reason="stale_nonce"), '{"status": "rejected", "reason": "stale_nonce"}'),
     (
         SegmentEnvelope(org="H", seq_no=1, total=3, wrapped_key=b"\xfb\xff" * 3,
-                        ciphertext=b"payload\x00\xff", auth_tag=bytes(range(240, 256))),
+                        ciphertext=b"payload\x00\xff" + bytes(range(240, 256))),
         '{"org": "H", "seq_no": 1, "total": 3, "wrapped_key": "-__7__v_", '
-        '"ciphertext": "cGF5bG9hZAD_", "auth_tag": "8PHy8_T19vf4-fr7_P3-_w"}',
+        '"ciphertext": "cGF5bG9hZAD_8PHy8_T19vf4-fr7_P3-_w"}',
     ),
     (
         AttestationReport(measurement=bytes(32), nonce=bytes(range(16)), enc_pub=b"\xfe\xed",
