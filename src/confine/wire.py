@@ -174,7 +174,6 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str
     if text is None:
         return None
     limit = csv.field_size_limit()
-    ascii_only = len(text) == len(payload)  # then each character is one byte
     cases: dict[str, list[Row]] = {}
     sizes: dict[str, int] = {}
     for line in text.split("\n"):
@@ -193,8 +192,7 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str
         if ts is None:
             return None
         cases.setdefault(case_ref, []).append((ts, org, sys.intern(activity)))
-        size = len(line) if ascii_only else len(line.encode("utf-8"))
-        sizes[case_ref] = sizes.get(case_ref, 0) + size + 1
+        sizes[case_ref] = sizes.get(case_ref, 0) + len(line.encode("utf-8")) + 1
     return cases, sizes
 
 
