@@ -1,10 +1,12 @@
 """Remote attestation: enclave identity, evidence reports, verification.
 
-The enclave measurement is the SHA-256 digest of a canonical manifest that
-lists the trusted application's build inputs. A report binds the
-measurement to a verifier-chosen nonce and to the enclave's encryption key,
-under an RSA-3072 PSS signature. Verification is one-way: data holders
-appraise the miner enclave, never the reverse.
+The enclave measurement is the SHA-256 digest of the package's own source:
+every module of ``confine``, in name order, framed by its file name and
+byte length. Any code change moves the measurement, so a registry must be
+rebuilt after one. A report binds the measurement to a verifier-chosen
+nonce and to the enclave's encryption key, under an RSA-3072 PSS
+signature. Verification is one-way: data holders appraise the miner
+enclave, never the reverse.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .wire import Message
 __all__ = [
     "NONCE_BYTES",
     "compute_measurement",
-    "default_manifest",
+    "enclave_code",
     "default_measurement",
     "new_nonce",
     "EnclaveIdentity",
@@ -45,18 +47,23 @@ _PSS = padding.PSS(
 )
 
 
-def compute_measurement(manifest: bytes) -> bytes:
-    """SHA-256 digest of the code manifest, the enclave's identity value."""
-    return hashlib.sha256(manifest).digest()
+def compute_measurement(code: bytes) -> bytes:
+    """SHA-256 digest of the enclave's code, its identity value."""
+    return hashlib.sha256(code).digest()
 
 
-def default_manifest() -> bytes:
-    """The manifest shipped with this package."""
-    return importlib.resources.files(__package__).joinpath("trusted_manifest.txt").read_bytes()
+def enclave_code() -> bytes:
+    """Each module's source in name order, after a ``name length`` line; no path or mtime."""
+    package = importlib.resources.files(__package__)
+    code = []
+    for name in sorted(f.name for f in package.iterdir() if f.name.endswith(".py")):
+        data = package.joinpath(name).read_bytes()
+        code.append(b"%s %d\n%s" % (name.encode(), len(data), data))
+    return b"".join(code)
 
 
 def default_measurement() -> bytes:
-    return compute_measurement(default_manifest())
+    return compute_measurement(enclave_code())
 
 
 def new_nonce() -> bytes:
@@ -80,13 +87,11 @@ class EnclaveIdentity:
     measurement: bytes
 
     @classmethod
-    def generate(cls, manifest: bytes | None = None) -> "EnclaveIdentity":
-        if manifest is None:
-            manifest = default_manifest()
+    def generate(cls) -> "EnclaveIdentity":
         return cls(
             att_priv=rsa.generate_private_key(public_exponent=65537, key_size=_RSA_BITS),
             enc_priv=rsa.generate_private_key(public_exponent=65537, key_size=_RSA_BITS),
-            measurement=compute_measurement(manifest),
+            measurement=default_measurement(),
         )
 
     @property

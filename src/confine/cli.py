@@ -96,9 +96,9 @@ def _write_net(net, out_dir: str | None) -> None:
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
-    registry = ReferenceRegistry.of(default_measurement())
-    registry.write(args.out)
-    print(f"wrote {args.out} ({default_measurement().hex()})")
+    measurement = default_measurement()
+    ReferenceRegistry.of(measurement).write(args.out)
+    print(f"wrote {args.out} ({measurement.hex()})")
     return 0
 
 
@@ -117,7 +117,7 @@ def _cmd_provisioner(args: argparse.Namespace) -> int:
         push=HttpTransport().push_segment,
     )
     server = ProvisionerServer(service, host=args.host, port=args.port).start()
-    print(f"provisioner {args.org}: {len(log_data)} cases at {server.url}")
+    print(f"provisioner {args.org}: {len(log_data)} cases at {server.url}", flush=True)
     try:
         while True:
             time.sleep(3600)
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="WARNING", help="logging level name")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("registry", help="write a reference registry for the packaged manifest")
+    p = sub.add_parser("registry", help="write a registry of this build's source; re-run after code changes")
     p.add_argument("--out", default="ref_registry.json")
     p.set_defaults(func=_cmd_registry)
 

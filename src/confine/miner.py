@@ -85,7 +85,7 @@ class AttestationRejectedError(RuntimeError):
 
 
 class DeliveryError(ValueError):
-    """A delivery or manifest violates the announced protocol state."""
+    """A delivery or case-ref list violates the announced protocol state."""
 
 
 class IncompleteDeliveryError(RuntimeError):
@@ -202,7 +202,7 @@ class MinerSession:
 
         # enqueue may run on a receiver thread: segments are opened one at
         # a time, and the first failure is kept for run_acquisition to raise.
-        # Intake opens once every manifest is in, so no case can complete
+        # Intake opens once every case-ref list is in, so no case can complete
         # before all its holders are known, and closes when acquisition
         # ends, so an early or late push is refused unopened.
         self._intake_lock = threading.Lock()

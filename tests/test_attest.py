@@ -2,28 +2,29 @@
 
 import hashlib
 import json
+import pkgutil
 import random
+from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec
 
+import confine
 from confine.attest import (
     NONCE_BYTES,
     AttestationReport,
-    EnclaveIdentity,
     ReferenceRegistry,
+    Verdict,
     compute_measurement,
-    default_manifest,
     default_measurement,
+    enclave_code,
     make_report,
     new_nonce,
     verify_report,
 )
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-
-# digest of the packaged trusted-app manifest, pinned when the manifest
-# was frozen; any manifest edit must update this value deliberately
-PACKAGED_MEASUREMENT = "3bbab4164156ff0b1ea5841556eec9b0e00e301ad90c7c49e2c428b150403ecc"
 
 
 def test_measurement_of_empty_manifest_is_known_digest():
@@ -39,9 +40,16 @@ def test_measurement_is_sha256():
     assert compute_measurement(data) == hashlib.sha256(data).digest()
 
 
-def test_packaged_manifest_digest_pinned():
-    assert default_measurement().hex() == PACKAGED_MEASUREMENT
-    assert compute_measurement(default_manifest()).hex() == PACKAGED_MEASUREMENT
+def test_measured_code_covers_every_module():
+    # a source digest moves with every change, so the test checks what is
+    # hashed rather than pinning the digest
+    code = enclave_code()
+    package = Path(confine.__file__).parent
+    names = ["__init__"] + [m.name for m in pkgutil.iter_modules(confine.__path__)]
+    for name in names:
+        source = (package / f"{name}.py").read_bytes()
+        assert b"%s.py %d\n%s" % (name.encode(), len(source), source) in code, name
+    assert default_measurement() == compute_measurement(code)
 
 
 def test_nonce_length_and_uniqueness():
@@ -50,10 +58,8 @@ def test_nonce_length_and_uniqueness():
     assert all(len(n) == NONCE_BYTES == 16 for n in nonces)
 
 
-def test_identity_measurement_matches_manifest(identity):
-    assert identity.measurement == default_measurement()
-    custom = EnclaveIdentity.generate(manifest=b"other build")
-    assert custom.measurement == compute_measurement(b"other build")
+def test_identity_measures_the_package_code(identity):
+    assert identity.measurement == default_measurement() == compute_measurement(enclave_code())
 
 
 def test_honest_report_is_trusted(identity):
@@ -185,3 +191,20 @@ def test_verdict_is_value_never_exception(identity):
     verdict = verify_report(bogus, b"\x00" * 16, ReferenceRegistry.of(identity.measurement))
     assert not verdict.trusted
     assert verdict.reason == "bad_signature"
+
+
+def test_non_rsa_attestation_key_is_bad_signature(identity):
+    nonce = new_nonce()
+    report = make_report(identity, nonce)
+    ec_pub = ec.generate_private_key(ec.SECP256R1()).public_key().public_bytes(
+        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+    )
+    forged = AttestationReport(
+        measurement=report.measurement,
+        nonce=nonce,
+        enc_pub=report.enc_pub,
+        att_pub=ec_pub,
+        sig=report.sig,
+    )
+    verdict = verify_report(forged, nonce, ReferenceRegistry.of(identity.measurement))
+    assert verdict == Verdict(False, "bad_signature")

@@ -20,6 +20,7 @@ from confine.eventlog import (
     format_timestamp,
     is_canonical_stamp,
     parse_csv,
+    parse_log,
     parse_timestamp,
     parse_xes,
     partition_by_org,
@@ -451,6 +452,35 @@ def test_parse_xes_missing_trace_name_is_error():
     bad = "<log><trace><event><string key='concept:name' value='A'/></event></trace></log>"
     with pytest.raises(LogParseError):
         parse_xes(bad)
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_parse_log_reads_xes_by_suffix_or_by_format(tmp_path):
+    expected = parse_xes(XES_SAMPLE)
+    assert parse_log(_write(tmp_path / "log.XES", XES_SAMPLE)) == expected
+    assert parse_log(_write(tmp_path / "log.txt", XES_SAMPLE), fmt="xes") == expected
+
+
+def test_parse_log_refuses_an_unknown_format(tmp_path):
+    path = _write(tmp_path / "log.csv", "case,timestamp,activity,org\n")
+    with pytest.raises(ValueError, match="unknown log format 'json'"):
+        parse_log(path, fmt="json")
+
+
+def test_parse_log_malformed_xes_is_parse_error(tmp_path):
+    with pytest.raises(LogParseError, match="^bad XES document: "):
+        parse_log(_write(tmp_path / "log.xes", "<log><trace></log>"))
+
+
+def test_parse_log_xes_event_without_timestamp_names_event_and_case(tmp_path):
+    bad = XES_SAMPLE.replace('<date key="time:timestamp" value="2022-07-14T16:36:00+00:00"/>', "")
+    assert bad != XES_SAMPLE
+    with pytest.raises(LogParseError, match="^event #1 of case '312' lacks concept:name or time:timestamp$"):
+        parse_log(_write(tmp_path / "log.xes", bad))
 
 
 # -- serialization ------------------------------------------------------------

@@ -36,6 +36,7 @@ from confine.provisioner import ProvisionerServer, ProvisionerService
 from confine.transport import HttpTransport, LoopbackHub, TransportError, _JsonHandler
 from confine.wire import (
     KIB,
+    EnvelopeFormatError,
     IntegrityError,
     SealingKey,
     SegmentEnvelope,
@@ -443,6 +444,49 @@ def test_enqueue_malformed_envelope_error_ack(identity):
     ack = session.enqueue({"org": "H"})
     assert ack == {"status": "error", "reason": "EnvelopeFormatError"}
     assert session.emitted == [b'{"reason": "EnvelopeFormatError", "status": "error"}']
+    assert session.budget.in_use == 0
+
+
+def _session_with_a_refusal(identity, refs):
+    """One org announcing ``refs``; intake has already refused one envelope."""
+    hub = LoopbackHub()
+    hub.register_provisioner("loop://H", _FixedAnswers({"org": "H", "refs": refs}))
+    session = MinerSession(providers=["loop://H"], transport=hub,
+                           callback_url="loop://miner", identity=identity)
+    session.run_initialization()
+    assert session.enqueue({"org": "A"}) == {"status": "error", "reason": "EnvelopeFormatError"}
+    return hub, session
+
+
+def test_kept_refusal_raised_when_no_org_holds_cases(identity):
+    _, session = _session_with_a_refusal(identity, [])
+    with pytest.raises(EnvelopeFormatError):
+        session.run_acquisition()
+    session.finish()
+    assert session.budget.in_use == 0
+
+
+def test_kept_refusal_outranks_a_failed_cases_request(identity, monkeypatch):
+    hub, session = _session_with_a_refusal(identity, ["312"])
+
+    def down(url, body):
+        raise TransportError(url, "connection refused")
+
+    monkeypatch.setattr(hub, "post_cases", down)
+    with pytest.raises(EnvelopeFormatError) as exc:
+        session.run_acquisition()
+    assert not isinstance(exc.value, DeliveryError)
+    session.finish()
+    assert session.budget.in_use == 0
+
+
+def test_no_cases_and_no_refusal_is_nothing_to_mine(identity):
+    hub = LoopbackHub()
+    hub.register_provisioner("loop://H", _FixedAnswers({"org": "H", "refs": []}))
+    session = MinerSession(providers=["loop://H"], transport=hub,
+                           callback_url="loop://miner", identity=identity)
+    with pytest.raises(ValueError, match="^no eligible cases were delivered, nothing to mine$"):
+        session.run()
     assert session.budget.in_use == 0
 
 

@@ -1,17 +1,21 @@
 """Provisioner service: access gate, challenges, delivery, HTTP front end."""
 
 import json
+import os
+import shutil
 import socket
 import subprocess
 import sys
 import threading
 import urllib.parse
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
-from confine.attest import EnclaveIdentity, ReferenceRegistry, make_report
+import confine
+from confine.attest import ReferenceRegistry, compute_measurement, make_report
 from confine.eventlog import parse_csv, serialize_log
 from confine.provisioner import AccessDeniedError, ProvisionerServer, ProvisionerService
 from confine.transport import HttpTransport, LoopbackHub, TransportError, _JsonHandler
@@ -135,6 +139,17 @@ def test_case_request_rejects_bad_seg_size(hospital_log, identity):
         )
 
 
+def test_case_request_without_callback_is_400(hospital_log, identity):
+    service = _service(hospital_log, identity)
+    hub = LoopbackHub()
+    hub.register_provisioner("loop://H", service)
+    with pytest.raises(TransportError) as err:
+        hub.post_cases("loop://H", CaseRequest(seg_size=1000, refs=("312",), callback="").to_dict())
+    assert err.value.status == 400
+    assert err.value.detail == "case request needs a callback URL"
+    assert not service._pending
+
+
 def test_challenge_nonces_unique(hospital_log, identity):
     service = _service(hospital_log, identity)
     body = CaseRequest(seg_size=1000, refs=("312",), callback="cb://x").to_dict()
@@ -202,8 +217,44 @@ def test_one_wrapped_key_per_delivery(hospital_log, identity):
 def test_rejected_report_sends_nothing(hospital_log, identity):
     push = PushRecorder()
     service = _service(hospital_log, identity, push=push)
-    stranger = EnclaveIdentity.generate(manifest=b"unregistered build")
+    stranger = replace(identity, measurement=compute_measurement(b"unregistered build"))
     ack = _attested_delivery(service, stranger)
+    assert ack == {"status": "rejected", "reason": "unknown_measurement"}
+    assert push.envelopes == []
+
+
+def _measure_copy(root: Path, edit: str | None = None) -> bytes:
+    """Copy the package under ``root``, make a one-byte edit to module ``edit``
+    and return the copy's measurement, taken in a fresh process."""
+    package = root / "confine"
+    shutil.copytree(Path(confine.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    if edit is not None:
+        source = bytearray((package / edit).read_bytes())
+        assert source[:3] == b'"""' and source[3:4].isalpha()
+        source[3] ^= 0x20  # the docstring's first letter changes case
+        (package / edit).write_bytes(source)
+    probe = "import confine; print(confine.__file__); print(confine.default_measurement().hex())"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root)},
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.split()
+    assert out[0] == str(package / "__init__.py")
+    return bytes.fromhex(out[1])
+
+
+def test_copied_package_measures_like_the_checkout(tmp_path, identity):
+    assert _measure_copy(tmp_path) == identity.measurement
+
+
+# hminer.py was named in the old hand-kept module list, transport.py was not
+@pytest.mark.parametrize("module", ["hminer.py", "transport.py"])
+def test_one_byte_edit_is_an_unknown_build(tmp_path, hospital_log, identity, module):
+    edited = _measure_copy(tmp_path, edit=module)
+    assert edited != identity.measurement
+    push = PushRecorder()
+    service = _service(hospital_log, identity, push=push)
+    ack = _attested_delivery(service, replace(identity, measurement=edited))
     assert ack == {"status": "rejected", "reason": "unknown_measurement"}
     assert push.envelopes == []
 
@@ -264,7 +315,7 @@ def test_rejected_verdict_consumes_challenge(hospital_log, identity):
             CaseRequest(seg_size=10_000, refs=("312",), callback="cb://x").to_dict()
         )
     )
-    stranger = EnclaveIdentity.generate(manifest=b"unregistered build")
+    stranger = replace(identity, measurement=compute_measurement(b"unregistered build"))
     answer = make_report(stranger, challenge.nonce).to_dict()
     assert service.handle_attestation(answer)["reason"] == "unknown_measurement"
     # same nonce again: pending state was cleared on rejection

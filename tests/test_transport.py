@@ -163,6 +163,12 @@ def test_client_refuses_json_constants():
         server.close()
 
 
+def test_client_refuses_an_unsupported_url_scheme():
+    with pytest.raises(TransportError, match="unsupported URL scheme 'ftp'") as err:
+        HttpTransport(timeout_s=4).post_cases("ftp://127.0.0.1:21", {})
+    assert err.value.url == "ftp://127.0.0.1:21/cases"
+
+
 # -- kept-alive connections -------------------------------------------------------
 
 

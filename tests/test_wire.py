@@ -9,6 +9,8 @@ from dataclasses import dataclass, replace
 from datetime import timezone
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +39,7 @@ from confine.wire import (
     Segment,
     SegmentEnvelope,
     UnknownCaseRefsError,
+    _OAEP,
     _parse_payload_csv,
     case_payload,
     decrypt_segment,
@@ -438,6 +441,21 @@ def test_unwrapped_key_is_the_providers_key(identity):
     assert unwrap_key(sealing.wrapped, identity.enc_priv) == sealing
 
 
+def test_sealing_key_refuses_a_non_rsa_enclave_key():
+    ec_pub = ec.generate_private_key(ec.SECP256R1()).public_key().public_bytes(
+        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+    )
+    with pytest.raises(ValueError, match="not an RSA public key"):
+        SealingKey.for_enclave(ec_pub)
+
+
+def test_wrapped_secret_of_wrong_length_is_integrity_error(identity):
+    # a genuine OAEP wrap whose secret is a bare 32-byte key, no base nonce
+    wrapped = identity.enc_priv.public_key().encrypt(b"\x00" * 32, _OAEP)
+    with pytest.raises(IntegrityError, match="^key unwrap failed: wrong secret length$"):
+        unwrap_key(wrapped, identity.enc_priv)
+
+
 @pytest.mark.parametrize("field,value", [("seq_no", 1), ("org", "P"), ("total", 21)])
 def test_relabeled_header_is_integrity_error(identity, hospital_log, field, value):
     seg = replace(segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0], total=20)
@@ -468,7 +486,7 @@ def test_decrypt_bit_flipped_ciphertext_is_integrity_error(identity, hospital_lo
 
 
 def test_decrypt_wrong_private_key_fails(identity, hospital_log):
-    other = EnclaveIdentity.generate(manifest=b"other")
+    other = EnclaveIdentity.generate()
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
     env = _seal(seg, identity)
     with pytest.raises(IntegrityError):
