@@ -15,11 +15,11 @@ import time
 from pathlib import Path
 
 from .attest import ReferenceRegistry, default_measurement
-from .eventlog import EventLog, parse_log, partition_by_org, serialize_log
+from .eventlog import EventLog, LogParseError, PartitionError, parse_log, partition_by_org, serialize_log
 from .harness import (
-    MEMORY_PRESETS,
     SCALABILITY_TESTS,
     SPLIT_SCHEMES,
+    SWEEP_SIZES,
     ScenarioParams,
     run_convergence,
     run_memory_experiment,
@@ -29,12 +29,40 @@ from .harness import (
     write_scenario_files,
 )
 from .hminer import MinerConfig, serialize_net
-from .miner import DEFAULT_CAPACITY, MinerReceiver, MinerSession
+from .miner import (
+    DEFAULT_CAPACITY,
+    AttestationRejectedError,
+    DeliveryError,
+    EnclaveMemoryExceeded,
+    IncompleteDeliveryError,
+    InitializationError,
+    MinerReceiver,
+    MinerSession,
+)
 from .provisioner import ProvisionerServer, ProvisionerService
 from .transport import HttpTransport
-from .wire import DEFAULT_SEG_SIZE, parse_size
+from .wire import DEFAULT_SEG_SIZE, EnvelopeFormatError, IntegrityError, parse_size
 
 log = logging.getLogger(__name__)
+
+# Failures that a user's files, logs, peers or budget cause print one line.
+# Any other exception is a bug and keeps its traceback.
+_EXPECTED_ERRORS = (
+    OSError, LogParseError, PartitionError, InitializationError, AttestationRejectedError,
+    DeliveryError, IncompleteDeliveryError, IntegrityError, EnvelopeFormatError, EnclaveMemoryExceeded,
+)
+
+
+# argparse names a type by its function in a usage error: "invalid size_list value"
+def size_list(text: str) -> tuple[int, ...]:
+    return tuple(parse_size(part) for part in text.split(","))
+
+
+def count_list(text: str) -> tuple[int, ...]:
+    counts = tuple(int(part) for part in text.split(","))
+    if min(counts) < 1:
+        raise ValueError(f"counts must be positive, got {text!r}")
+    return counts
 
 
 def _add_host_port(parser: argparse.ArgumentParser, default_port: int) -> None:
@@ -132,10 +160,10 @@ def _cmd_miner(args: argparse.Namespace) -> int:
         providers=args.providers,
         transport=HttpTransport(),
         callback_url="",
-        seg_size=parse_size(args.seg_size),
+        seg_size=args.seg_size,
         mode=args.mode,
         batch_cases=args.batch_cases,
-        capacity=parse_size(args.capacity),
+        capacity=args.capacity,
         miner_config=_miner_config(args),
         miner_id=args.miner_id,
     )
@@ -171,7 +199,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_converge(args: argparse.Namespace) -> int:
     result = run_convergence(
         params=_scenario_params(args),
-        seg_size=parse_size(args.seg_size),
+        seg_size=args.seg_size,
         networked=args.networked,
         mode=args.mode,
         batch_cases=args.batch_cases,
@@ -189,14 +217,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_mem(args: argparse.Namespace) -> int:
-    sweep = tuple(parse_size(s) for s in args.sweep_sizes.split(",")) if args.sweep_sizes else None
     summary = run_memory_experiment(
-        args.preset,
         out_dir=args.out,
         params=_scenario_params(args),
-        seg_size=parse_size(args.seg_size),
-        sweep_sizes=sweep,
-        capacity=parse_size(args.capacity),
+        seg_sizes=args.seg_sizes,
+        capacity=args.capacity,
         mode=args.mode,
         batch_cases=args.batch_cases,
     )
@@ -205,13 +230,11 @@ def _cmd_mem(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    xs = tuple(int(x) for x in args.xs.split(",")) if args.xs else None
-    seg_sizes = tuple(parse_size(s) for s in args.seg_sizes.split(",")) if args.seg_sizes else None
     summary = run_scalability_suite(
         args.test,
         out_dir=args.out,
-        xs=xs,
-        seg_sizes=seg_sizes,
+        xs=args.xs,
+        seg_sizes=args.seg_sizes,
         cases=args.cases,
         seed=args.seed,
     )
@@ -241,8 +264,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     org_map = json.loads(Path(args.map).read_text(encoding="utf-8"))
     if not isinstance(org_map, dict) or not all(isinstance(org, str) and org for org in org_map.values()):
-        print(f"error: {args.map} must map each activity to a non-empty org name", file=sys.stderr)
-        return 1
+        raise PartitionError(f"{args.map} must map each activity to a non-empty org name")
     _write_partitions(partition_by_org(parse_log(args.log), org_map), Path(args.out))
     return 0
 
@@ -266,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("miner", help="mine a net from remote provisioners")
     p.add_argument("providers", nargs="+", help="provisioner base URLs")
-    p.add_argument("--seg-size", default=str(DEFAULT_SEG_SIZE))
+    p.add_argument("--seg-size", type=parse_size, default=DEFAULT_SEG_SIZE)
     p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
     p.add_argument("--batch-cases", type=int, default=100)
-    p.add_argument("--capacity", default=str(DEFAULT_CAPACITY))
+    p.add_argument("--capacity", type=parse_size, default=DEFAULT_CAPACITY)
     p.add_argument("--miner-id", default="miner1")
     p.add_argument("--out", help="directory for net.json, net.dot, metrics.csv")
     _add_miner_config(p)
@@ -288,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("converge", help="compare protocol result against standalone mining")
-    p.add_argument("--seg-size", default=str(DEFAULT_SEG_SIZE))
+    p.add_argument("--seg-size", type=parse_size, default=DEFAULT_SEG_SIZE)
     p.add_argument("--networked", action="store_true", help="use localhost HTTP instead of loopback")
     p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
     p.add_argument("--batch-cases", type=int, default=100)
@@ -296,12 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario(p)
     p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("mem", help="memory experiments over real sessions")
-    p.add_argument("--preset", choices=list(MEMORY_PRESETS), required=True)
-    p.add_argument("--out", help="directory for metrics CSVs and the summary")
-    p.add_argument("--seg-size", default=str(DEFAULT_SEG_SIZE))
-    p.add_argument("--sweep-sizes", help="comma list like 64KB,128KB,1MB")
-    p.add_argument("--capacity", default=str(DEFAULT_CAPACITY))
+    p = sub.add_parser("mem", help="memory experiment: one session per segment size")
+    p.add_argument("--out", help="directory for each run's metrics CSV, the runs table and the summary")
+    p.add_argument("--seg-sizes", type=size_list, default=SWEEP_SIZES, help="comma list like 64KB,128KB,1MB")
+    p.add_argument("--capacity", type=parse_size, default=DEFAULT_CAPACITY)
     p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
     p.add_argument("--batch-cases", type=int, default=100)
     _add_scenario(p)
@@ -309,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="scalability sweep with per-cell convergence")
     p.add_argument("--test", choices=list(SCALABILITY_TESTS), required=True)
-    p.add_argument("--xs", help="comma list of x values")
-    p.add_argument("--seg-sizes", help="comma list like 100KB,1000KB")
+    p.add_argument("--xs", type=count_list, help="comma list of x values")
+    p.add_argument("--seg-sizes", type=size_list, help="comma list like 100KB,1000KB")
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="directory for summary JSON and cell CSV")
@@ -337,7 +357,11 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, args.log_level.upper(), logging.WARNING),
         format="%(asctime)s %(levelname)s %(name)s %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _EXPECTED_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ by default over the in-process loopback transport.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import logging
 import math
@@ -28,7 +30,7 @@ from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, 
 from .miner import DEFAULT_CAPACITY, EnclaveMemoryExceeded, MinerReceiver, MinerSession
 from .provisioner import ProvisionerServer, ProvisionerService
 from .transport import HttpTransport, LoopbackHub
-from .wire import DEFAULT_SEG_SIZE, KIB, MIB, segment_log
+from .wire import DEFAULT_SEG_SIZE, KIB, MIB, case_payload
 
 __all__ = [
     "VARIANT_SPECIALIZED",
@@ -42,6 +44,7 @@ __all__ = [
     "run_protocol",
     "ConvergenceResult",
     "run_convergence",
+    "SWEEP_SIZES",
     "run_memory_experiment",
     "RegressionStats",
     "run_scalability_suite",
@@ -244,11 +247,12 @@ def run_convergence(
 
 
 # ---------------------------------------------------------------------------
-# memory experiments
+# experiment cells and the memory experiment
 
-_SWEEP_SIZES = (64 * KIB, 128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB, 4 * MIB)
+SWEEP_SIZES = (64 * KIB, 128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB, 4 * MIB)
 
-MEMORY_PRESETS = ("stage_profile", "with_without_compute", "segsize_sweep")
+# the columns a memory_exceeded cell leaves empty, in the order _run_cell writes them
+_MEASURES = ("elapsed_ms", "peak_bytes", "peak_before_compute", "final_in_use", "converged")
 
 
 def _write(out_dir: str | Path | None, name: str, text: str) -> None:
@@ -259,89 +263,88 @@ def _write(out_dir: str | Path | None, name: str, text: str) -> None:
     (path / name).write_text(text, encoding="utf-8")
 
 
-def _single_segment_everywhere(partitions: dict[str, EventLog], seg_size: int) -> bool:
-    return all(
-        len(segment_log(sub, sub.case_refs(), seg_size, org)) <= 1
-        for org, sub in partitions.items()
-    )
+def _write_table(out_dir: str | Path | None, name: str, rows: list[dict]) -> None:
+    """Write rows that share one key order as CSV; None is an empty cell."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(out_dir, name, text.getvalue())
+
+
+def _scenario(params: ScenarioParams) -> tuple[dict[str, EventLog], str]:
+    """A scenario's per-org partitions and its standalone net's JSON text."""
+    log_data, org_map = generate_scenario_log(params)
+    return partition_by_org(log_data, org_map), serialize_net(standalone_net(log_data))
+
+
+def _run_cell(
+    partitions: dict[str, EventLog],
+    reference: str,
+    seg_size: int,
+    metrics_dir: str | Path | None = None,
+    **session_args,
+) -> dict:
+    """Run one protocol session at one segment size, recorded as one table row.
+
+    ``peak_before_compute`` is the peak on the first compute metrics row, and
+    ``converged`` compares the mined net with ``reference``. The session's
+    metrics CSV, its stage profile, goes to ``metrics_dir`` when one is given.
+    """
+    cell = {"seg_size": seg_size, "events": sum(sub.event_count() for sub in partitions.values())}
+    shared_identity()  # the enclave key is generated once per process, outside every timed session
+    t0 = time.perf_counter()
+    try:
+        session = run_protocol(partitions, seg_size=seg_size, **session_args)
+    except EnclaveMemoryExceeded as exc:
+        return {**cell, "status": "memory_exceeded", "error": str(exc), **dict.fromkeys(_MEASURES)}
+    elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+    _write(metrics_dir, f"segsize_{seg_size}_metrics.csv", session.metrics_csv())
+    log.info("cell seg=%d events=%d peak=%d", seg_size, cell["events"], session.budget.peak)
+    return {
+        **cell,
+        "status": "ok",
+        "error": None,
+        "elapsed_ms": elapsed_ms,
+        "peak_bytes": session.budget.peak,
+        "peak_before_compute": next(row[3] for row in session.metrics if row[1] == "compute"),
+        "final_in_use": session.budget.in_use,
+        "converged": session.net is not None and serialize_net(session.net) == reference,
+    }
 
 
 def run_memory_experiment(
-    preset: str,
     out_dir: str | Path | None = None,
     params: ScenarioParams = ScenarioParams(),
-    seg_size: int = DEFAULT_SEG_SIZE,
-    sweep_sizes: tuple[int, ...] | None = None,
+    seg_sizes: tuple[int, ...] = SWEEP_SIZES,
     capacity: int = DEFAULT_CAPACITY,
     mode: str = "single_batch",
     batch_cases: int = 100,
 ) -> dict:
-    """Run one memory preset; emits per-run metrics CSV plus a summary."""
-    if preset not in MEMORY_PRESETS:
-        raise ValueError(f"unknown preset {preset!r}, expected one of {MEMORY_PRESETS}")
-    log_data, org_map = generate_scenario_log(params)
-    partitions = partition_by_org(log_data, org_map)
+    """Run one session per segment size on one scenario.
 
-    def _run(seg: int) -> MinerSession:
-        return run_protocol(
-            partitions,
-            seg_size=seg,
-            mode=mode,
-            batch_cases=batch_cases,
-            capacity=capacity,
-        )
-
-    summary: dict = {"preset": preset, "cases": len(log_data), "events": log_data.event_count()}
-
-    if preset == "stage_profile":
-        session = _run(seg_size)
-        _write(out_dir, "stage_profile_metrics.csv", session.metrics_csv())
-        summary.update(
-            seg_size=seg_size,
-            peak_bytes=session.budget.peak,
-            final_in_use=session.budget.in_use,
-            stages=sorted({row[1] for row in session.metrics}),
-        )
-    elif preset == "with_without_compute":
-        # Without computation a session records the same rows up to and
-        # including its first compute row, then frees everything.
-        session = _run(seg_size)
-        first = next(i for i, row in enumerate(session.metrics) if row[1] == "compute")
-        text = session.metrics_csv()
-        _write(out_dir, "with_compute_metrics.csv", text)
-        _write(out_dir, "without_compute_metrics.csv", "".join(text.splitlines(True)[: first + 2]))
-        runs = {
-            label: {"peak_bytes": peak, "final_in_use": session.budget.in_use}
-            for label, peak in (
-                ("with_compute", session.budget.peak),
-                ("without_compute", session.metrics[first][3]),
-            )
+    A run is ``single_segment`` when every org's partition fits one segment:
+    it holds at most one case, or its case payloads sum to at most the
+    segment size. Writes each run's metrics CSV, ``memory_runs.csv`` and
+    ``memory_summary.json``.
+    """
+    if not seg_sizes:
+        raise ValueError("seg_sizes must not be empty")
+    partitions, reference = _scenario(params)
+    payloads = [
+        [len(case_payload(ref, rows, sub.stamps)) for ref, rows in sub.cases.items()] for sub in partitions.values()
+    ]
+    session_args = {"capacity": capacity, "mode": mode, "batch_cases": batch_cases}
+    runs = [
+        {
+            **_run_cell(partitions, reference, seg, out_dir, **session_args),
+            "single_segment": all(len(sizes) <= 1 or sum(sizes) <= seg for sizes in payloads),
         }
-        summary.update(seg_size=seg_size, runs=runs)
-    else:  # segsize_sweep
-        rows = []
-        for seg in sweep_sizes or _SWEEP_SIZES:
-            entry: dict = {
-                "seg_size": seg,
-                "single_segment": _single_segment_everywhere(partitions, seg),
-            }
-            try:
-                session = _run(seg)
-            except EnclaveMemoryExceeded as exc:
-                entry.update(status="memory_exceeded", error=str(exc))
-            else:
-                _write(out_dir, f"segsize_{seg}_metrics.csv", session.metrics_csv())
-                entry.update(status="ok", peak_bytes=session.budget.peak)
-            rows.append(entry)
-        summary["sweep"] = rows
-        csv_lines = ["seg_size,status,peak_bytes,single_segment"]
-        for r in rows:
-            csv_lines.append(
-                f"{r['seg_size']},{r['status']},{r.get('peak_bytes', '')},{r['single_segment']}"
-            )
-        _write(out_dir, "segsize_sweep_summary.csv", "\n".join(csv_lines) + "\n")
-
-    _write(out_dir, f"{preset}_summary.json", json.dumps(summary, indent=2) + "\n")
+        for seg in seg_sizes
+    ]
+    summary = {"cases": params.cases, "runs": runs}
+    _write_table(out_dir, "memory_runs.csv", runs)
+    _write(out_dir, "memory_summary.json", json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -414,26 +417,14 @@ REFERENCE_SCALABILITY_STATS = {
     },
 }
 
-SCALABILITY_TESTS = ("events", "cases", "orgs")
-
-_GRID_XS = {
-    "events": (2, 4, 6, 8, 10, 12, 14, 16),
-    "cases": tuple(2 ** x for x in range(7, 14)),
-    "orgs": (1, 2, 3, 4, 5, 6, 7, 8),
+# Per test, the ScenarioParams field that x sets, the default xs and the
+# default segment sizes.
+_GRIDS = {
+    "events": ("loop_iterations", (2, 4, 6, 8, 10, 12, 14, 16), (100 * KIB, 1000 * KIB, 10000 * KIB)),
+    "cases": ("cases", tuple(2 ** x for x in range(7, 14)), (100 * KIB, 1000 * KIB, 10000 * KIB)),
+    "orgs": ("org_count", (1, 2, 3, 4, 5, 6, 7, 8), (100 * KIB, 500 * KIB, 1000 * KIB)),
 }
-_GRID_SEGS = {
-    "events": (100 * KIB, 1000 * KIB, 10000 * KIB),
-    "cases": (100 * KIB, 1000 * KIB, 10000 * KIB),
-    "orgs": (100 * KIB, 500 * KIB, 1000 * KIB),
-}
-
-
-def _grid_params(test: str, x: int, cases: int, seed: int) -> ScenarioParams:
-    if test == "events":
-        return ScenarioParams(cases=cases, loop_iterations=x, seed=seed)
-    if test == "cases":
-        return ScenarioParams(cases=x, seed=seed)
-    return ScenarioParams(cases=cases, org_count=x, seed=seed)
+SCALABILITY_TESTS = tuple(_GRIDS)
 
 
 def run_scalability_suite(
@@ -446,41 +437,27 @@ def run_scalability_suite(
 ) -> dict:
     """Sweep one scaling dimension over the segment-size grid.
 
-    Every cell runs the full protocol and doubles as a convergence check.
-    Returns per-cell (x, peak_bytes) plus RegressionStats per seg_size.
+    Each cell is one session recorded as a memory run is, plus its x, and
+    doubles as a convergence check. A ``memory_exceeded`` cell is left out
+    of the fit. Returns the cells plus RegressionStats per seg_size.
     """
-    if test not in SCALABILITY_TESTS:
+    if test not in _GRIDS:
         raise ValueError(f"unknown test {test!r}, expected one of {SCALABILITY_TESTS}")
-    xs = xs or _GRID_XS[test]
-    seg_sizes = seg_sizes or _GRID_SEGS[test]
+    field, grid_xs, grid_segs = _GRIDS[test]
+    xs = grid_xs if xs is None else xs
+    seg_sizes = grid_segs if seg_sizes is None else seg_sizes
+    if not xs or not seg_sizes:
+        raise ValueError("xs and seg_sizes must not be empty")
 
     cells: list[dict] = []
     for x in xs:
-        log_data, org_map = generate_scenario_log(_grid_params(test, x, cases, seed))
-        partitions = partition_by_org(log_data, org_map)
-        reference = serialize_net(standalone_net(log_data))
-        for seg in seg_sizes:
-            t0 = time.perf_counter()
-            session = run_protocol(partitions, seg_size=seg)
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            assert session.net is not None
-            cells.append(
-                {
-                    "x": x,
-                    "seg_size": seg,
-                    "events": log_data.event_count(),
-                    "elapsed_ms": round(elapsed_ms, 3),
-                    "peak_bytes": session.budget.peak,
-                    "converged": serialize_net(session.net) == reference,
-                }
-            )
-            log.info("scale %s x=%d seg=%d peak=%d", test, x, seg, session.budget.peak)
+        partitions, reference = _scenario(ScenarioParams(**{"cases": cases, "seed": seed, field: x}))
+        cells.extend({"x": x, **_run_cell(partitions, reference, seg)} for seg in seg_sizes)
 
     regressions = {}
     for seg in seg_sizes:
-        series = [(c["x"], c["peak_bytes"]) for c in cells if c["seg_size"] == seg]
-        stats = RegressionStats.fit([p[0] for p in series], [p[1] for p in series])
-        regressions[str(seg)] = asdict(stats)
+        ok = [c for c in cells if c["seg_size"] == seg and c["status"] == "ok"]
+        regressions[str(seg)] = asdict(RegressionStats.fit([c["x"] for c in ok], [c["peak_bytes"] for c in ok]))
 
     summary = {
         "test": test,
@@ -492,12 +469,7 @@ def run_scalability_suite(
         "all_converged": all(c["converged"] for c in cells),
     }
     _write(out_dir, f"scale_{test}_summary.json", json.dumps(summary, indent=2) + "\n")
-    csv_lines = ["x,seg_size,events,elapsed_ms,peak_bytes,converged"]
-    for c in cells:
-        csv_lines.append(
-            f"{c['x']},{c['seg_size']},{c['events']},{c['elapsed_ms']},{c['peak_bytes']},{c['converged']}"
-        )
-    _write(out_dir, f"scale_{test}_cells.csv", "\n".join(csv_lines) + "\n")
+    _write_table(out_dir, f"scale_{test}_cells.csv", cells)
     return summary
 
 

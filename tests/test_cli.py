@@ -1,6 +1,7 @@
 """Command line smoke tests: the README quick start and each driver, run in-process."""
 
 import json
+import socket
 
 import pytest
 
@@ -57,18 +58,24 @@ def test_converge_reports_equal_nets(tmp_path, capsys):
 
 
 def test_mem_writes_its_summary(tmp_path):
-    assert main(["mem", "--preset", "stage_profile", "--cases", "20", "--out", str(tmp_path)]) == 0
-    summary = json.loads((tmp_path / "stage_profile_summary.json").read_text())
+    argv = ["mem", "--cases", "20", "--seg-sizes", "1KB,64KB", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "memory_summary.json").read_text())
     assert summary["cases"] == 20
-    assert summary["final_in_use"] == 0
-    assert (tmp_path / "stage_profile_metrics.csv").exists()
+    assert [r["seg_size"] for r in summary["runs"]] == [1024, 65536]
+    assert all(r["status"] == "ok" and r["converged"] and r["final_in_use"] == 0 for r in summary["runs"])
+    assert (tmp_path / "memory_runs.csv").exists()
+    assert (tmp_path / "segsize_1024_metrics.csv").exists()
+    assert (tmp_path / "segsize_65536_metrics.csv").exists()
 
 
 def test_scale_writes_its_cells(tmp_path):
     argv = ["scale", "--test", "cases", "--xs", "8,16", "--seg-sizes", "100KB", "--out", str(tmp_path)]
     assert main(argv) == 0
     lines = (tmp_path / "scale_cases_cells.csv").read_text().splitlines()
-    assert lines[0] == "x,seg_size,events,elapsed_ms,peak_bytes,converged"
+    assert lines[0] == (
+        "x,seg_size,events,status,error,elapsed_ms,peak_bytes,peak_before_compute,final_in_use,converged"
+    )
     assert [line.split(",")[0] for line in lines[1:]] == ["8", "16"]
     assert all(line.endswith(",True") for line in lines[1:])
 
@@ -99,3 +106,46 @@ def test_partition_refuses_a_bad_org_map(tmp_path, capsys, org_map):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "non-empty org name" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["scale", "--test", "cases", "--xs", "8,a"], "--xs"),
+        (["scale", "--test", "cases", "--xs", "8,0"], "--xs"),
+        (["scale", "--test", "cases", "--xs", ""], "--xs"),
+        (["scale", "--test", "cases", "--seg-sizes", "100KB,"], "--seg-sizes"),
+        (["mem", "--seg-sizes", "12XB"], "--seg-sizes"),
+        (["mem", "--seg-sizes", ""], "--seg-sizes"),
+        (["mem", "--capacity", "0"], "--capacity"),
+        (["converge", "--seg-size", "0"], "--seg-size"),
+        (["miner", "http://127.0.0.1:1", "--seg-size", "12XB"], "--seg-size"),
+    ],
+    ids=["xs-word", "xs-zero", "xs-empty", "seg-sizes-trailing-comma", "mem-seg-sizes-unit",
+         "mem-seg-sizes-empty", "mem-capacity-zero", "converge-seg-size-zero", "miner-seg-size-unit"],
+)
+def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "log_name, message", [("missing.csv", "missing.csv"), ("bad_stamp.csv", "yesterday")], ids=["missing-log", "bad-stamp"]
+)
+def test_expected_failures_print_one_line(tmp_path, capsys, log_name, message):
+    (tmp_path / "bad_stamp.csv").write_text("case,timestamp,activity,org\nc1,yesterday,A,H\n", encoding="utf-8")
+    assert main(["mine", "--log", str(tmp_path / log_name)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_unreachable_provisioner_prints_one_line(capsys):
+    # a port that is bound but not listening refuses every connection
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        assert main(["miner", url]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and url in err

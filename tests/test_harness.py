@@ -1,5 +1,7 @@
-"""Experiment harness tests: scenario generator, presets, regressions, splits."""
+"""Experiment harness tests: scenario generator, memory runs, regressions, splits."""
 
+import csv
+import dataclasses
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -18,13 +20,13 @@ from confine.eventlog import (
 from confine.harness import (
     ALL_ACTIVITIES,
     LOOP_UNIT,
-    MEMORY_PRESETS,
     REFERENCE_SCALABILITY_STATS,
     RegressionStats,
     SCALABILITY_TESTS,
     SCENARIO_ORG_MAP,
     SEPSIS_SCHEME_MAP,
     SPLIT_SCHEMES,
+    SWEEP_SIZES,
     ScenarioParams,
     VARIANT_SPECIALIZED,
     VARIANT_STANDARD,
@@ -40,7 +42,8 @@ from confine.harness import (
 )
 from confine.hminer import serialize_net
 from confine.miner import STAGES
-from confine.wire import KIB
+from confine import harness
+from confine.wire import KIB, segment_log
 
 
 # ---------------------------------------------------------------------------
@@ -199,67 +202,114 @@ def test_run_protocol_incremental_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# memory presets
+# memory runs
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
 
 
 def test_memory_stage_profile(tmp_path):
     summary = run_memory_experiment(
-        "stage_profile", out_dir=tmp_path, params=ScenarioParams(cases=30, seed=2)
+        out_dir=tmp_path, params=ScenarioParams(cases=30, seed=2), seg_sizes=(64 * KIB,)
     )
-    assert summary["preset"] == "stage_profile"
-    assert summary["final_in_use"] == 0
-    assert summary["peak_bytes"] > 0
-    assert summary["stages"] == sorted(STAGES)
-    assert (tmp_path / "stage_profile_metrics.csv").exists()
-    assert (tmp_path / "stage_profile_summary.json").exists()
+    (run,) = summary["runs"]
+    assert summary["cases"] == 30
+    assert run["status"] == "ok" and run["converged"]
+    assert run["final_in_use"] == 0
+    assert run["peak_bytes"] > 0
+    # the stage profile is the run's metrics CSV
+    profile = _read_csv(tmp_path / f"segsize_{64 * KIB}_metrics.csv")
+    assert sorted({row["stage"] for row in profile}) == sorted(STAGES)
+    assert max(int(row["peak_bytes"]) for row in profile) == run["peak_bytes"]
+    assert json.loads((tmp_path / "memory_summary.json").read_text()) == summary
 
 
 def test_memory_with_without_compute(tmp_path):
     summary = run_memory_experiment(
-        "with_without_compute", out_dir=tmp_path, params=ScenarioParams(cases=30, seed=2)
+        out_dir=tmp_path,
+        params=ScenarioParams(cases=30, seed=2),
+        seg_sizes=(4 * KIB, 64 * KIB),
+        mode="incremental",
+        batch_cases=10,
     )
-    runs = summary["runs"]
-    assert runs["with_compute"]["final_in_use"] == 0
-    assert runs["without_compute"]["final_in_use"] == 0
-    # mining charges the statistics while case buffers are still held
-    assert runs["with_compute"]["peak_bytes"] >= runs["without_compute"]["peak_bytes"]
-    assert (tmp_path / "with_compute_metrics.csv").exists()
-    assert (tmp_path / "without_compute_metrics.csv").exists()
+    for run in summary["runs"]:
+        assert run["final_in_use"] == 0
+        # mining charges the statistics while case buffers are still held
+        assert run["peak_before_compute"] <= run["peak_bytes"]
+        # without computation a session stops at its first compute row
+        profile = _read_csv(tmp_path / f"segsize_{run['seg_size']}_metrics.csv")
+        first = next(row for row in profile if row["stage"] == "compute")
+        assert int(first["peak_bytes"]) == run["peak_before_compute"]
 
 
 def test_memory_segsize_sweep(tmp_path):
-    summary = run_memory_experiment(
-        "segsize_sweep",
-        out_dir=tmp_path,
-        params=ScenarioParams(cases=40, seed=2),
-        sweep_sizes=(4 * KIB, 64 * KIB),
-    )
-    rows = {r["seg_size"]: r for r in summary["sweep"]}
+    params = ScenarioParams(cases=40, seed=2)
+    summary = run_memory_experiment(out_dir=tmp_path, params=params, seg_sizes=(4 * KIB, 64 * KIB))
+    rows = {r["seg_size"]: r for r in summary["runs"]}
     assert rows[4 * KIB]["status"] == "ok"
     assert rows[64 * KIB]["status"] == "ok"
     assert not rows[4 * KIB]["single_segment"]
     assert rows[64 * KIB]["single_segment"]
     assert rows[4 * KIB]["peak_bytes"] <= rows[64 * KIB]["peak_bytes"]
-    assert (tmp_path / "segsize_sweep_summary.csv").exists()
+    table = _read_csv(tmp_path / "memory_runs.csv")
+    assert [int(r["seg_size"]) for r in table] == [4 * KIB, 64 * KIB]
+    assert list(table[0]) == list(summary["runs"][0])
+
+
+@pytest.mark.parametrize("cases", [1, 2, 40])
+def test_memory_single_segment_agrees_with_segmentation(cases):
+    log, org_map = generate_scenario_log(ScenarioParams(cases=cases, seed=2))
+    parts = partition_by_org(log, org_map)
+    sizes = (KIB, 2 * KIB, 4 * KIB, 16 * KIB, 64 * KIB)
+    runs = run_memory_experiment(params=ScenarioParams(cases=cases, seed=2), seg_sizes=sizes)["runs"]
+    for run in runs:
+        packed = [segment_log(sub, sub.case_refs(), run["seg_size"], org) for org, sub in parts.items()]
+        assert run["single_segment"] == all(len(segments) <= 1 for segments in packed), run["seg_size"]
 
 
 def test_memory_sweep_reports_capacity_exhaustion(tmp_path):
     summary = run_memory_experiment(
-        "segsize_sweep",
         out_dir=tmp_path,
         params=ScenarioParams(cases=40, seed=2),
-        sweep_sizes=(64 * KIB,),
+        seg_sizes=(64 * KIB,),
         capacity=2000,
     )
-    (row,) = summary["sweep"]
+    (row,) = summary["runs"]
     assert row["status"] == "memory_exceeded"
     assert "capacity" in row["error"]
+    assert row["peak_bytes"] is None and row["converged"] is None
+    (cell,) = _read_csv(tmp_path / "memory_runs.csv")
+    assert cell["status"] == "memory_exceeded" and cell["peak_bytes"] == ""
+    assert not (tmp_path / f"segsize_{64 * KIB}_metrics.csv").exists()
 
 
-def test_memory_unknown_preset():
-    with pytest.raises(ValueError, match="unknown preset"):
-        run_memory_experiment("nope")
-    assert "stage_profile" in MEMORY_PRESETS
+# Taken at the parent of the single-runner rewrite from its segsize_sweep and
+# with_without_compute presets: (seg_size, peak_bytes, peak_before_compute,
+# single_segment) on 200 cases, seed 2.
+PINNED_RUNS = [
+    (64 * KIB, 231_743, 231_743, False),
+    (128 * KIB, 263_942, 263_942, True),
+    (256 * KIB, 263_942, 263_942, True),
+    (512 * KIB, 263_942, 263_942, True),
+    (1024 * KIB, 263_942, 263_942, True),
+    (2048 * KIB, 263_942, 263_942, True),
+    (4096 * KIB, 263_942, 263_942, True),
+]
+
+
+def test_memory_figures_match_pinned_values():
+    runs = run_memory_experiment(params=ScenarioParams(cases=200, seed=2))["runs"]
+    assert SWEEP_SIZES == tuple(seg for seg, *_ in PINNED_RUNS)
+    got = [(r["seg_size"], r["peak_bytes"], r["peak_before_compute"], r["single_segment"]) for r in runs]
+    assert got == PINNED_RUNS
+    assert all(r["status"] == "ok" and r["converged"] and r["final_in_use"] == 0 for r in runs)
+
+
+def test_memory_refuses_empty_seg_sizes():
+    with pytest.raises(ValueError, match="empty"):
+        run_memory_experiment(params=ScenarioParams(cases=5), seg_sizes=())
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +374,35 @@ def test_scalability_suite_small_grid(tmp_path):
     reg = summary["regressions"][str(100 * KIB)]
     assert set(reg) == {"r2_lin", "r2_log", "slope_hat"}
     assert summary["reference_stats"] == REFERENCE_SCALABILITY_STATS["cases"]
-    assert (tmp_path / "scale_cases_summary.json").exists()
-    assert (tmp_path / "scale_cases_cells.csv").exists()
+    assert json.loads((tmp_path / "scale_cases_summary.json").read_text()) == summary
+    table = _read_csv(tmp_path / "scale_cases_cells.csv")
+    assert [(int(c["x"]), c["status"], c["converged"]) for c in table] == [(8, "ok", "True"), (16, "ok", "True")]
+
+
+def test_scalability_cells_match_pinned_values():
+    # taken at the parent of the single-runner rewrite: (x, peak_bytes, converged)
+    summary = run_scalability_suite("cases", xs=(64, 128), seg_sizes=(100 * KIB,))
+    got = [(c["x"], c["peak_bytes"], c["converged"]) for c in summary["cells"]]
+    assert got == [(64, 85_354, True), (128, 170_266, True)]
+
+
+def test_scalability_fit_leaves_out_exhausted_cells(monkeypatch):
+    # a budget that 8, 16 and 32 cases fit (peaks 11,426 to 43,268 B) and 64 do not
+    real = harness.run_protocol
+    monkeypatch.setattr(harness, "run_protocol", lambda *a, **kw: real(*a, capacity=60_000, **kw))
+    summary = run_scalability_suite("cases", xs=(8, 16, 32, 64), seg_sizes=(100 * KIB,))
+    statuses = [c["status"] for c in summary["cells"]]
+    assert statuses == ["ok", "ok", "ok", "memory_exceeded"]
+    ok = summary["cells"][:3]
+    fit = RegressionStats.fit([c["x"] for c in ok], [c["peak_bytes"] for c in ok])
+    assert summary["regressions"][str(100 * KIB)] == dataclasses.asdict(fit)
+    assert not summary["all_converged"]
+
+
+@pytest.mark.parametrize("kw", [{"xs": ()}, {"seg_sizes": ()}], ids=["xs", "seg_sizes"])
+def test_scalability_refuses_empty_grids(kw):
+    with pytest.raises(ValueError, match="empty"):
+        run_scalability_suite("cases", **kw)
 
 
 def test_scalability_unknown_test():
