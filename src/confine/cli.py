@@ -197,23 +197,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    result = run_convergence(
+    row = run_convergence(
         params=_scenario_params(args),
         seg_size=args.seg_size,
+        metrics_dir=args.out,
         networked=args.networked,
         mode=args.mode,
         batch_cases=args.batch_cases,
     )
+    if row["status"] != "ok":
+        print(f"error: {row['error']}", file=sys.stderr)
+        return 1
     print(
-        f"converged={result.equal} cases={result.case_count} events={result.event_count} "
-        f"elapsed={result.elapsed_s:.2f}s peak={result.peak_bytes}"
+        f"converged={row['converged']} cases={args.cases} events={row['events']} "
+        f"elapsed={row['elapsed_ms'] / 1000:.2f}s peak={row['peak_bytes']}"
     )
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "confine_net.json").write_text(serialize_net(result.confine_net), encoding="utf-8")
-        (out / "standalone_net.json").write_text(serialize_net(result.standalone), encoding="utf-8")
-    return 0 if result.equal else 1
+    return 0 if row["converged"] else 1
 
 
 def _cmd_mem(args: argparse.Namespace) -> int:
@@ -262,7 +261,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    org_map = json.loads(Path(args.map).read_text(encoding="utf-8"))
+    try:
+        org_map = json.loads(Path(args.map).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise PartitionError(f"{args.map} is not JSON: {exc}") from None
     if not isinstance(org_map, dict) or not all(isinstance(org, str) and org for org in org_map.values()):
         raise PartitionError(f"{args.map} must map each activity to a non-empty org name")
     _write_partitions(partition_by_org(parse_log(args.log), org_map), Path(args.out))
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--networked", action="store_true", help="use localhost HTTP instead of loopback")
     p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
     p.add_argument("--batch-cases", type=int, default=100)
-    p.add_argument("--out", help="directory for both net JSON files")
+    p.add_argument("--out", help="directory for the session's metrics CSV")
     _add_scenario(p)
     p.set_defaults(func=_cmd_converge)
 

@@ -47,7 +47,7 @@ class LogSchemaError(LogParseError):
 
 
 class PartitionError(ValueError):
-    """An activity has no organization assigned in the partition map."""
+    """A log cannot be split as asked: an unmapped activity, a bad map or org set."""
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -276,7 +276,7 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def parse_xes(text: str | bytes, source_org: str | None = None) -> EventLog:
+def parse_xes(text: str | bytes) -> EventLog:
     """Parse the XES subset: trace/event concept:name plus time:timestamp.
 
     Every other attribute is ignored. Events missing either required
@@ -316,20 +316,14 @@ def parse_xes(text: str | bytes, source_org: str | None = None) -> EventLog:
                 )
             cases.setdefault(case_ref, []).append((parse_timestamp(stamp), "", activity))
             parsed += 1
-    return EventLog(cases, source_org=source_org)
+    return EventLog(cases)
 
 
-def parse_log(path: str | Path, fmt: str | None = None, source_org: str | None = None) -> EventLog:
-    """Read a log file, picking the parser from ``fmt`` or the suffix."""
+def parse_log(path: str | Path) -> EventLog:
+    """Read a log file: XES if its suffix is ``.xes``, CSV otherwise."""
     p = Path(path)
-    if fmt is None:
-        fmt = "xes" if p.suffix.lower() == ".xes" else "csv"
     data = p.read_text(encoding="utf-8")
-    if fmt == "csv":
-        return parse_csv(data, source_org=source_org)
-    if fmt == "xes":
-        return parse_xes(data, source_org=source_org)
-    raise ValueError(f"unknown log format {fmt!r}")
+    return parse_xes(data) if p.suffix.lower() == ".xes" else parse_csv(data)
 
 
 def format_rows(records: Sequence[tuple[datetime, str, str, str]], stamps: Stamps = NO_STAMPS) -> str:

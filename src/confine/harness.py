@@ -42,7 +42,6 @@ __all__ = [
     "activity_org_map",
     "standalone_net",
     "run_protocol",
-    "ConvergenceResult",
     "run_convergence",
     "SWEEP_SIZES",
     "run_memory_experiment",
@@ -202,50 +201,6 @@ def run_protocol(
     return session
 
 
-@dataclass(frozen=True)
-class ConvergenceResult:
-    equal: bool
-    confine_net: HeuristicsNet
-    standalone: HeuristicsNet
-    elapsed_s: float
-    case_count: int
-    event_count: int
-    peak_bytes: int
-
-
-def run_convergence(
-    params: ScenarioParams = ScenarioParams(),
-    seg_size: int = DEFAULT_SEG_SIZE,
-    networked: bool = False,
-    mode: str = "single_batch",
-    batch_cases: int = 100,
-) -> ConvergenceResult:
-    """Mine the same log standalone and via the protocol, compare exactly."""
-    log_data, org_map = generate_scenario_log(params)
-    partitions = partition_by_org(log_data, org_map)
-    t0 = time.perf_counter()
-    session = run_protocol(
-        partitions,
-        seg_size=seg_size,
-        networked=networked,
-        mode=mode,
-        batch_cases=batch_cases,
-    )
-    elapsed = time.perf_counter() - t0
-    reference = standalone_net(log_data)
-    assert session.net is not None
-    equal = serialize_net(session.net) == serialize_net(reference)
-    return ConvergenceResult(
-        equal=equal,
-        confine_net=session.net,
-        standalone=reference,
-        elapsed_s=elapsed,
-        case_count=len(log_data),
-        event_count=log_data.event_count(),
-        peak_bytes=session.budget.peak,
-    )
-
-
 # ---------------------------------------------------------------------------
 # experiment cells and the memory experiment
 
@@ -273,9 +228,14 @@ def _write_table(out_dir: str | Path | None, name: str, rows: list[dict]) -> Non
 
 
 def _scenario(params: ScenarioParams) -> tuple[dict[str, EventLog], str]:
-    """A scenario's per-org partitions and its standalone net's JSON text."""
+    """A scenario's per-org partitions and its standalone net's JSON text.
+
+    A log without cases has no net, and its session refuses to mine with a
+    DeliveryError before anything is compared.
+    """
     log_data, org_map = generate_scenario_log(params)
-    return partition_by_org(log_data, org_map), serialize_net(standalone_net(log_data))
+    reference = serialize_net(standalone_net(log_data)) if len(log_data) else ""
+    return partition_by_org(log_data, org_map), reference
 
 
 def _run_cell(
@@ -311,6 +271,19 @@ def _run_cell(
         "final_in_use": session.budget.in_use,
         "converged": session.net is not None and serialize_net(session.net) == reference,
     }
+
+
+def run_convergence(
+    params: ScenarioParams = ScenarioParams(),
+    seg_size: int = DEFAULT_SEG_SIZE,
+    **cell_args,
+) -> dict:
+    """Mine a scenario standalone and via the protocol, as one recorded cell.
+
+    Returns the ``_run_cell`` row, whose ``converged`` is the exact net
+    comparison; ``metrics_dir`` and ``run_protocol``'s keywords pass through.
+    """
+    return _run_cell(*_scenario(params), seg_size, **cell_args)
 
 
 def run_memory_experiment(
@@ -508,9 +481,9 @@ def split_real_log(log_data: EventLog, scheme: str) -> dict[str, EventLog]:
     if scheme == "bpic_departments":
         orgs = sorted({org for rows in log_data.cases.values() for _, org, _ in rows})
         if "" in orgs:
-            raise ValueError("bpic_departments needs an org value on every event")
+            raise PartitionError("bpic_departments needs an org value on every event")
         if len(orgs) != 3:
-            raise ValueError(
+            raise PartitionError(
                 f"bpic_departments expects exactly 3 departments, found {len(orgs)}: "
                 + ", ".join(orgs)
             )

@@ -435,7 +435,7 @@ class MinerSession:
         self._metric()
         self._flush()
         if self.stats.case_count == 0:
-            raise ValueError("no eligible cases were delivered, nothing to mine")
+            raise DeliveryError("no eligible cases were delivered, nothing to mine")
         self.net = build_net(self.stats, self.miner_config)
         self._metric()
         return self.net

@@ -53,8 +53,13 @@ def test_split_requires_scheme():
 
 def test_converge_reports_equal_nets(tmp_path, capsys):
     assert main(["converge", "--cases", "20", "--seg-size", "4KB", "--out", str(tmp_path)]) == 0
-    assert "converged=True" in capsys.readouterr().out
-    assert (tmp_path / "confine_net.json").read_bytes() == (tmp_path / "standalone_net.json").read_bytes()
+    line = capsys.readouterr().out
+    assert line.startswith("converged=True cases=20 events=") and " peak=" in line
+    # one cell's output: its metrics CSV, and no nets
+    assert [p.name for p in tmp_path.iterdir()] == ["segsize_4096_metrics.csv"]
+    rows = (tmp_path / "segsize_4096_metrics.csv").read_text().splitlines()
+    assert rows[0] == "t_ms,stage,in_use_bytes,peak_bytes"
+    assert {row.split(",")[1] for row in rows[1:]} == {"init", "attest", "transmit", "compute"}
 
 
 def test_mem_writes_its_summary(tmp_path):
@@ -139,6 +144,28 @@ def test_expected_failures_print_one_line(tmp_path, capsys, log_name, message):
     assert main(["mine", "--log", str(tmp_path / log_name)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", "--log", "two_orgs.csv", "--map", "map.txt"], "map.txt is not JSON"),
+        (["split", "--log", "two_orgs.csv", "--scheme", "bpic_departments"], "exactly 3 departments"),
+        (["split", "--log", "blank_org.csv", "--scheme", "bpic_departments"], "an org value on every event"),
+        (["converge", "--cases", "0"], "no eligible cases were delivered"),
+    ],
+    ids=["partition-map-not-json", "split-two-orgs", "split-blank-org", "converge-no-cases"],
+)
+def test_refused_inputs_print_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    header = "case,timestamp,activity,org\n"
+    (tmp_path / "two_orgs.csv").write_text(header + "c1,2022-01-01T00:00:00Z,A,H\nc1,2022-01-01T00:01:00Z,B,P\n")
+    (tmp_path / "blank_org.csv").write_text(header + "c1,2022-01-01T00:00:00Z,A,H\nc1,2022-01-01T00:01:00Z,B,\n")
+    (tmp_path / "map.txt").write_text("{A: H}")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "parts"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "parts").exists()
 
 
 def test_unreachable_provisioner_prints_one_line(capsys):

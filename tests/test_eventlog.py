@@ -459,16 +459,11 @@ def _write(path, text):
     return path
 
 
-def test_parse_log_reads_xes_by_suffix_or_by_format(tmp_path):
-    expected = parse_xes(XES_SAMPLE)
-    assert parse_log(_write(tmp_path / "log.XES", XES_SAMPLE)) == expected
-    assert parse_log(_write(tmp_path / "log.txt", XES_SAMPLE), fmt="xes") == expected
-
-
-def test_parse_log_refuses_an_unknown_format(tmp_path):
-    path = _write(tmp_path / "log.csv", "case,timestamp,activity,org\n")
-    with pytest.raises(ValueError, match="unknown log format 'json'"):
-        parse_log(path, fmt="json")
+def test_parse_log_reads_xes_by_suffix(tmp_path):
+    assert parse_log(_write(tmp_path / "log.XES", XES_SAMPLE)) == parse_xes(XES_SAMPLE)
+    # any other suffix is CSV, which an XES document is not
+    with pytest.raises(LogParseError):
+        parse_log(_write(tmp_path / "log.txt", XES_SAMPLE))
 
 
 def test_parse_log_malformed_xes_is_parse_error(tmp_path):
