@@ -32,7 +32,6 @@ __all__ = [
     "EnclaveIdentity",
     "AttestationReport",
     "ReferenceRegistry",
-    "Verdict",
     "make_report",
     "verify_report",
 ]
@@ -175,29 +174,22 @@ class ReferenceRegistry:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    """Outcome of report appraisal; rejection is a value, never an exception."""
-
-    trusted: bool
-    reason: str | None = None
-
-
 def verify_report(
     report: AttestationReport,
     expected_nonce: bytes,
     registry: ReferenceRegistry,
-) -> Verdict:
+) -> str | None:
     """Appraise evidence: genuine signature, fresh nonce, known measurement.
 
-    Returns a rejected verdict with reason bad_signature, stale_nonce or
-    unknown_measurement; malformed key or signature material counts as
-    bad_signature.
+    Returns None for a trusted report, else the rejection reason:
+    bad_signature, stale_nonce or unknown_measurement. Rejection is a
+    value, never an exception; malformed key or signature material counts
+    as bad_signature.
     """
     try:
         att_pub = serialization.load_der_public_key(report.att_pub)
         if not isinstance(att_pub, rsa.RSAPublicKey):
-            return Verdict(False, "bad_signature")
+            return "bad_signature"
         att_pub.verify(
             report.sig,
             _signing_input(report.measurement, report.nonce, report.enc_pub),
@@ -205,9 +197,9 @@ def verify_report(
             hashes.SHA256(),
         )
     except Exception:
-        return Verdict(False, "bad_signature")
+        return "bad_signature"
     if report.nonce != expected_nonce:
-        return Verdict(False, "stale_nonce")
+        return "stale_nonce"
     if report.measurement not in registry.measurements:
-        return Verdict(False, "unknown_measurement")
-    return Verdict(True, None)
+        return "unknown_measurement"
+    return None

@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .attest import ReferenceRegistry, default_measurement
@@ -58,11 +59,15 @@ def size_list(text: str) -> tuple[int, ...]:
     return tuple(parse_size(part) for part in text.split(","))
 
 
+def count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"count must be positive, got {text!r}")
+    return value
+
+
 def count_list(text: str) -> tuple[int, ...]:
-    counts = tuple(int(part) for part in text.split(","))
-    if min(counts) < 1:
-        raise ValueError(f"counts must be positive, got {text!r}")
-    return counts
+    return tuple(count(part) for part in text.split(","))
 
 
 def _add_host_port(parser: argparse.ArgumentParser, default_port: int) -> None:
@@ -92,20 +97,15 @@ def _miner_config(args: argparse.Namespace) -> MinerConfig:
 
 def _add_scenario(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cases", type=int, default=1000)
-    parser.add_argument("--specialized-prob", type=float, default=1 / 3)
+    parser.add_argument("--specialized-prob", dest="specialized_care_prob", type=float, default=1 / 3)
     parser.add_argument("--loop-iterations", type=int, default=1)
     parser.add_argument("--org-count", type=int, default=3)
     parser.add_argument("--seed", type=int, default=42)
 
 
 def _scenario_params(args: argparse.Namespace) -> ScenarioParams:
-    return ScenarioParams(
-        cases=args.cases,
-        specialized_care_prob=args.specialized_prob,
-        loop_iterations=args.loop_iterations,
-        org_count=args.org_count,
-        seed=args.seed,
-    )
+    """The scenario set by whichever of its fields the subcommand takes as flags."""
+    return ScenarioParams(**{f.name: getattr(args, f.name) for f in fields(ScenarioParams) if f.name in args})
 
 
 def _write_net(net, out_dir: str | None) -> None:
@@ -164,7 +164,7 @@ def _cmd_miner(args: argparse.Namespace) -> int:
         mode=args.mode,
         batch_cases=args.batch_cases,
         capacity=args.capacity,
-        miner_config=_miner_config(args),
+        miner_config=args.miner_config,
         miner_id=args.miner_id,
     )
     receiver = MinerReceiver(session, host=args.host, port=args.port).start()
@@ -185,20 +185,22 @@ def _cmd_miner(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    net = standalone_net(parse_log(args.log), _miner_config(args))
-    _write_net(net, args.out)
+    log_data = parse_log(args.log)
+    if not len(log_data):
+        raise LogParseError(f"{args.log} holds no events to mine")
+    _write_net(standalone_net(log_data, args.miner_config), args.out)
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    log_path, map_path = write_scenario_files(args.out, _scenario_params(args))
+    log_path, map_path = write_scenario_files(args.out, args.params)
     print(f"wrote {log_path} and {map_path}")
     return 0
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     row = run_convergence(
-        params=_scenario_params(args),
+        params=args.params,
         seg_size=args.seg_size,
         metrics_dir=args.out,
         networked=args.networked,
@@ -218,7 +220,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 def _cmd_mem(args: argparse.Namespace) -> int:
     summary = run_memory_experiment(
         out_dir=args.out,
-        params=_scenario_params(args),
+        params=args.params,
         seg_sizes=args.seg_sizes,
         capacity=args.capacity,
         mode=args.mode,
@@ -234,8 +236,8 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         out_dir=args.out,
         xs=args.xs,
         seg_sizes=args.seg_sizes,
-        cases=args.cases,
-        seed=args.seed,
+        cases=args.params.cases,
+        seed=args.params.seed,
     )
     print(f"test={summary['test']} all_converged={summary['all_converged']}")
     for seg, stats in summary["regressions"].items():
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("providers", nargs="+", help="provisioner base URLs")
     p.add_argument("--seg-size", type=parse_size, default=DEFAULT_SEG_SIZE)
     p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
-    p.add_argument("--batch-cases", type=int, default=100)
+    p.add_argument("--batch-cases", type=count, default=100)
     p.add_argument("--capacity", type=parse_size, default=DEFAULT_CAPACITY)
     p.add_argument("--miner-id", default="miner1")
     p.add_argument("--out", help="directory for net.json, net.dot, metrics.csv")
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seg-size", type=parse_size, default=DEFAULT_SEG_SIZE)
     p.add_argument("--networked", action="store_true", help="use localhost HTTP instead of loopback")
     p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
-    p.add_argument("--batch-cases", type=int, default=100)
+    p.add_argument("--batch-cases", type=count, default=100)
     p.add_argument("--out", help="directory for the session's metrics CSV")
     _add_scenario(p)
     p.set_defaults(func=_cmd_converge)
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seg-sizes", type=size_list, default=SWEEP_SIZES, help="comma list like 64KB,128KB,1MB")
     p.add_argument("--capacity", type=parse_size, default=DEFAULT_CAPACITY)
     p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
-    p.add_argument("--batch-cases", type=int, default=100)
+    p.add_argument("--batch-cases", type=count, default=100)
     _add_scenario(p)
     p.set_defaults(func=_cmd_mem)
 
@@ -354,7 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # the settings objects check their own values; one they refuse is a usage error
+    try:
+        if "cases" in args:
+            args.params = _scenario_params(args)
+        if "dependency_threshold" in args:
+            args.miner_config = _miner_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper(), logging.WARNING),
         format="%(asctime)s %(levelname)s %(name)s %(message)s",

@@ -181,13 +181,6 @@ class EventLog:
             ordered[ref] = rows
         object.__setattr__(self, "cases", ordered)
 
-    @classmethod
-    def from_events(cls, events: list[Event] | tuple[Event, ...], source_org: str | None = None) -> "EventLog":
-        by_case: dict[str, list[Row]] = {}
-        for ev in events:
-            by_case.setdefault(ev.case_ref, []).append((ev.timestamp, ev.org, ev.activity))
-        return cls(cases=by_case, source_org=source_org)
-
     def case_refs(self) -> list[str]:
         """Sorted references of all cases, possibly empty."""
         return list(self.cases)

@@ -20,14 +20,14 @@ import random
 import statistics
 import time
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 
 from .attest import EnclaveIdentity, ReferenceRegistry
 from .eventlog import EventLog, PartitionError, Row, parse_timestamp, partition_by_org, serialize_log
 from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, serialize_net
-from .miner import DEFAULT_CAPACITY, EnclaveMemoryExceeded, MinerReceiver, MinerSession
+from .miner import EnclaveMemoryExceeded, MinerReceiver, MinerSession
 from .provisioner import ProvisionerServer, ProvisionerService
 from .transport import HttpTransport, LoopbackHub
 from .wire import DEFAULT_SEG_SIZE, KIB, MIB, case_payload
@@ -45,7 +45,7 @@ __all__ = [
     "run_convergence",
     "SWEEP_SIZES",
     "run_memory_experiment",
-    "RegressionStats",
+    "fit_trends",
     "run_scalability_suite",
     "REFERENCE_SCALABILITY_STATS",
     "SEPSIS_SCHEME_MAP",
@@ -92,13 +92,13 @@ class ScenarioParams:
 
     def __post_init__(self) -> None:
         if self.cases < 0:
-            raise ValueError("cases must be >= 0")
+            raise ValueError(f"cases must be >= 0, got {self.cases}")
         if not 0.0 <= self.specialized_care_prob <= 1.0:
-            raise ValueError("specialized_care_prob outside [0, 1]")
+            raise ValueError(f"specialized_care_prob outside [0, 1], got {self.specialized_care_prob}")
         if self.loop_iterations < 1:
-            raise ValueError("loop_iterations must be >= 1")
+            raise ValueError(f"loop_iterations must be >= 1, got {self.loop_iterations}")
         if self.org_count < 1:
-            raise ValueError("org_count must be >= 1")
+            raise ValueError(f"org_count must be >= 1, got {self.org_count}")
 
 
 def activity_org_map(org_count: int = 3) -> dict[str, str]:
@@ -146,18 +146,13 @@ def shared_identity() -> EnclaveIdentity:
     return EnclaveIdentity.generate()
 
 
-def run_protocol(
-    partitions: dict[str, EventLog],
-    seg_size: int = DEFAULT_SEG_SIZE,
-    networked: bool = False,
-    mode: str = "single_batch",
-    batch_cases: int = 100,
-    capacity: int = DEFAULT_CAPACITY,
-) -> MinerSession:
+def run_protocol(partitions: dict[str, EventLog], networked: bool = False, **session_args) -> MinerSession:
     """Run one full protocol session against per-org provisioners.
 
-    Returns the finished session; the discovered net is on session.net,
-    budget and metrics on the session as well.
+    ``session_args`` (``seg_size``, ``mode``, ``batch_cases``, ``capacity``,
+    ``miner_config``) go to ``MinerSession`` as they are. Returns the
+    finished session; the discovered net is on session.net, budget and
+    metrics on the session as well.
     """
     identity = shared_identity()
     registry = ReferenceRegistry.of(identity.measurement)
@@ -166,12 +161,9 @@ def run_protocol(
         providers=[],
         transport=transport,
         callback_url="loop://miner",
-        seg_size=seg_size,
-        mode=mode,
-        batch_cases=batch_cases,
-        capacity=capacity,
         identity=identity,
         miner_id=_MINER_ID,
+        **session_args,
     )
     with ExitStack() as servers:
         if networked:
@@ -290,16 +282,14 @@ def run_memory_experiment(
     out_dir: str | Path | None = None,
     params: ScenarioParams = ScenarioParams(),
     seg_sizes: tuple[int, ...] = SWEEP_SIZES,
-    capacity: int = DEFAULT_CAPACITY,
-    mode: str = "single_batch",
-    batch_cases: int = 100,
+    **session_args,
 ) -> dict:
     """Run one session per segment size on one scenario.
 
     A run is ``single_segment`` when every org's partition fits one segment:
     it holds at most one case, or its case payloads sum to at most the
     segment size. Writes each run's metrics CSV, ``memory_runs.csv`` and
-    ``memory_summary.json``.
+    ``memory_summary.json``. ``session_args`` go to every session.
     """
     if not seg_sizes:
         raise ValueError("seg_sizes must not be empty")
@@ -307,7 +297,6 @@ def run_memory_experiment(
     payloads = [
         [len(case_payload(ref, rows, sub.stamps)) for ref, rows in sub.cases.items()] for sub in partitions.values()
     ]
-    session_args = {"capacity": capacity, "mode": mode, "batch_cases": batch_cases}
     runs = [
         {
             **_run_cell(partitions, reference, seg, out_dir, **session_args),
@@ -325,48 +314,31 @@ def run_memory_experiment(
 # regression statistics and scalability suite
 
 
-@dataclass(frozen=True, slots=True)
-class RegressionStats:
-    """Fit quality of linear and logarithmic trends plus the linear slope."""
+def fit_trends(xs: list[float], ys: list[float]) -> dict[str, float]:
+    """Least squares y = a + b*x and y = a + b*ln(x): ``r2_lin``, ``r2_log``, ``slope_hat``.
 
-    r2_lin: float
-    r2_log: float
-    slope_hat: float
+    Each r2 is its fit's squared correlation, and ``slope_hat`` is the
+    linear fit's b. Degenerate inputs (fewer than two points or zero
+    variance) report 0 by convention instead of failing, as does
+    ``r2_log`` when an x is not positive.
+    """
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
+    if len(xs) != len(ys):
+        raise ValueError("x and y series differ in length")
 
-    @classmethod
-    def fit(cls, xs: list[float], ys: list[float]) -> "RegressionStats":
-        """Least squares y = a + b*x and y = a + b*ln(x).
-
-        Degenerate inputs (fewer than two points or zero variance) report
-        0 by convention instead of failing.
-        """
-        xs = [float(x) for x in xs]
-        ys = [float(y) for y in ys]
-        if len(xs) != len(ys):
-            raise ValueError("x and y series differ in length")
-        if len(xs) < 2:
-            return cls(0.0, 0.0, 0.0)
-        slope = cls._slope(xs, ys)
-        r2_lin = cls._r2(xs, ys)
-        if all(x > 0 for x in xs):
-            r2_log = cls._r2([math.log(x) for x in xs], ys)
-        else:
-            r2_log = 0.0
-        return cls(r2_lin=r2_lin, r2_log=r2_log, slope_hat=slope)
-
-    @staticmethod
-    def _slope(xs: list[float], ys: list[float]) -> float:
+    def r2(us: list[float]) -> float:
         try:
-            return statistics.linear_regression(xs, ys).slope
+            return statistics.correlation(us, ys) ** 2
         except statistics.StatisticsError:
             return 0.0
 
-    @staticmethod
-    def _r2(xs: list[float], ys: list[float]) -> float:
-        try:
-            return statistics.correlation(xs, ys) ** 2
-        except statistics.StatisticsError:
-            return 0.0
+    try:
+        slope = statistics.linear_regression(xs, ys).slope
+    except statistics.StatisticsError:
+        slope = 0.0
+    r2_log = r2([math.log(x) for x in xs]) if all(x > 0 for x in xs) else 0.0
+    return {"r2_lin": r2(xs), "r2_log": r2_log, "slope_hat": slope}
 
 
 # Published campaign statistics (r2_lin, slope_hat, r2_log) per segment
@@ -412,7 +384,7 @@ def run_scalability_suite(
 
     Each cell is one session recorded as a memory run is, plus its x, and
     doubles as a convergence check. A ``memory_exceeded`` cell is left out
-    of the fit. Returns the cells plus RegressionStats per seg_size.
+    of the fit. Returns the cells plus the ``fit_trends`` of each seg_size.
     """
     if test not in _GRIDS:
         raise ValueError(f"unknown test {test!r}, expected one of {SCALABILITY_TESTS}")
@@ -430,7 +402,7 @@ def run_scalability_suite(
     regressions = {}
     for seg in seg_sizes:
         ok = [c for c in cells if c["seg_size"] == seg and c["status"] == "ok"]
-        regressions[str(seg)] = asdict(RegressionStats.fit([c["x"] for c in ok], [c["peak_bytes"] for c in ok]))
+        regressions[str(seg)] = fit_trends([c["x"] for c in ok], [c["peak_bytes"] for c in ok])
 
     summary = {
         "test": test,

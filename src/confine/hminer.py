@@ -90,11 +90,11 @@ class MinerConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.dependency_threshold <= 1.0:
-            raise ValueError("dependency_threshold outside [0, 1]")
+            raise ValueError(f"dependency_threshold outside [0, 1], got {self.dependency_threshold}")
         if not 0.0 <= self.and_threshold <= 1.0:
-            raise ValueError("and_threshold outside [0, 1]")
+            raise ValueError(f"and_threshold outside [0, 1], got {self.and_threshold}")
         if self.min_df_count < 0:
-            raise ValueError("min_df_count must be >= 0")
+            raise ValueError(f"min_df_count must be >= 0, got {self.min_df_count}")
 
 
 @dataclass(frozen=True, slots=True)

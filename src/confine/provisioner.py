@@ -103,10 +103,10 @@ class ProvisionerService:
         if request is None:
             return Ack(status="rejected", reason="stale_nonce").to_dict()
 
-        verdict = verify_report(report, expected_nonce=report.nonce, registry=self.registry)
-        if not verdict.trusted:
-            log.info("org %s rejected attestation: %s", self.org_id, verdict.reason)
-            return Ack(status="rejected", reason=verdict.reason).to_dict()
+        rejection = verify_report(report, expected_nonce=report.nonce, registry=self.registry)
+        if rejection is not None:
+            log.info("org %s rejected attestation: %s", self.org_id, rejection)
+            return Ack(status="rejected", reason=rejection).to_dict()
 
         failure = self._deliver(request, report.enc_pub)
         if failure is not None:

@@ -107,6 +107,14 @@ class SilentProvisioner:
         return Ack(status="trusted").to_dict()
 
 
+def log_of(records) -> EventLog:
+    """A log of ``(case_ref, timestamp, org, activity)`` records, grouped by case."""
+    cases: dict[str, list] = {}
+    for ref, *row in records:
+        cases.setdefault(ref, []).append(tuple(row))
+    return EventLog(cases)
+
+
 def activities(rows) -> tuple[str, ...]:
     """A case's activity sequence, read from its rows in their order."""
     return tuple(activity for _, _, activity in rows)
@@ -155,8 +163,8 @@ def clinic_log() -> EventLog:
 
 @pytest.fixture(scope="session")
 def merged_log(hospital_log, pharma_log, clinic_log) -> EventLog:
-    events = hospital_log.events() + pharma_log.events() + clinic_log.events()
-    return EventLog.from_events(events)
+    subs = (hospital_log, pharma_log, clinic_log)
+    return log_of((ref, *row) for sub in subs for ref, rows in sub.cases.items() for row in rows)
 
 
 @pytest.fixture(scope="session")

@@ -12,15 +12,15 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import T_312, T_711, enclave_rows
+from conftest import T_312, T_711, enclave_rows, log_of
 from confine.attest import ReferenceRegistry, make_report, verify_report
-from confine.eventlog import Event, EventLog, format_timestamp, merge_case, partition_by_org
+from confine.eventlog import EventLog, format_timestamp, merge_case, partition_by_org
 from confine.harness import (
     ALL_ACTIVITIES,
     REFERENCE_SCALABILITY_STATS,
-    RegressionStats,
     SCALABILITY_TESTS,
     ScenarioParams,
+    fit_trends,
     generate_scenario_log,
     run_convergence,
     run_memory_experiment,
@@ -113,8 +113,7 @@ def test_criterion_05_attestation_soundness(identity):
         # every honest report with a registered measurement is accepted
         for _ in range(50):
             nonce = rng.randbytes(16)
-            verdict = verify_report(make_report(identity, nonce), nonce, registry)
-            assert verdict.trusted
+            assert verify_report(make_report(identity, nonce), nonce, registry) is None
 
         # per-field bit-flip fuzz, >= 1000 trials, all rejected
         trials = rejected = 0
@@ -130,7 +129,7 @@ def test_criterion_05_attestation_soundness(identity):
                     mutated[bit // 8] ^= 1 << (bit % 8)
                     forged = dataclasses.replace(report, **{name: bytes(mutated)})
                     trials += 1
-                    if not verify_report(forged, nonce, registry).trusted:
+                    if verify_report(forged, nonce, registry) is not None:
                         rejected += 1
         assert trials >= 1000
         assert rejected == trials, f"{trials - rejected} forgeries slipped through"
@@ -138,14 +137,11 @@ def test_criterion_05_attestation_soundness(identity):
         # a report replayed against a fresh challenge reads as stale
         old_nonce = rng.randbytes(16)
         replayed = make_report(identity, old_nonce)
-        verdict = verify_report(replayed, rng.randbytes(16), registry)
-        assert not verdict.trusted and verdict.reason == "stale_nonce"
+        assert verify_report(replayed, rng.randbytes(16), registry) == "stale_nonce"
 
         # and a provisioner consumes each challenge on first use
         base = datetime(2022, 5, 1, tzinfo=timezone.utc)
-        tiny = EventLog.from_events(
-            [Event("c1", "A", base), Event("c1", "B", base + timedelta(minutes=1))]
-        )
+        tiny = log_of([("c1", base, "", "A"), ("c1", base + timedelta(minutes=1), "", "B")])
         pushes: list[dict] = []
         svc = ProvisionerService(
             org_id="X", log_data=tiny, registry=registry,
@@ -164,13 +160,13 @@ def test_criterion_05_attestation_soundness(identity):
 def _random_log(rng: random.Random) -> EventLog:
     acts = [f"A{k}" for k in range(12)]
     base = datetime(2022, 3, 1, tzinfo=timezone.utc)
-    events = []
+    records = []
     for c in range(rng.randint(1, 40)):
         ref = f"r{c:03d}"
         for _ in range(rng.randint(1, 20)):
             ts = base + timedelta(minutes=rng.randint(0, 10000))
-            events.append(Event(ref, rng.choice(acts), ts, "X"))
-    return EventLog.from_events(events)
+            records.append((ref, ts, "X", rng.choice(acts)))
+    return log_of(records)
 
 
 def test_criterion_06_segmentation_invariants():
@@ -243,13 +239,13 @@ def test_criterion_09_scalability_grid(tmp_path):
     with _criterion(9, "scalability grids and calibration"):
         # regression calibration on noiseless series, 1e-9 recovery
         xs = [1, 2, 4, 8, 16, 32]
-        lin = RegressionStats.fit(xs, [0.25 * x + 3.0 for x in xs])
-        assert abs(lin.slope_hat - 0.25) < 1e-9
-        assert abs(lin.r2_lin - 1.0) < 1e-9
+        lin = fit_trends(xs, [0.25 * x + 3.0 for x in xs])
+        assert abs(lin["slope_hat"] - 0.25) < 1e-9
+        assert abs(lin["r2_lin"] - 1.0) < 1e-9
         import math
 
-        logfit = RegressionStats.fit(xs, [1.5 * math.log(x) + 2.0 for x in xs])
-        assert abs(logfit.r2_log - 1.0) < 1e-9
+        logfit = fit_trends(xs, [1.5 * math.log(x) + 2.0 for x in xs])
+        assert abs(logfit["r2_log"] - 1.0) < 1e-9
 
         expected_cells = {"events": 24, "cases": 21, "orgs": 24}
         for test in SCALABILITY_TESTS:

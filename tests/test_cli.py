@@ -1,15 +1,28 @@
 """Command line smoke tests: the README quick start and each driver, run in-process."""
 
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
 from confine.attest import ReferenceRegistry, default_measurement
 from confine.cli import main
 from confine.eventlog import parse_log, serialize_log
+from confine.harness import standalone_net
+from confine.hminer import serialize_net
 from confine.provisioner import ProvisionerServer, ProvisionerService
 from confine.transport import HttpTransport
+
+from conftest import HOSPITAL_CSV
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_quick_start_protocol_equals_local_mining(tmp_path):
@@ -43,6 +56,35 @@ def test_quick_start_protocol_equals_local_mining(tmp_path):
     net = (demo / "out" / "net.json").read_bytes()
     assert net == (demo / "ref" / "net.json").read_bytes()
     assert (demo / "out" / "metrics.csv").exists()
+
+
+def test_provisioner_serves_its_refs_until_interrupted(tmp_path):
+    log_path = tmp_path / "H.csv"
+    log_path.write_text(HOSPITAL_CSV, encoding="utf-8")
+    argv = [sys.executable, "-m", "confine.cli", "provisioner", "--log", str(log_path), "--org", "H", "--port", "0"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        # a child of a shell that ignores SIGINT would inherit that and never stop on it
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as proc:
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0], "no start-up line within 30 s"
+            line = proc.stdout.readline()
+            assert line.startswith("provisioner H: 2 cases at http://127.0.0.1:"), line
+            url = line.rsplit(" ", 1)[1].strip()
+            with urllib.request.urlopen(f"{url}/caserefs?miner_id=x", timeout=5) as resp:
+                assert json.load(resp) == {"org": "H", "refs": ["312", "711"]}
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()
+
+
+def test_mine_writes_the_net_to_stdout(tmp_path, capsys):
+    log_path = tmp_path / "H.csv"
+    log_path.write_text(HOSPITAL_CSV, encoding="utf-8")
+    assert main(["mine", "--log", str(log_path)]) == 0
+    assert capsys.readouterr().out == serialize_net(standalone_net(parse_log(log_path)))
 
 
 def test_split_requires_scheme():
@@ -137,10 +179,38 @@ def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
-    "log_name, message", [("missing.csv", "missing.csv"), ("bad_stamp.csv", "yesterday")], ids=["missing-log", "bad-stamp"]
+    "argv, message",
+    [
+        (["converge", "--cases", "-1"], "cases must be >= 0, got -1"),
+        (["scale", "--test", "events", "--cases", "-1"], "cases must be >= 0, got -1"),
+        (["gen", "--specialized-prob", "2"], "specialized_care_prob outside [0, 1], got 2.0"),
+        (["converge", "--org-count", "0"], "org_count must be >= 1, got 0"),
+        (["mine", "--log", "x.csv", "--dependency-threshold", "2"], "dependency_threshold outside [0, 1], got 2.0"),
+        (["converge", "--cases", "5", "--mode", "incremental", "--batch-cases", "0"], "--batch-cases: invalid count value: '0'"),
+        (["mem", "--cases", "5", "--mode", "incremental", "--batch-cases", "0"], "--batch-cases: invalid count value: '0'"),
+        (["miner", "http://127.0.0.1:1", "--mode", "incremental", "--batch-cases", "0"],
+         "--batch-cases: invalid count value: '0'"),
+    ],
+    ids=["converge-cases", "scale-cases", "gen-specialized-prob", "converge-org-count", "mine-dependency-threshold",
+         "converge-batch-cases", "mem-batch-cases", "miner-batch-cases"],
+)
+def test_refused_settings_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "log_name, message",
+    [("missing.csv", "missing.csv"), ("bad_stamp.csv", "yesterday"), ("header_only.csv", "header_only.csv")],
+    ids=["missing-log", "bad-stamp", "no-events"],
 )
 def test_expected_failures_print_one_line(tmp_path, capsys, log_name, message):
     (tmp_path / "bad_stamp.csv").write_text("case,timestamp,activity,org\nc1,yesterday,A,H\n", encoding="utf-8")
+    (tmp_path / "header_only.csv").write_text("case,timestamp,activity,org\n", encoding="utf-8")
     assert main(["mine", "--log", str(tmp_path / log_name)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err

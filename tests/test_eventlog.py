@@ -27,7 +27,7 @@ from confine.eventlog import (
     serialize_log,
 )
 
-from conftest import CLINIC_CSV, T_312, activities
+from conftest import CLINIC_CSV, T_312, activities, log_of
 
 UTC = timezone.utc
 
@@ -281,32 +281,27 @@ def test_case_rows_sort_on_construction():
     assert activities(rows) == ("A", "C", "B")
 
 
-def _random_events(rng: random.Random, n: int) -> list[Event]:
+def _random_records(rng: random.Random, n: int) -> list[tuple]:
     base = parse_timestamp("2022-01-01T00:00")
     out = []
     for _ in range(n):
-        out.append(
-            Event(
-                case_ref="1",
-                activity=rng.choice("ABCDE"),
-                timestamp=base.replace(minute=rng.randrange(60)),
-                org=rng.choice(["X", "Y", "Z"]),
-            )
-        )
+        activity = rng.choice("ABCDE")
+        timestamp = base.replace(minute=rng.randrange(60))
+        out.append(("1", timestamp, rng.choice(["X", "Y", "Z"]), activity))
     return out
 
 
 def test_ordering_is_deterministic_and_idempotent():
     rng = random.Random(9)
-    events = _random_events(rng, 40)
+    records = _random_records(rng, 40)
     for _ in range(5):
-        shuffled = events[:]
+        shuffled = records[:]
         rng.shuffle(shuffled)
-        log = EventLog.from_events(shuffled)
-        again = EventLog.from_events(log.events())
+        log = log_of(shuffled)
+        again = log_of(("1", *row) for row in log.cases["1"])
         assert log.cases["1"] == again.cases["1"]
-        oracle = sorted(events, key=lambda e: (e.timestamp, e.org, e.activity))
-        assert log.events() == oracle
+        oracle = sorted(records, key=lambda r: (r[1], r[2], r[3]))
+        assert log.events() == [Event(ref, act, ts, org) for ref, ts, org, act in oracle]
 
 
 # -- CSV parsing --------------------------------------------------------------
@@ -521,7 +516,7 @@ def test_format_rows_matches_csv_writer(rows):
 
 @pytest.mark.parametrize("activity", ["A\rB", "A\r\rB"])
 def test_serialize_round_trips_a_bare_carriage_return(activity):
-    log = EventLog.from_events([Event("c1", activity, parse_timestamp("2022-07-14T10:36"), "H")])
+    log = log_of([("c1", parse_timestamp("2022-07-14T10:36"), "H", activity)])
     text = serialize_log(log)
     assert text == f'case,timestamp,activity,org\nc1,2022-07-14T10:36:00.000Z,"{activity}",H\n'
     assert parse_csv(text) == log
@@ -593,11 +588,12 @@ def test_partition_union_is_event_multiset_identity(seed, k):
     rng = random.Random(seed)
     acts = [f"A{i}" for i in range(12)]
     base = parse_timestamp("2022-01-01T00:00")
-    events = []
+    records = []
     for c in range(rng.randrange(1, 8)):
         for _ in range(rng.randrange(1, 10)):
-            events.append(Event(f"c{c}", rng.choice(acts), base.replace(hour=rng.randrange(24))))
-    log = EventLog.from_events(events)
+            activity = rng.choice(acts)
+            records.append((f"c{c}", base.replace(hour=rng.randrange(24)), "", activity))
+    log = log_of(records)
     mapping = {a: f"O{rng.randrange(k)}" for a in acts}
     parts = partition_by_org(log, mapping)
     union = [ev for sub in parts.values() for ev in sub.events()]

@@ -1,7 +1,6 @@
 """Experiment harness tests: scenario generator, memory runs, regressions, splits."""
 
 import csv
-import dataclasses
 import json
 import time
 from datetime import datetime, timedelta, timezone
@@ -10,7 +9,6 @@ import pytest
 
 from confine.eventlog import (
     Event,
-    EventLog,
     PartitionError,
     parse_csv,
     parse_timestamp,
@@ -22,7 +20,6 @@ from confine.harness import (
     ALL_ACTIVITIES,
     LOOP_UNIT,
     REFERENCE_SCALABILITY_STATS,
-    RegressionStats,
     SCALABILITY_TESTS,
     SCENARIO_ORG_MAP,
     SEPSIS_SCHEME_MAP,
@@ -32,6 +29,7 @@ from confine.harness import (
     VARIANT_SPECIALIZED,
     VARIANT_STANDARD,
     activity_org_map,
+    fit_trends,
     generate_scenario_log,
     run_convergence,
     run_memory_experiment,
@@ -45,6 +43,8 @@ from confine.hminer import serialize_net
 from confine.miner import STAGES
 from confine import harness
 from confine.wire import KIB, segment_log
+
+from conftest import log_of
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +344,11 @@ def test_memory_refuses_empty_seg_sizes():
 def test_regression_recovers_perfect_linear_trend():
     xs = list(range(1, 9))
     ys = [3.0 * x + 7.0 for x in xs]
-    stats = RegressionStats.fit(xs, ys)
-    assert abs(stats.r2_lin - 1.0) < 1e-9
-    assert abs(stats.slope_hat - 3.0) < 1e-9
-    assert 0.0 < stats.r2_log < 0.999
+    stats = fit_trends(xs, ys)
+    assert list(stats) == ["r2_lin", "r2_log", "slope_hat"]
+    assert abs(stats["r2_lin"] - 1.0) < 1e-9
+    assert abs(stats["slope_hat"] - 3.0) < 1e-9
+    assert 0.0 < stats["r2_log"] < 0.999
 
 
 def test_regression_recovers_perfect_log_trend():
@@ -355,26 +356,25 @@ def test_regression_recovers_perfect_log_trend():
 
     xs = list(range(1, 9))
     ys = [2.0 * math.log(x) + 5.0 for x in xs]
-    stats = RegressionStats.fit(xs, ys)
-    assert abs(stats.r2_log - 1.0) < 1e-9
-    assert stats.r2_lin < 0.999
+    stats = fit_trends(xs, ys)
+    assert abs(stats["r2_log"] - 1.0) < 1e-9
+    assert stats["r2_lin"] < 0.999
 
 
 @pytest.mark.parametrize("xs,ys", [([], []), ([1.0], [2.0])])
 def test_regression_too_few_points(xs, ys):
-    assert RegressionStats.fit(xs, ys) == RegressionStats(0.0, 0.0, 0.0)
+    assert fit_trends(xs, ys) == {"r2_lin": 0.0, "r2_log": 0.0, "slope_hat": 0.0}
 
 
 def test_regression_zero_variance_reports_zero():
-    flat = RegressionStats.fit([1, 2, 3, 4], [5.0, 5.0, 5.0, 5.0])
-    assert flat.r2_lin == 0.0 and flat.r2_log == 0.0
-    same_x = RegressionStats.fit([2, 2, 2], [1.0, 2.0, 3.0])
-    assert same_x == RegressionStats(0.0, 0.0, 0.0)
+    flat = fit_trends([1, 2, 3, 4], [5.0, 5.0, 5.0, 5.0])
+    assert flat["r2_lin"] == 0.0 and flat["r2_log"] == 0.0
+    assert fit_trends([2, 2, 2], [1.0, 2.0, 3.0]) == {"r2_lin": 0.0, "r2_log": 0.0, "slope_hat": 0.0}
 
 
 def test_regression_length_mismatch():
     with pytest.raises(ValueError):
-        RegressionStats.fit([1, 2], [1.0])
+        fit_trends([1, 2], [1.0])
 
 
 def test_reference_stats_shape():
@@ -419,8 +419,8 @@ def test_scalability_fit_leaves_out_exhausted_cells(monkeypatch):
     statuses = [c["status"] for c in summary["cells"]]
     assert statuses == ["ok", "ok", "ok", "memory_exceeded"]
     ok = summary["cells"][:3]
-    fit = RegressionStats.fit([c["x"] for c in ok], [c["peak_bytes"] for c in ok])
-    assert summary["regressions"][str(100 * KIB)] == dataclasses.asdict(fit)
+    fit = fit_trends([c["x"] for c in ok], [c["peak_bytes"] for c in ok])
+    assert summary["regressions"][str(100 * KIB)] == fit
     assert not summary["all_converged"]
 
 
@@ -441,11 +441,7 @@ def test_scalability_unknown_test():
 
 def _toy_log(rows):
     base = datetime(2022, 1, 1, tzinfo=timezone.utc)
-    events = [
-        Event(ref, act, base + timedelta(minutes=i), org)
-        for i, (ref, act, org) in enumerate(rows)
-    ]
-    return EventLog.from_events(events)
+    return log_of((ref, base + timedelta(minutes=i), org, act) for i, (ref, act, org) in enumerate(rows))
 
 
 def test_split_sepsis_care_paths():
@@ -532,6 +528,6 @@ def test_protocol_matches_standalone_when_holders_tie():
     # the activity, which orders the pooled log and the merge alike
     t0 = datetime(2022, 7, 14, 10, tzinfo=timezone.utc)
     t1 = t0 + timedelta(hours=1)
-    log = EventLog.from_events([Event("c1", "S", t0), Event("c1", "B", t1), Event("c1", "A", t1)])
+    log = log_of([("c1", t0, "", "S"), ("c1", t1, "", "B"), ("c1", t1, "", "A")])
     parts = partition_by_org(log, {"S": "X", "B": "X", "A": "Y"})
     assert serialize_net(run_protocol(parts).net) == serialize_net(standalone_net(log))

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confine.eventlog import Event, EventLog, merge_case, parse_timestamp, partition_by_org
+from confine.eventlog import EventLog, merge_case, parse_timestamp, partition_by_org
 from confine.harness import ScenarioParams, generate_scenario_log, run_protocol, standalone_net
 from confine.hminer import serialize_net
 from confine.miner import LEDGER_ENTRY_BYTES, DeliveryError, IncompleteDeliveryError, MinerSession
 from confine.transport import LoopbackHub
 from confine.wire import KIB, segment_log
 
-from conftest import T_312, T_711, SilentProvisioner, activities, enclave_rows, held_bytes, sealed_envelopes
+from conftest import T_312, T_711, SilentProvisioner, activities, enclave_rows, held_bytes, log_of, sealed_envelopes
 
 
 def test_merge_case_312_ground_truth(hospital_log, pharma_log, clinic_log):
@@ -81,8 +81,8 @@ def test_merge_random_split_equals_global_sort(records):
         for h in range(4)
         if any(rec[3] == h for rec in records)
     ]
-    events = [Event("c1", activity, ts, org) for ts, org, activity, _ in records]
-    assert merge_case(parts) == activities(EventLog.from_events(events).cases["c1"])
+    pooled = log_of(("c1", ts, org, activity) for ts, org, activity, _ in records)
+    assert merge_case(parts) == activities(pooled.cases["c1"])
 
 
 # -- the protocol equals standalone mining for every split ---------------------
@@ -93,15 +93,9 @@ def test_merge_random_split_equals_global_sort(records):
 def _split_log(rows, holders: int) -> tuple[EventLog, dict[str, EventLog]]:
     """The pooled log and each holder's share of it."""
     base = parse_timestamp("2024-01-01T10:00")
-    events = [
-        (Event(ref, act, base + timedelta(minutes=minute)), holder)
-        for ref, act, minute, holder in rows
-    ]
-    parts = {
-        f"org{h}": EventLog.from_events([ev for ev, holder in events if holder == h])
-        for h in range(holders)
-    }
-    return EventLog.from_events([ev for ev, _ in events]), parts
+    records = [((ref, base + timedelta(minutes=minute), "", act), holder) for ref, act, minute, holder in rows]
+    parts = {f"org{h}": log_of(rec for rec, holder in records if holder == h) for h in range(holders)}
+    return log_of(rec for rec, _ in records), parts
 
 
 def test_identical_records_of_two_holders_match_standalone():

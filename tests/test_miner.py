@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from confine.attest import ReferenceRegistry
-from confine.eventlog import Event, EventLog, LogParseError, parse_timestamp, partition_by_org
+from confine.eventlog import LogParseError, parse_timestamp, partition_by_org
 from confine.harness import ScenarioParams, generate_scenario_log, standalone_net
 from confine.hminer import serialize_net
 from confine.miner import (
@@ -46,7 +46,7 @@ from confine.wire import (
     unwrap_key,
 )
 
-from conftest import SilentProvisioner, acks, held_bytes, http_request
+from conftest import SilentProvisioner, acks, held_bytes, http_request, log_of
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +778,7 @@ def test_oversized_field_ends_session_in_parse_error(identity):
     # the provider's in-memory log holds it, but no payload parser may take it
     stamp = parse_timestamp("2022-07-14T10:36")
     activity = "x" * (csv.field_size_limit() + 1)
-    log_data = EventLog.from_events([Event("c1", "A", stamp, "H"), Event("c1", activity, stamp, "H")])
+    log_data = log_of([("c1", stamp, "H", "A"), ("c1", stamp, "H", activity)])
     _, session = _setup({"H": log_data}, identity)
     with pytest.raises(LogParseError, match="field larger than field limit"):
         session.run()

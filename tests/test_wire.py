@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import confine.eventlog
 from confine.attest import AttestationReport, EnclaveIdentity
 from confine.eventlog import (
-    Event,
     EventLog,
     LogParseError,
     format_timestamp,
@@ -50,7 +49,7 @@ from confine.wire import (
     unwrap_key,
 )
 
-from conftest import HOSPITAL_CSV
+from conftest import HOSPITAL_CSV, log_of
 
 
 # -- size parsing -------------------------------------------------------------
@@ -139,6 +138,11 @@ def test_segment_log_unknown_refs_listed():
 def test_segment_log_empty_refs():
     log = _sized_log({"c1": 300})
     assert segment_log(log, [], 1500, "org1") == []
+
+
+def test_segment_log_refuses_a_zero_seg_size():
+    with pytest.raises(ValueError, match="seg_size must be >= 1, got 0"):
+        segment_log(_sized_log({"c1": 300}), ["c1"], 0, "org1")
 
 
 def _packing_oracle(sizes: list[tuple[str, int]], seg_size: int) -> list[list[str]]:
@@ -255,14 +259,13 @@ def test_parsed_case_sizes_equal_case_payload():
     # the sizes the miner charges must equal the canonical rows of each case,
     # also where csv quoting, line breaks inside fields or UTF-8 widen a row
     stamp = parse_timestamp("2022-07-14T10:36:00.000250Z")
-    events = [
-        Event("c1", "admit, triage", stamp, "H"),
-        Event("c1", 'say "ok"', parse_timestamp("2022-07-14T11:00:00.000Z"), "H"),
-        Event("c2", "line one\nline two", stamp, "Klinik Zürich"),
-        Event("c2", "discharge", parse_timestamp("2022-07-15T09:30:00.120Z"), "Klinik Zürich"),
-        Event("c3", "plain", stamp, "München"),
-    ]
-    log = EventLog.from_events(events)
+    log = log_of([
+        ("c1", stamp, "H", "admit, triage"),
+        ("c1", parse_timestamp("2022-07-14T11:00:00.000Z"), "H", 'say "ok"'),
+        ("c2", stamp, "Klinik Zürich", "line one\nline two"),
+        ("c2", parse_timestamp("2022-07-15T09:30:00.120Z"), "Klinik Zürich", "discharge"),
+        ("c3", stamp, "München", "plain"),
+    ])
     for seg_size in (1, 10_000):
         for seg in segment_log(log, log.case_refs(), seg_size, "H"):
             back, sizes = parse_segment_payload(seg.payload)
@@ -672,3 +675,11 @@ def test_b64u_rejects_foreign_characters(text):
 
     with pytest.raises(ValueError, match="invalid characters"):
         b64u_decode(text)
+
+
+def test_b64u_rejects_a_length_of_one_more_than_a_multiple_of_four():
+    from confine.wire import b64u_decode
+
+    # no base64 text of 4k+1 characters encodes whole bytes
+    with pytest.raises(ValueError, match="^bad base64url field: "):
+        b64u_decode("abcde")
