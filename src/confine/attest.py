@@ -21,7 +21,7 @@ from pathlib import Path
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
-from .wire import Message
+from .wire import Message, parse_json_object
 
 __all__ = [
     "NONCE_BYTES",
@@ -158,10 +158,9 @@ class ReferenceRegistry:
     @classmethod
     def from_json(cls, text: str) -> "ReferenceRegistry":
         try:
-            raw = json.loads(text)
-        except RecursionError:
-            raw = None  # nested too deeply to be a registry
-        digests = raw.get("accepted_measurements") if isinstance(raw, dict) else None
+            digests = parse_json_object(text).get("accepted_measurements")
+        except ValueError:
+            digests = None  # no JSON object, so no registry
         if not isinstance(digests, list) or not all(isinstance(d, str) for d in digests):
             raise ValueError("registry needs an accepted_measurements list of hex digests")
         return cls(frozenset(bytes.fromhex(d) for d in digests))

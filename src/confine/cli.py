@@ -12,7 +12,6 @@ import json
 import logging
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 from .attest import ReferenceRegistry, default_measurement
@@ -31,7 +30,7 @@ from .harness import (
 )
 from .hminer import MinerConfig, serialize_net
 from .miner import (
-    DEFAULT_CAPACITY,
+    MODES,
     AttestationRejectedError,
     DeliveryError,
     EnclaveMemoryExceeded,
@@ -42,7 +41,7 @@ from .miner import (
 )
 from .provisioner import ProvisionerServer, ProvisionerService
 from .transport import HttpTransport
-from .wire import DEFAULT_SEG_SIZE, EnvelopeFormatError, IntegrityError, parse_size
+from .wire import EnvelopeFormatError, IntegrityError, parse_json_object, parse_size
 
 log = logging.getLogger(__name__)
 
@@ -75,47 +74,59 @@ def _add_host_port(parser: argparse.ArgumentParser, default_port: int) -> None:
     parser.add_argument("--port", type=int, default=default_port, help="bind port, 0 for ephemeral")
 
 
-def _add_miner_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dependency-threshold", type=float, default=0.9)
-    parser.add_argument("--and-threshold", type=float, default=0.65)
-    parser.add_argument("--min-df-count", type=int, default=1)
-    parser.add_argument(
-        "--no-all-connected",
-        action="store_true",
-        help="drop the rescue arcs that keep every activity connected",
-    )
+# Each settings flag, under the object that holds its default. A flag left
+# out is missing from the parsed namespace, so that object's default applies.
+_SETTINGS = {
+    "ScenarioParams": {
+        "--cases": {"type": int},
+        "--specialized-prob": {"type": float, "dest": "specialized_care_prob"},
+        "--loop-iterations": {"type": int},
+        "--org-count": {"type": int},
+        "--seed": {"type": int},
+    },
+    "MinerConfig": {
+        "--dependency-threshold": {"type": float},
+        "--and-threshold": {"type": float},
+        "--min-df-count": {"type": int},
+        "--no-all-connected": {
+            "dest": "all_activities_connected",
+            "action": "store_false",
+            "help": "drop the rescue arcs that keep every activity connected",
+        },
+    },
+    "MinerSession": {
+        "--seg-size": {"type": parse_size},
+        "--mode": {"choices": MODES},
+        "--batch-cases": {"type": count},
+        "--capacity": {"type": parse_size},
+        "--miner-id": {},
+    },
+}
 
 
-def _miner_config(args: argparse.Namespace) -> MinerConfig:
-    return MinerConfig(
-        dependency_threshold=args.dependency_threshold,
-        and_threshold=args.and_threshold,
-        min_df_count=args.min_df_count,
-        all_activities_connected=not args.no_all_connected,
-    )
+def _add_settings(parser: argparse.ArgumentParser, owner: str, *flags: str) -> None:
+    """Add ``flags`` of ``owner``'s settings, or all of them, as one help group."""
+    description = f"a flag left out takes its default from {owner}"
+    group = parser.add_argument_group(f"{owner} settings", description, argument_default=argparse.SUPPRESS)
+    for flag in flags or _SETTINGS[owner]:
+        group.add_argument(flag, **_SETTINGS[owner][flag])
 
 
-def _add_scenario(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cases", type=int, default=1000)
-    parser.add_argument("--specialized-prob", dest="specialized_care_prob", type=float, default=1 / 3)
-    parser.add_argument("--loop-iterations", type=int, default=1)
-    parser.add_argument("--org-count", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=42)
+def _given(args: argparse.Namespace, owner: str) -> dict:
+    """The ``owner`` settings that were given as flags, by keyword (argparse's dest: --seg-size is seg_size)."""
+    names = (spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in _SETTINGS[owner].items())
+    return {name: getattr(args, name) for name in names if name in args}
 
 
-def _scenario_params(args: argparse.Namespace) -> ScenarioParams:
-    """The scenario set by whichever of its fields the subcommand takes as flags."""
-    return ScenarioParams(**{f.name: getattr(args, f.name) for f in fields(ScenarioParams) if f.name in args})
-
-
-def _write_net(net, out_dir: str | None) -> None:
+def _write(files: dict[str, bytes], out_dir: str | None) -> None:
+    """Print net.json, or write every file into out_dir."""
     if out_dir is None:
-        print(serialize_net(net, "json"), end="")
+        print(files["net.json"].decode("utf-8"), end="")
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "net.json").write_text(serialize_net(net, "json"), encoding="utf-8")
-    (out / "net.dot").write_text(serialize_net(net, "dot"), encoding="utf-8")
+    for name, data in files.items():
+        (out / name).write_bytes(data)
     print(f"wrote {out / 'net.json'} and {out / 'net.dot'}")
 
 
@@ -132,10 +143,13 @@ def _cmd_registry(args: argparse.Namespace) -> int:
 
 def _cmd_provisioner(args: argparse.Namespace) -> int:
     log_data = parse_log(args.log)
+    registry = ReferenceRegistry.of(default_measurement())
     if args.registry:
-        registry = ReferenceRegistry.load(args.registry)
-    else:
-        registry = ReferenceRegistry.of(default_measurement())
+        try:
+            registry = ReferenceRegistry.load(args.registry)
+        except ValueError as exc:  # the file holds no registry; UnicodeDecodeError included
+            print(f"error: {args.registry}: {exc}", file=sys.stderr)
+            return 1
     allowed = set(args.allow) if args.allow else {"*"}
     service = ProvisionerService(
         org_id=args.org,
@@ -160,12 +174,8 @@ def _cmd_miner(args: argparse.Namespace) -> int:
         providers=args.providers,
         transport=HttpTransport(),
         callback_url="",
-        seg_size=args.seg_size,
-        mode=args.mode,
-        batch_cases=args.batch_cases,
-        capacity=args.capacity,
         miner_config=args.miner_config,
-        miner_id=args.miner_id,
+        **args.session,
     )
     receiver = MinerReceiver(session, host=args.host, port=args.port).start()
     session.callback_url = receiver.url
@@ -178,9 +188,7 @@ def _cmd_miner(args: argparse.Namespace) -> int:
         f"mined {len(net.activities)} activities, {len(net.arcs)} arcs; "
         f"peak enclave memory {session.budget.peak} bytes"
     )
-    _write_net(net, args.out)
-    if args.out:
-        Path(args.out, "metrics.csv").write_bytes(session.exports()["metrics.csv"])
+    _write(session.exports(), args.out)
     return 0
 
 
@@ -188,7 +196,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     log_data = parse_log(args.log)
     if not len(log_data):
         raise LogParseError(f"{args.log} holds no events to mine")
-    _write_net(standalone_net(log_data, args.miner_config), args.out)
+    net = standalone_net(log_data, args.miner_config)
+    _write({f"net.{fmt}": serialize_net(net, fmt).encode("utf-8") for fmt in ("json", "dot")}, args.out)
     return 0
 
 
@@ -199,46 +208,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    row = run_convergence(
-        params=args.params,
-        seg_size=args.seg_size,
-        metrics_dir=args.out,
-        networked=args.networked,
-        mode=args.mode,
-        batch_cases=args.batch_cases,
-    )
+    row = run_convergence(args.params, metrics_dir=args.out, networked=args.networked, **args.session)
     if row["status"] != "ok":
         print(f"error: {row['error']}", file=sys.stderr)
         return 1
     print(
-        f"converged={row['converged']} cases={args.cases} events={row['events']} "
+        f"converged={row['converged']} cases={args.params.cases} events={row['events']} "
         f"elapsed={row['elapsed_ms'] / 1000:.2f}s peak={row['peak_bytes']}"
     )
     return 0 if row["converged"] else 1
 
 
 def _cmd_mem(args: argparse.Namespace) -> int:
-    summary = run_memory_experiment(
-        out_dir=args.out,
-        params=args.params,
-        seg_sizes=args.seg_sizes,
-        capacity=args.capacity,
-        mode=args.mode,
-        batch_cases=args.batch_cases,
-    )
+    summary = run_memory_experiment(args.out, args.params, args.seg_sizes, **args.session)
     print(json.dumps(summary, indent=2))
     return 0
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    summary = run_scalability_suite(
-        args.test,
-        out_dir=args.out,
-        xs=args.xs,
-        seg_sizes=args.seg_sizes,
-        cases=args.params.cases,
-        seed=args.params.seed,
-    )
+    summary = run_scalability_suite(args.test, args.out, args.xs, args.seg_sizes, args.params)
     print(f"test={summary['test']} all_converged={summary['all_converged']}")
     for seg, stats in summary["regressions"].items():
         print(
@@ -264,10 +252,12 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     try:
-        org_map = json.loads(Path(args.map).read_text(encoding="utf-8"))
+        org_map = parse_json_object(Path(args.map).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PartitionError(f"{args.map} is not JSON: {exc}") from None
-    if not isinstance(org_map, dict) or not all(isinstance(org, str) and org for org in org_map.values()):
+    except ValueError:  # no object, a NaN or Infinity constant, or nesting too deep to parse
+        org_map = None
+    if org_map is None or not all(isinstance(org, str) and org for org in org_map.values()):
         raise PartitionError(f"{args.map} must map each activity to a non-empty org name")
     _write_partitions(partition_by_org(parse_log(args.log), org_map), Path(args.out))
     return 0
@@ -292,52 +282,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("miner", help="mine a net from remote provisioners")
     p.add_argument("providers", nargs="+", help="provisioner base URLs")
-    p.add_argument("--seg-size", type=parse_size, default=DEFAULT_SEG_SIZE)
-    p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
-    p.add_argument("--batch-cases", type=count, default=100)
-    p.add_argument("--capacity", type=parse_size, default=DEFAULT_CAPACITY)
-    p.add_argument("--miner-id", default="miner1")
     p.add_argument("--out", help="directory for net.json, net.dot, metrics.csv")
-    _add_miner_config(p)
+    _add_settings(p, "MinerSession")
+    _add_settings(p, "MinerConfig")
     _add_host_port(p, 0)
     p.set_defaults(func=_cmd_miner)
 
     p = sub.add_parser("mine", help="mine a local log without the protocol")
     p.add_argument("--log", required=True)
     p.add_argument("--out", help="directory for net.json and net.dot; stdout otherwise")
-    _add_miner_config(p)
+    _add_settings(p, "MinerConfig")
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("gen", help="write the synthetic scenario log and org map")
     p.add_argument("--out", default="scenario")
-    _add_scenario(p)
+    _add_settings(p, "ScenarioParams")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("converge", help="compare protocol result against standalone mining")
-    p.add_argument("--seg-size", type=parse_size, default=DEFAULT_SEG_SIZE)
     p.add_argument("--networked", action="store_true", help="use localhost HTTP instead of loopback")
-    p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
-    p.add_argument("--batch-cases", type=count, default=100)
     p.add_argument("--out", help="directory for the session's metrics CSV")
-    _add_scenario(p)
+    _add_settings(p, "MinerSession", "--seg-size", "--mode", "--batch-cases")
+    _add_settings(p, "ScenarioParams")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("mem", help="memory experiment: one session per segment size")
     p.add_argument("--out", help="directory for each run's metrics CSV, the runs table and the summary")
     p.add_argument("--seg-sizes", type=size_list, default=SWEEP_SIZES, help="comma list like 64KB,128KB,1MB")
-    p.add_argument("--capacity", type=parse_size, default=DEFAULT_CAPACITY)
-    p.add_argument("--mode", choices=["single_batch", "incremental"], default="single_batch")
-    p.add_argument("--batch-cases", type=count, default=100)
-    _add_scenario(p)
+    _add_settings(p, "MinerSession", "--capacity", "--mode", "--batch-cases")
+    _add_settings(p, "ScenarioParams")
     p.set_defaults(func=_cmd_mem)
 
     p = sub.add_parser("scale", help="scalability sweep with per-cell convergence")
     p.add_argument("--test", choices=list(SCALABILITY_TESTS), required=True)
     p.add_argument("--xs", type=count_list, help="comma list of x values")
     p.add_argument("--seg-sizes", type=size_list, help="comma list like 100KB,1000KB")
-    p.add_argument("--cases", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="directory for summary JSON and cell CSV")
+    _add_settings(p, "ScenarioParams", "--cases", "--seed")
     p.set_defaults(func=_cmd_scale)
 
     p = sub.add_parser("split", help="split a real log by a named scheme")
@@ -360,12 +341,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # the settings objects check their own values; one they refuse is a usage error
     try:
-        if "cases" in args:
-            args.params = _scenario_params(args)
-        if "dependency_threshold" in args:
-            args.miner_config = _miner_config(args)
+        args.params = ScenarioParams(**_given(args, "ScenarioParams"))
+        args.miner_config = MinerConfig(**_given(args, "MinerConfig"))
     except ValueError as exc:
         parser.error(str(exc))
+    args.session = _given(args, "MinerSession")
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper(), logging.WARNING),
         format="%(asctime)s %(levelname)s %(name)s %(message)s",

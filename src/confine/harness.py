@@ -20,7 +20,7 @@ import random
 import statistics
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -137,9 +137,6 @@ def standalone_net(log_data: EventLog, config: MinerConfig = MinerConfig()) -> H
     return build_net(stats, config)
 
 
-_MINER_ID = "miner1"
-
-
 @functools.lru_cache(maxsize=1)
 def shared_identity() -> EnclaveIdentity:
     """One enclave identity per process; key generation is expensive."""
@@ -150,9 +147,9 @@ def run_protocol(partitions: dict[str, EventLog], networked: bool = False, **ses
     """Run one full protocol session against per-org provisioners.
 
     ``session_args`` (``seg_size``, ``mode``, ``batch_cases``, ``capacity``,
-    ``miner_config``) go to ``MinerSession`` as they are. Returns the
-    finished session; the discovered net is on session.net, budget and
-    metrics on the session as well.
+    ``miner_config``, ``miner_id``) go to ``MinerSession`` as they are, and
+    every provisioner allows its miner id. Returns the finished session;
+    the net is on session.net, budget and metrics on the session as well.
     """
     identity = shared_identity()
     registry = ReferenceRegistry.of(identity.measurement)
@@ -162,7 +159,6 @@ def run_protocol(partitions: dict[str, EventLog], networked: bool = False, **ses
         transport=transport,
         callback_url="loop://miner",
         identity=identity,
-        miner_id=_MINER_ID,
         **session_args,
     )
     with ExitStack() as servers:
@@ -178,7 +174,7 @@ def run_protocol(partitions: dict[str, EventLog], networked: bool = False, **ses
                 org_id=org,
                 log_data=partitions[org],
                 registry=registry,
-                allowed_miners={_MINER_ID},
+                allowed_miners={session.miner_id},
                 push=transport.push_segment,
             )
             if networked:
@@ -377,10 +373,9 @@ def run_scalability_suite(
     out_dir: str | Path | None = None,
     xs: tuple[int, ...] | None = None,
     seg_sizes: tuple[int, ...] | None = None,
-    cases: int = 1000,
-    seed: int = 42,
+    params: ScenarioParams = ScenarioParams(),
 ) -> dict:
-    """Sweep one scaling dimension over the segment-size grid.
+    """Sweep one scaling dimension of ``params`` over the segment-size grid.
 
     Each cell is one session recorded as a memory run is, plus its x, and
     doubles as a convergence check. A ``memory_exceeded`` cell is left out
@@ -396,7 +391,7 @@ def run_scalability_suite(
 
     cells: list[dict] = []
     for x in xs:
-        partitions, reference = _scenario(ScenarioParams(**{"cases": cases, "seed": seed, field: x}))
+        partitions, reference = _scenario(replace(params, **{field: x}))
         cells.extend({"x": x, **_run_cell(partitions, reference, seg)} for seg in seg_sizes)
 
     regressions = {}

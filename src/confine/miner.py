@@ -47,11 +47,14 @@ __all__ = [
     "MinerSession",
     "MinerReceiver",
     "DEFAULT_CAPACITY",
+    "MODES",
 ]
 
 log = logging.getLogger(__name__)
 
 DEFAULT_CAPACITY = 128 * MIB
+
+MODES = ("single_batch", "incremental")
 
 STAGES = ("init", "attest", "transmit", "compute")
 
@@ -176,7 +179,7 @@ class MinerSession:
         identity: EnclaveIdentity | None = None,
         miner_id: str = "miner1",
     ):
-        if mode not in ("single_batch", "incremental"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "incremental" and batch_cases < 1:
             raise ValueError("batch_cases must be >= 1")

@@ -25,6 +25,8 @@ from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
+from .wire import parse_json_object
+
 __all__ = [
     "TransportError", "HttpTransport", "LoopbackHub", "JsonServer", "BODY_ALLOWANCE",
     "answer", "provisioner_routes", "segment_routes",
@@ -42,11 +44,6 @@ SERVE_POLL_S = 0.05
 Routes = dict[tuple[str, str], Callable[[dict, "dict | None"], dict]]
 
 _CONNECTIONS = {"http": HTTPConnection, "https": HTTPSConnection}
-
-
-def _no_constant(name: str):
-    # json.loads reads Infinity, -Infinity and NaN, which RFC 8259 does not define
-    raise ValueError(f"{name} is not a JSON value")
 
 
 class TransportError(Exception):
@@ -133,11 +130,9 @@ class HttpTransport:
             with self._lock:
                 self._idle.setdefault(peer, []).append(conn)
         try:
-            answer = json.loads(raw, parse_constant=_no_constant)
-        except (ValueError, RecursionError):  # too deeply nested raises RecursionError
-            answer = None
-        if not isinstance(answer, dict):
-            raise TransportError(url, f"answer is not a JSON object (HTTP {status})", status)
+            answer = parse_json_object(raw)
+        except ValueError:
+            raise TransportError(url, f"answer is not a JSON object (HTTP {status})", status) from None
         if status >= 400:
             raise TransportError(url, answer.get("error", f"HTTP {status}"), status)
         return answer
@@ -235,10 +230,8 @@ class _JsonHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         try:
-            body = json.loads(raw, parse_constant=_no_constant)
-            if not isinstance(body, dict):
-                raise ValueError("body must be a JSON object")
-        except (ValueError, RecursionError) as exc:  # too deeply nested raises RecursionError
+            body = parse_json_object(raw)
+        except ValueError as exc:
             self._send(400, {"error": f"bad JSON body: {exc}"})
             return
         self._answer(body)

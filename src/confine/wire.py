@@ -17,6 +17,7 @@ import base64
 import csv
 import functools
 import io
+import json
 import os
 import re
 import sys
@@ -54,6 +55,7 @@ __all__ = [
     "Ack",
     "b64u_encode",
     "b64u_decode",
+    "parse_json_object",
 ]
 
 KIB = 1024
@@ -324,6 +326,22 @@ def b64u_decode(text: str) -> bytes:
         return base64.urlsafe_b64decode(stripped + "=" * pad)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad base64url field: {exc}") from None
+
+
+def _no_constant(name: str):
+    # json.loads reads Infinity, -Infinity and NaN, which RFC 8259 does not define
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def parse_json_object(text: str | bytes) -> dict:
+    """The JSON object in ``text``, refusing NaN and Infinity; else ValueError (JSONDecodeError for bad JSON)."""
+    try:
+        value = json.loads(text, parse_constant=_no_constant)
+    except RecursionError:
+        value = None  # nested too deeply to parse
+    if not isinstance(value, dict):
+        raise ValueError("not a JSON object")
+    return value
 
 
 _STRS = tuple[str, ...]

@@ -8,15 +8,17 @@ import socket
 import subprocess
 import sys
 import urllib.request
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
 
 from confine.attest import ReferenceRegistry, default_measurement
+from confine import cli
 from confine.cli import main
 from confine.eventlog import parse_log, serialize_log
-from confine.harness import standalone_net
-from confine.hminer import serialize_net
+from confine.harness import ScenarioParams, standalone_net
+from confine.hminer import MinerConfig, serialize_net
 from confine.provisioner import ProvisionerServer, ProvisionerService
 from confine.transport import HttpTransport
 
@@ -246,3 +248,133 @@ def test_unreachable_provisioner_prints_one_line(capsys):
         assert main(["miner", url]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and url in err
+
+
+SUBCOMMANDS = ["registry", "provisioner", "miner", "mine", "gen", "converge", "mem", "scale", "split", "partition"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_renders_for_every_subcommand(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: confine {command} ")
+
+
+# A parallel B and C after A, and one rare path through D: each miner setting changes this log's net
+TRACES = ["ABCE"] * 4 + ["ACBE"] * 4 + ["ADE"]
+
+
+def _write_traces(path: Path) -> Path:
+    rows = [f"c{i},2022-01-01T00:0{j}:00Z,{act},H" for i, trace in enumerate(TRACES) for j, act in enumerate(trace)]
+    path.write_text("\n".join(["case,timestamp,activity,org", *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_mine_takes_every_miner_setting(tmp_path, capsys):
+    log_path = _write_traces(tmp_path / "log.csv")
+    argv = ["mine", "--log", str(log_path), "--dependency-threshold", "0.5", "--and-threshold", "0.95",
+            "--min-df-count", "2", "--no-all-connected"]
+    assert main(argv) == 0
+    config = MinerConfig(dependency_threshold=0.5, and_threshold=0.95, min_df_count=2, all_activities_connected=False)
+    net = capsys.readouterr().out
+    assert net == serialize_net(standalone_net(parse_log(log_path), config))
+    # each flag counts: the net differs with any one of them left at its default
+    for name in ("dependency_threshold", "and_threshold", "min_df_count", "all_activities_connected"):
+        one_default = replace(config, **{name: getattr(MinerConfig(), name)})
+        assert net != serialize_net(standalone_net(parse_log(log_path), one_default)), name
+
+
+def test_gen_loop_iterations_stretch_the_specialized_path(tmp_path):
+    assert main(["gen", "--out", str(tmp_path), "--cases", "30", "--loop-iterations", "3"]) == 0
+    lengths = {len(rows) for rows in parse_log(tmp_path / "scenario_log.csv").cases.values()}
+    # the standard path and the specialized one of 18 + 16 * (3 - 1) events
+    assert lengths == {12, 50}
+
+
+def test_left_out_flags_take_the_library_defaults(tmp_path, monkeypatch, capsys):
+    @dataclass(frozen=True)
+    class FewCases(ScenarioParams):
+        cases: int = 7
+
+    @dataclass(frozen=True)
+    class StrictAnd(MinerConfig):
+        and_threshold: float = 0.95
+
+    monkeypatch.setattr(cli, "ScenarioParams", FewCases)
+    monkeypatch.setattr(cli, "MinerConfig", StrictAnd)
+    assert main(["gen", "--out", str(tmp_path)]) == 0
+    log = parse_log(tmp_path / "scenario_log.csv")
+    assert len(log) == 7
+    assert main(["converge"]) == 0
+    assert "converged=True cases=7 " in capsys.readouterr().out
+    log_path = _write_traces(tmp_path / "traces.csv")
+    assert main(["mine", "--log", str(log_path)]) == 0
+    net = capsys.readouterr().out
+    assert net == serialize_net(standalone_net(parse_log(log_path), MinerConfig(and_threshold=0.95)))
+    assert net != serialize_net(standalone_net(parse_log(log_path)))
+
+
+@pytest.mark.parametrize(
+    "registry, message",
+    [
+        ({"x": 1}, "registry needs an accepted_measurements list"),
+        ({"accepted_measurements": ["zz"]}, "non-hexadecimal number"),
+        (["abcd"], "registry needs an accepted_measurements list"),
+        ({"accepted_measurements": ["abcd"]}, "measurements must be 32 bytes"),
+    ],
+    ids=["no-list", "not-hex", "not-an-object", "short-digest"],
+)
+def test_bad_registry_prints_one_line(tmp_path, capsys, registry, message):
+    log_path = tmp_path / "H.csv"
+    log_path.write_text(HOSPITAL_CSV, encoding="utf-8")
+    registry_path = tmp_path / "registry.json"
+    registry_path.write_text(json.dumps(registry), encoding="utf-8")
+    argv = ["provisioner", "--log", str(log_path), "--org", "H", "--registry", str(registry_path), "--port", "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {registry_path}: ") and err.count("\n") == 1 and message in err
+
+
+def test_partition_refuses_a_deeply_nested_map(tmp_path, capsys):
+    log_path = tmp_path / "one_row.csv"
+    log_path.write_text("case,timestamp,activity,org\nc1,2022-01-01T00:00:00Z,A,H\n", encoding="utf-8")
+    map_path = tmp_path / "map.json"
+    map_path.write_text("[" * 200_000, encoding="utf-8")
+    out = tmp_path / "parts"
+    assert main(["partition", "--log", str(log_path), "--map", str(map_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "non-empty org name" in err
+    assert not out.exists()
+
+
+def test_miner_id_must_be_allowed_and_out_holds_the_exports(tmp_path, monkeypatch, capsys):
+    sessions = []
+
+    class Recorded(cli.MinerSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(cli, "MinerSession", Recorded)
+    log_path = tmp_path / "H.csv"
+    log_path.write_text(HOSPITAL_CSV, encoding="utf-8")
+    server = ProvisionerServer(ProvisionerService(
+        org_id="H",
+        log_data=parse_log(log_path),
+        registry=ReferenceRegistry.of(default_measurement()),
+        allowed_miners={"demo-miner"},
+        push=HttpTransport().push_segment,
+    )).start()
+    try:
+        assert main(["miner", server.url]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not allowed" in err
+        out = tmp_path / "out"
+        assert main(["miner", server.url, "--miner-id", "demo-miner", "--out", str(out)]) == 0
+    finally:
+        server.close()
+    assert sessions[-1].miner_id == "demo-miner"
+    # the files on disk are exactly what the secrecy audit covers
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == sessions[-1].exports()
+    assert (out / "net.json").read_text() == serialize_net(standalone_net(parse_log(log_path)))

@@ -226,6 +226,13 @@ def test_run_protocol_incremental_equivalence():
     assert one.budget.in_use == 0 and inc.budget.in_use == 0
 
 
+def test_run_protocol_allows_the_sessions_miner_id():
+    log, org_map = generate_scenario_log(ScenarioParams(cases=10, seed=8))
+    session = run_protocol(partition_by_org(log, org_map), miner_id="auditor")
+    assert session.miner_id == "auditor"
+    assert serialize_net(session.net) == serialize_net(standalone_net(log))
+
+
 # ---------------------------------------------------------------------------
 # memory runs
 
@@ -409,6 +416,14 @@ def test_scalability_cells_match_pinned_values():
     summary = run_scalability_suite("cases", xs=(64, 128), seg_sizes=(100 * KIB,))
     got = [(c["x"], c["peak_bytes"], c["converged"]) for c in summary["cells"]]
     assert got == [(64, 85_354, True), (128, 170_266, True)]
+
+
+def test_scalability_sweeps_one_field_of_the_given_scenario():
+    params = ScenarioParams(cases=20, specialized_care_prob=0.5, seed=3)
+    summary = run_scalability_suite("orgs", xs=(2, 4), seg_sizes=(100 * KIB,), params=params)
+    expected = [generate_scenario_log(ScenarioParams(20, 0.5, 1, orgs, 3))[0].event_count() for orgs in (2, 4)]
+    assert [c["events"] for c in summary["cells"]] == expected
+    assert summary["all_converged"]
 
 
 def test_scalability_fit_leaves_out_exhausted_cells(monkeypatch):

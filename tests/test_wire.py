@@ -43,6 +43,7 @@ from confine.wire import (
     case_payload,
     decrypt_segment,
     encrypt_segment,
+    parse_json_object,
     parse_segment_payload,
     parse_size,
     segment_log,
@@ -634,6 +635,29 @@ def test_message_non_object_is_its_own_error(cls, raw):
     with pytest.raises(ValueError, match="not a JSON object") as info:
         cls.from_dict(raw)
     assert type(info.value) is (EnvelopeFormatError if cls is SegmentEnvelope else ValueError)
+
+
+def test_parse_json_object_reads_an_object():
+    assert parse_json_object(b'{"a": [1, {"b": null}]}') == {"a": [1, {"b": None}]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{A: H}", "Expecting property name"),
+        ('{"x": NaN}', "NaN is not a JSON value"),
+        ("[-Infinity]", "-Infinity is not a JSON value"),
+        ("[" * 200_000, "not a JSON object"),
+        ('["x"]', "not a JSON object"),
+        (b"\xff{}", "can't decode byte 0xff"),
+    ],
+    ids=["syntax", "nan", "infinity", "deep", "list", "not-utf8"],
+)
+def test_parse_json_object_refuses(text, message):
+    with pytest.raises(ValueError, match=message) as info:
+        parse_json_object(text)
+    # only text that is not JSON at all is a JSONDecodeError
+    assert isinstance(info.value, json.JSONDecodeError) == (text == "{A: H}")
 
 
 def test_message_field_without_a_codec_fails_on_first_use():
