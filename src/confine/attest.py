@@ -4,9 +4,9 @@ The enclave measurement is the SHA-256 digest of the package's own source:
 every module of ``confine``, in name order, framed by its file name and
 byte length. Any code change moves the measurement, so a registry must be
 rebuilt after one. A report binds the measurement to a verifier-chosen
-nonce and to the enclave's encryption key, under an RSA-3072 PSS
-signature. Verification is one-way: data holders appraise the miner
-enclave, never the reverse.
+nonce and to the enclave's raw 32-byte X25519 encryption key, under an
+Ed25519 signature. Verification is one-way: data holders appraise the
+miner enclave, never the reverse.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from .wire import Message, parse_json_object
 
@@ -38,12 +38,6 @@ __all__ = [
 
 NONCE_BYTES = 16
 _MEASUREMENT_BYTES = 32
-_RSA_BITS = 3072
-
-_PSS = padding.PSS(
-    mgf=padding.MGF1(hashes.SHA256()),
-    salt_length=padding.PSS.DIGEST_LENGTH,
-)
 
 
 def compute_measurement(code: bytes) -> bytes:
@@ -70,36 +64,25 @@ def new_nonce() -> bytes:
     return os.urandom(NONCE_BYTES)
 
 
-def _pub_der(key: rsa.RSAPrivateKey) -> bytes:
-    return key.public_key().public_bytes(
-        serialization.Encoding.DER,
-        serialization.PublicFormat.SubjectPublicKeyInfo,
-    )
-
-
 @dataclass(frozen=True)
 class EnclaveIdentity:
     """Key material and measurement of one (simulated) enclave instance."""
 
-    att_priv: rsa.RSAPrivateKey
-    enc_priv: rsa.RSAPrivateKey
+    att_priv: Ed25519PrivateKey
+    enc_priv: X25519PrivateKey
     measurement: bytes
 
     @classmethod
     def generate(cls) -> "EnclaveIdentity":
-        return cls(
-            att_priv=rsa.generate_private_key(public_exponent=65537, key_size=_RSA_BITS),
-            enc_priv=rsa.generate_private_key(public_exponent=65537, key_size=_RSA_BITS),
-            measurement=default_measurement(),
-        )
+        return cls(Ed25519PrivateKey.generate(), X25519PrivateKey.generate(), default_measurement())
 
     @property
-    def att_pub_der(self) -> bytes:
-        return _pub_der(self.att_priv)
+    def att_pub(self) -> bytes:
+        return self.att_priv.public_key().public_bytes_raw()
 
     @property
-    def enc_pub_der(self) -> bytes:
-        return _pub_der(self.enc_priv)
+    def enc_pub(self) -> bytes:
+        return self.enc_priv.public_key().public_bytes_raw()
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,16 +106,13 @@ def make_report(identity: EnclaveIdentity, nonce: bytes) -> AttestationReport:
     """Produce signed evidence answering one challenge."""
     if len(nonce) != NONCE_BYTES:
         raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
-    enc_pub = identity.enc_pub_der
-    sig = identity.att_priv.sign(
-        _signing_input(identity.measurement, nonce, enc_pub), _PSS, hashes.SHA256()
-    )
+    enc_pub = identity.enc_pub
     return AttestationReport(
         measurement=identity.measurement,
         nonce=nonce,
         enc_pub=enc_pub,
-        att_pub=identity.att_pub_der,
-        sig=sig,
+        att_pub=identity.att_pub,
+        sig=identity.att_priv.sign(_signing_input(identity.measurement, nonce, enc_pub)),
     )
 
 
@@ -186,14 +166,8 @@ def verify_report(
     as bad_signature.
     """
     try:
-        att_pub = serialization.load_der_public_key(report.att_pub)
-        if not isinstance(att_pub, rsa.RSAPublicKey):
-            return "bad_signature"
-        att_pub.verify(
-            report.sig,
-            _signing_input(report.measurement, report.nonce, report.enc_pub),
-            _PSS,
-            hashes.SHA256(),
+        Ed25519PublicKey.from_public_bytes(report.att_pub).verify(
+            report.sig, _signing_input(report.measurement, report.nonce, report.enc_pub)
         )
     except Exception:
         return "bad_signature"

@@ -52,6 +52,8 @@ _EXPECTED_ERRORS = (
     DeliveryError, IncompleteDeliveryError, IntegrityError, EnvelopeFormatError, EnclaveMemoryExceeded,
 )
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
 
 # argparse names a type by its function in a usage error: "invalid size_list value"
 def size_list(text: str) -> tuple[int, ...]:
@@ -265,7 +267,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="confine", description=__doc__)
-    parser.add_argument("--log-level", default="WARNING", help="logging level name")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper, choices=_LOG_LEVELS,
+                        help="logging level name, in any case")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("registry", help="write a registry of this build's source; re-run after code changes")
@@ -347,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     args.session = _given(args, "MinerSession")
     logging.basicConfig(
-        level=getattr(logging, args.log_level.upper(), logging.WARNING),
+        level=args.log_level,
         format="%(asctime)s %(levelname)s %(name)s %(message)s",
     )
     try:

@@ -315,7 +315,10 @@ def parse_xes(text: str | bytes) -> EventLog:
 def parse_log(path: str | Path) -> EventLog:
     """Read a log file: XES if its suffix is ``.xes``, CSV otherwise."""
     p = Path(path)
-    data = p.read_text(encoding="utf-8")
+    try:
+        data = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:  # its message would quote the file's bytes
+        raise LogParseError(f"{path}: not UTF-8") from None
     return parse_xes(data) if p.suffix.lower() == ".xes" else parse_csv(data)
 
 

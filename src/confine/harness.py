@@ -11,7 +11,6 @@ by default over the in-process loopback transport.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import logging
@@ -137,30 +136,18 @@ def standalone_net(log_data: EventLog, config: MinerConfig = MinerConfig()) -> H
     return build_net(stats, config)
 
 
-@functools.lru_cache(maxsize=1)
-def shared_identity() -> EnclaveIdentity:
-    """One enclave identity per process; key generation is expensive."""
-    return EnclaveIdentity.generate()
-
-
 def run_protocol(partitions: dict[str, EventLog], networked: bool = False, **session_args) -> MinerSession:
     """Run one full protocol session against per-org provisioners.
 
     ``session_args`` (``seg_size``, ``mode``, ``batch_cases``, ``capacity``,
-    ``miner_config``, ``miner_id``) go to ``MinerSession`` as they are, and
-    every provisioner allows its miner id. Returns the finished session;
-    the net is on session.net, budget and metrics on the session as well.
+    ``miner_config``, ``miner_id``, ``identity``) go to ``MinerSession`` as
+    they are; every provisioner trusts the session's measurement and allows
+    its miner id. Returns the finished session; the net is on session.net,
+    budget and metrics on the session as well.
     """
-    identity = shared_identity()
-    registry = ReferenceRegistry.of(identity.measurement)
     transport = HttpTransport() if networked else LoopbackHub()
-    session = MinerSession(
-        providers=[],
-        transport=transport,
-        callback_url="loop://miner",
-        identity=identity,
-        **session_args,
-    )
+    session = MinerSession(providers=[], transport=transport, callback_url="loop://miner", **session_args)
+    registry = ReferenceRegistry.of(session.identity.measurement)
     with ExitStack() as servers:
         if networked:
             servers.callback(transport.close)
@@ -240,10 +227,10 @@ def _run_cell(
     metrics CSV, its stage profile, goes to ``metrics_dir`` when one is given.
     """
     cell = {"seg_size": seg_size, "events": sum(sub.event_count() for sub in partitions.values())}
-    shared_identity()  # the enclave key is generated once per process, outside every timed session
+    identity = EnclaveIdentity.generate()  # set-up, outside the timed session
     t0 = time.perf_counter()
     try:
-        session = run_protocol(partitions, seg_size=seg_size, **session_args)
+        session = run_protocol(partitions, seg_size=seg_size, identity=identity, **session_args)
     except EnclaveMemoryExceeded as exc:
         return {**cell, "status": "memory_exceeded", "error": str(exc), **dict.fromkeys(_MEASURES)}
     elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)

@@ -115,7 +115,7 @@ class ProvisionerService:
 
     # -- stage 3: transmission ---------------------------------------------
 
-    def _deliver(self, request: CaseRequest, enc_pub_der: bytes) -> str | None:
+    def _deliver(self, request: CaseRequest, enc_pub: bytes) -> str | None:
         """Push each segment once; the reason for the first failure, if any.
 
         There is no retry: a push whose ack was lost may already have been
@@ -128,7 +128,7 @@ class ProvisionerService:
             "org %s delivering %d case(s) in %d segment(s)",
             self.org_id, len(request.refs), len(segments),
         )
-        sealing = SealingKey.for_enclave(enc_pub_der)
+        sealing = SealingKey.for_enclave(enc_pub)
         for segment in segments:
             envelope = encrypt_segment(segment, sealing).to_dict()
             try:
@@ -149,6 +149,6 @@ class ProvisionerServer(JsonServer):
     """HTTP front end of one ProvisionerService."""
 
     def __init__(self, service: ProvisionerService, host: str = "127.0.0.1", port: int = 0):
-        # a case request names a subset of these refs; a report is about 2 KB
+        # a case request names a subset of these refs; a report is about 0.3 KB
         refs = json.dumps(service.log_data.case_refs()).encode("utf-8")
         super().__init__(provisioner_routes(service), len(refs) + BODY_ALLOWANCE, host, port)

@@ -128,7 +128,7 @@ def enclave_rows(ref: str, rows) -> list:
 
 def sealed_envelopes(log_data: EventLog, refs, org: str, identity, seg_size: int = 10**6) -> list[dict]:
     """The org's segments of ``refs``, sealed under one key as its delivery pushes them."""
-    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    sealing = SealingKey.for_enclave(identity.enc_pub)
     return [encrypt_segment(seg, sealing).to_dict() for seg in segment_log(log_data, refs, seg_size, org)]
 
 
@@ -169,6 +169,4 @@ def merged_log(hospital_log, pharma_log, clinic_log) -> EventLog:
 
 @pytest.fixture(scope="session")
 def identity() -> EnclaveIdentity:
-    # One RSA identity for the whole test session; generation dominates
-    # otherwise.
     return EnclaveIdentity.generate()

@@ -183,7 +183,7 @@ def test_verdict_is_value_never_exception(identity):
     assert verify_report(bogus, b"\x00" * 16, ReferenceRegistry.of(identity.measurement)) == "bad_signature"
 
 
-def test_non_rsa_attestation_key_is_bad_signature(identity):
+def test_non_ed25519_attestation_key_is_bad_signature(identity):
     nonce = new_nonce()
     report = make_report(identity, nonce)
     ec_pub = ec.generate_private_key(ec.SECP256R1()).public_key().public_bytes(
@@ -197,3 +197,19 @@ def test_non_rsa_attestation_key_is_bad_signature(identity):
         sig=report.sig,
     )
     assert verify_report(forged, nonce, ReferenceRegistry.of(identity.measurement)) == "bad_signature"
+
+
+def test_encryption_key_as_attestation_key_is_bad_signature(identity):
+    # both public keys are raw 32 bytes, so the report's X25519 key parses as
+    # an Ed25519 key too; the signature must still fail under it
+    nonce = new_nonce()
+    report = make_report(identity, nonce)
+    assert len(report.att_pub) == len(report.enc_pub) == 32
+    confused = AttestationReport(
+        measurement=report.measurement,
+        nonce=nonce,
+        enc_pub=report.enc_pub,
+        att_pub=report.enc_pub,
+        sig=report.sig,
+    )
+    assert verify_report(confused, nonce, ReferenceRegistry.of(identity.measurement)) == "bad_signature"

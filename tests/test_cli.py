@@ -1,6 +1,7 @@
 """Command line smoke tests: the README quick start and each driver, run in-process."""
 
 import json
+import logging
 import os
 import select
 import signal
@@ -169,15 +170,25 @@ def test_partition_refuses_a_bad_org_map(tmp_path, capsys, org_map):
         (["mem", "--capacity", "0"], "--capacity"),
         (["converge", "--seg-size", "0"], "--seg-size"),
         (["miner", "http://127.0.0.1:1", "--seg-size", "12XB"], "--seg-size"),
+        (["--log-level", "NOPE", "gen", "--cases", "1"], "--log-level"),
     ],
     ids=["xs-word", "xs-zero", "xs-empty", "seg-sizes-trailing-comma", "mem-seg-sizes-unit",
-         "mem-seg-sizes-empty", "mem-capacity-zero", "converge-seg-size-zero", "miner-seg-size-unit"],
+         "mem-seg-sizes-empty", "mem-capacity-zero", "converge-seg-size-zero", "miner-seg-size-unit",
+         "log-level-unknown"],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["debug", "Info", "WARNING", "error", "critical"])
+def test_log_level_takes_a_standard_name_in_any_case(tmp_path, monkeypatch, name):
+    configured = {}
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: configured.update(kw))
+    assert main(["--log-level", name, "registry", "--out", str(tmp_path / "registry.json")]) == 0
+    assert configured["level"] == name.upper()
 
 
 @pytest.mark.parametrize(
@@ -225,11 +236,16 @@ def test_expected_failures_print_one_line(tmp_path, capsys, log_name, message):
         (["split", "--log", "two_orgs.csv", "--scheme", "bpic_departments"], "exactly 3 departments"),
         (["split", "--log", "blank_org.csv", "--scheme", "bpic_departments"], "an org value on every event"),
         (["converge", "--cases", "0"], "no eligible cases were delivered"),
+        (["mine", "--log", "bin.csv"], "bin.csv: not UTF-8"),
+        (["partition", "--log", "bin.csv", "--map", "map.json"], "bin.csv: not UTF-8"),
     ],
-    ids=["partition-map-not-json", "split-two-orgs", "split-blank-org", "converge-no-cases"],
+    ids=["partition-map-not-json", "split-two-orgs", "split-blank-org", "converge-no-cases",
+         "mine-log-not-utf8", "partition-log-not-utf8"],
 )
 def test_refused_inputs_print_one_line(tmp_path, monkeypatch, capsys, argv, message):
     header = "case,timestamp,activity,org\n"
+    (tmp_path / "bin.csv").write_bytes(b"\xff\xfe\x00garbage")
+    (tmp_path / "map.json").write_text('{"A": "H"}')
     (tmp_path / "two_orgs.csv").write_text(header + "c1,2022-01-01T00:00:00Z,A,H\nc1,2022-01-01T00:01:00Z,B,P\n")
     (tmp_path / "blank_org.csv").write_text(header + "c1,2022-01-01T00:00:00Z,A,H\nc1,2022-01-01T00:01:00Z,B,\n")
     (tmp_path / "map.txt").write_text("{A: H}")

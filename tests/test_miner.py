@@ -340,7 +340,7 @@ def test_finish_never_interleaves_with_an_opening_segment(identity):
     # part would leave bytes charged that no buffer accounts for
     log_data, org_map = generate_scenario_log(ScenarioParams(cases=200, seed=1))
     hospital = partition_by_org(log_data, org_map)["H"]
-    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    sealing = SealingKey.for_enclave(identity.enc_pub)
     envelopes = [encrypt_segment(seg, sealing).to_dict()
                  for seg in segment_log(hospital, hospital.case_refs(), 256, "H")]
     assert len(envelopes) >= 100
@@ -506,10 +506,13 @@ def test_attestation_rejected(hospital_log, pharma_log, clinic_log, identity):
 
 
 def test_capacity_below_first_segment_aborts(hospital_log, pharma_log, clinic_log, identity):
-    # 250 bytes hold the ledger but not one RSA-wrapped key (384 bytes)
+    # 250 bytes hold the ledger but not the first envelope: org C's one
+    # segment, charged as its 92-byte wrapped key plus its tagged ciphertext
     _, session = _setup(_org_logs(hospital_log, pharma_log, clinic_log),
                         identity, capacity=250)
-    with pytest.raises(EnclaveMemoryExceeded):
+    first = segment_log(clinic_log, clinic_log.case_refs(), session.seg_size, "C")[0]
+    envelope = 92 + len(first.payload) + 16
+    with pytest.raises(EnclaveMemoryExceeded, match=rf"^charge of {envelope} bytes exceeds capacity: \d+ in use of 250$"):
         session.run()
     assert {"status": "error", "reason": "EnclaveMemoryExceeded"} in acks(session)
 
@@ -641,7 +644,7 @@ def test_second_wrapped_key_from_pinned_org_rejected(hospital_log, identity):
             seg = segment_log(hospital_log, ["711"], 10**6, "H")[0]
             forged = encrypt_segment(
                 replace(seg, seq_no=env.seq_no, total=env.total),
-                SealingKey.for_enclave(identity.enc_pub_der),
+                SealingKey.for_enclave(identity.enc_pub),
             )
             raw = forged.to_dict()
         answers.append(session.enqueue(raw))
@@ -684,7 +687,7 @@ def test_unannounced_org_rejected(hospital_log, identity):
     _, session = _setup({"H": hospital_log}, identity)
     session.run_initialization()
     seg = segment_log(hospital_log, ["312"], 10**6, "Z")[0]
-    env = encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub_der))
+    env = encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub))
     assert session.enqueue(env.to_dict()) == {"status": "error", "reason": "DeliveryError"}
     with pytest.raises(DeliveryError, match="unannounced org"):
         session.run_acquisition()
@@ -703,7 +706,7 @@ def test_bad_ciphertext_refused_as_integrity_error(hospital_log, identity, tampe
     _, session = _setup({"H": hospital_log}, identity)
     session.run_initialization()
     seg = segment_log(hospital_log, ["312"], 10**6, "H")[0]
-    env = encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub_der))
+    env = encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub))
     raw = replace(env, ciphertext=tamper(env.ciphertext)).to_dict()
     assert session.enqueue(raw) == {"status": "error", "reason": "IntegrityError"}
     assert isinstance(session._fatal, IntegrityError)
@@ -934,7 +937,7 @@ def test_receiver_trickling_client_does_not_block_pushes(hospital_log, identity)
     _, session = _setup({"H": hospital_log}, identity)
     session.run_initialization()
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10**6, "H")[0]
-    env = encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub_der)).to_dict()
+    env = encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub)).to_dict()
     receiver = MinerReceiver(session).start()
     try:
         url = urllib.parse.urlsplit(receiver.url)

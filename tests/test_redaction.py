@@ -91,12 +91,12 @@ def _cells(*rows: bytes) -> list[str]:
 
 
 def _bad_row(identity, row):
-    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    sealing = SealingKey.for_enclave(identity.enc_pub)
     return _session(identity, [REF], [_seal(row, [REF], sealing)]), sealing.key, _cells(row)
 
 
 def _tampered_tag(identity):
-    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    sealing = SealingKey.for_enclave(identity.enc_pub)
     envelope = _seal(ROW, [REF], sealing)
     # the last 16 bytes of the ciphertext are the GCM tag
     sealed = bytearray(envelope.ciphertext)
@@ -107,8 +107,8 @@ def _tampered_tag(identity):
 
 def _second_wrapped_key(identity):
     # segment 0 is opened and pins the org's key; segment 1 comes under another
-    first = SealingKey.for_enclave(identity.enc_pub_der)
-    other = SealingKey.for_enclave(identity.enc_pub_der)
+    first = SealingKey.for_enclave(identity.enc_pub)
+    other = SealingKey.for_enclave(identity.enc_pub)
     envelopes = [_seal(ROW, [REF], first, 0, 2), _seal(ROW2, [REF2], other, 1, 2)]
     return _session(identity, [REF, REF2], envelopes), first.key, _cells(ROW, ROW2)
 
@@ -116,7 +116,7 @@ def _second_wrapped_key(identity):
 def _budget_overrun(identity):
     # the capacity holds the owed entries, the segment and the first case's
     # part, so the second case's part overruns in the middle of the segment
-    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    sealing = SealingKey.for_enclave(identity.enc_pub)
     payload = ROW + ROW2
     envelope = _seal(payload, [REF, REF2], sealing)
     _events, sizes = parse_segment_payload(payload)
@@ -243,7 +243,7 @@ def _holds(value, texts: list[str], blobs: list[bytes], seen: set[int]) -> bool:
 def test_walker_finds_the_key_inside_a_pinned_sealing_key(identity):
     # the enclave pins what unwrap_key returns, a slotted SealingKey; a kept
     # frame holding it must still count as holding the key
-    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    sealing = SealingKey.for_enclave(identity.enc_pub)
     pinned = unwrap_key(sealing.wrapped, identity.enc_priv)
     assert _holds({"H": pinned}, [], [sealing.key], set())
     assert not _holds({"H": replace(pinned, key=bytes(32))}, [], [sealing.key], set())

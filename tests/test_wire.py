@@ -38,7 +38,8 @@ from confine.wire import (
     Segment,
     SegmentEnvelope,
     UnknownCaseRefsError,
-    _OAEP,
+    _HPKE,
+    _HPKE_INFO,
     _parse_payload_csv,
     case_payload,
     decrypt_segment,
@@ -413,7 +414,7 @@ def test_plain_payloads_use_no_csv_reader_or_writer(hospital_log, monkeypatch):
 
 
 def _seal(seg, identity):
-    return encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub_der))
+    return encrypt_segment(seg, SealingKey.for_enclave(identity.enc_pub))
 
 
 def _open(env, identity):
@@ -429,7 +430,7 @@ def test_encrypt_decrypt_round_trip(identity, hospital_log):
 
 def test_fresh_key_per_delivery_distinct_nonce_and_ciphertext_per_segment(identity, hospital_log):
     seg = segment_log(hospital_log, hospital_log.case_refs(), 10_000, "H")[0]
-    first, second = (SealingKey.for_enclave(identity.enc_pub_der) for _ in range(2))
+    first, second = (SealingKey.for_enclave(identity.enc_pub) for _ in range(2))
     assert first.wrapped != second.wrapped and first.key != second.key
     assert encrypt_segment(seg, first).ciphertext != encrypt_segment(seg, second).ciphertext
     # one delivery: the same payload at every index, so only the nonce differs
@@ -441,23 +442,37 @@ def test_fresh_key_per_delivery_distinct_nonce_and_ciphertext_per_segment(identi
 
 
 def test_unwrapped_key_is_the_providers_key(identity):
-    sealing = SealingKey.for_enclave(identity.enc_pub_der)
+    sealing = SealingKey.for_enclave(identity.enc_pub)
     assert unwrap_key(sealing.wrapped, identity.enc_priv) == sealing
 
 
-def test_sealing_key_refuses_a_non_rsa_enclave_key():
+def test_sealing_key_refuses_a_non_x25519_enclave_key():
     ec_pub = ec.generate_private_key(ec.SECP256R1()).public_key().public_bytes(
         serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
     )
-    with pytest.raises(ValueError, match="not an RSA public key"):
+    with pytest.raises(ValueError, match="X25519 public key is 32 bytes"):
         SealingKey.for_enclave(ec_pub)
+    # 32 bytes, but a low-order point whose shared secret would be all zeros
+    with pytest.raises(ValueError):
+        SealingKey.for_enclave(bytes(32))
 
 
 def test_wrapped_secret_of_wrong_length_is_integrity_error(identity):
-    # a genuine OAEP wrap whose secret is a bare 32-byte key, no base nonce
-    wrapped = identity.enc_priv.public_key().encrypt(b"\x00" * 32, _OAEP)
+    # a genuine HPKE wrap whose secret is a bare 32-byte key, no base nonce
+    wrapped = _HPKE.encrypt(b"\x00" * 32, identity.enc_priv.public_key(), _HPKE_INFO)
     with pytest.raises(IntegrityError, match="^key unwrap failed: wrong secret length$"):
         unwrap_key(wrapped, identity.enc_priv)
+
+
+def test_wrapped_key_is_92_bytes_and_any_other_wrap_fails_alike(identity):
+    # a 32 B encapsulated key, the 44 B key and base nonce, a 16 B tag
+    wrapped = SealingKey.for_enclave(identity.enc_pub).wrapped
+    assert len(wrapped) == 92
+    other_info = _HPKE.encrypt(b"\x00" * 44, identity.enc_priv.public_key(), b"another label")
+    for bad in (b"", wrapped[:32], wrapped[:-1], bytes(92), other_info):
+        with pytest.raises(IntegrityError, match="^key unwrap failed$") as exc:
+            unwrap_key(bad, identity.enc_priv)
+        assert exc.value.__cause__ is None and exc.value.__suppress_context__
 
 
 @pytest.mark.parametrize("field,value", [("seq_no", 1), ("org", "P"), ("total", 21)])
