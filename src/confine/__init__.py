@@ -45,7 +45,6 @@ from .hminer import (
     MinerConfig,
     accumulate,
     build_net,
-    net_from_json,
     serialize_net,
 )
 from .miner import (
@@ -119,7 +118,6 @@ __all__ = [
     "encrypt_segment",
     "generate_scenario_log",
     "merge_case",
-    "net_from_json",
     "parse_csv",
     "parse_log",
     "parse_size",

@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-import time
 from pathlib import Path
 
 from .attest import ReferenceRegistry, default_measurement
@@ -160,15 +159,15 @@ def _cmd_provisioner(args: argparse.Namespace) -> int:
         allowed_miners=allowed,
         push=HttpTransport().push_segment,
     )
-    server = ProvisionerServer(service, host=args.host, port=args.port).start()
-    print(f"provisioner {args.org}: {len(log_data)} cases at {server.url}", flush=True)
+    server = ProvisionerServer(service, host=args.host, port=args.port)
     try:
-        while True:
-            time.sleep(3600)
+        print(f"provisioner {args.org}: {len(log_data)} cases at {server.url}", flush=True)
+        server.serve_forever()
     except KeyboardInterrupt:
-        return 0
+        pass
     finally:
-        server.close()
+        server.server_close()
+    return 0
 
 
 def _cmd_miner(args: argparse.Namespace) -> int:

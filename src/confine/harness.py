@@ -29,7 +29,7 @@ from .hminer import DfStats, HeuristicsNet, MinerConfig, accumulate, build_net, 
 from .miner import EnclaveMemoryExceeded, MinerReceiver, MinerSession
 from .provisioner import ProvisionerServer, ProvisionerService
 from .transport import HttpTransport, LoopbackHub
-from .wire import DEFAULT_SEG_SIZE, KIB, MIB, case_payload
+from .wire import DEFAULT_SEG_SIZE, KIB, MIB
 
 __all__ = [
     "VARIANT_SPECIALIZED",
@@ -182,7 +182,7 @@ def run_protocol(partitions: dict[str, EventLog], networked: bool = False, **ses
 SWEEP_SIZES = (64 * KIB, 128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB, 4 * MIB)
 
 # the columns a memory_exceeded cell leaves empty, in the order _run_cell writes them
-_MEASURES = ("elapsed_ms", "peak_bytes", "peak_before_compute", "final_in_use", "converged")
+_MEASURES = ("elapsed_ms", "peak_bytes", "peak_before_compute", "final_in_use", "converged", "single_segment")
 
 
 def _write(out_dir: str | Path | None, name: str, text: str) -> None:
@@ -222,8 +222,10 @@ def _run_cell(
 ) -> dict:
     """Run one protocol session at one segment size, recorded as one table row.
 
-    ``peak_before_compute`` is the peak on the first compute metrics row, and
-    ``converged`` compares the mined net with ``reference``. The session's
+    ``peak_before_compute`` is the peak on the first compute metrics row,
+    ``converged`` compares the mined net with ``reference``, and
+    ``single_segment`` says every org's delivery was at most one segment,
+    from the session's count of the segments it opened. The session's
     metrics CSV, its stage profile, goes to ``metrics_dir`` when one is given.
     """
     cell = {"seg_size": seg_size, "events": sum(sub.event_count() for sub in partitions.values())}
@@ -245,6 +247,7 @@ def _run_cell(
         "peak_before_compute": next(row[3] for row in session.metrics if row[1] == "compute"),
         "final_in_use": session.budget.in_use,
         "converged": session.net is not None and serialize_net(session.net) == reference,
+        "single_segment": all(n <= 1 for n in session.segments_opened.values()),
     }
 
 
@@ -269,24 +272,14 @@ def run_memory_experiment(
 ) -> dict:
     """Run one session per segment size on one scenario.
 
-    A run is ``single_segment`` when every org's partition fits one segment:
-    it holds at most one case, or its case payloads sum to at most the
-    segment size. Writes each run's metrics CSV, ``memory_runs.csv`` and
+    The peak stops growing from the first run whose ``single_segment`` is
+    true. Writes each run's metrics CSV, ``memory_runs.csv`` and
     ``memory_summary.json``. ``session_args`` go to every session.
     """
     if not seg_sizes:
         raise ValueError("seg_sizes must not be empty")
     partitions, reference = _scenario(params)
-    payloads = [
-        [len(case_payload(ref, rows, sub.stamps)) for ref, rows in sub.cases.items()] for sub in partitions.values()
-    ]
-    runs = [
-        {
-            **_run_cell(partitions, reference, seg, out_dir, **session_args),
-            "single_segment": all(len(sizes) <= 1 or sum(sizes) <= seg for sizes in payloads),
-        }
-        for seg in seg_sizes
-    ]
+    runs = [_run_cell(partitions, reference, seg, out_dir, **session_args) for seg in seg_sizes]
     summary = {"cases": params.cases, "runs": runs}
     _write_table(out_dir, "memory_runs.csv", runs)
     _write(out_dir, "memory_summary.json", json.dumps(summary, indent=2) + "\n")

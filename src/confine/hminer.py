@@ -23,7 +23,6 @@ __all__ = [
     "and_split_measure",
     "build_net",
     "serialize_net",
-    "net_from_json",
 ]
 
 
@@ -244,18 +243,3 @@ def serialize_net(net: HeuristicsNet, fmt: str = "json") -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown net format {fmt!r}")
-
-
-def net_from_json(text: str) -> HeuristicsNet:
-    raw = json.loads(text)
-    return HeuristicsNet(
-        activities=tuple(raw["activities"]),
-        start_activities=tuple(raw["start_activities"]),
-        end_activities=tuple(raw["end_activities"]),
-        arcs=tuple(
-            Arc(d["source"], d["target"], d["dependency"], d["frequency"])
-            for d in raw["arcs"]
-        ),
-        splits={a: tuple(tuple(g) for g in groups) for a, groups in raw["splits"].items()},
-        joins={a: tuple(tuple(g) for g in groups) for a, groups in raw["joins"].items()},
-    )

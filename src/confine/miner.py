@@ -216,6 +216,8 @@ class MinerSession:
         # each org seals its whole delivery under one key: unwrapped on the
         # org's first envelope, then every later envelope must carry it
         self._org_keys: dict[str, SealingKey] = {}
+        # segments opened per org; the host saw each one pushed anyway
+        self.segments_opened: dict[str, int] = {}
         # Enclave-tagged store: raw case data is reachable only through
         # these private buffers and is never exported.
         self._waiting: dict[str, _Waiting] = {}
@@ -379,6 +381,7 @@ class MinerSession:
             # a relabeled header fails authentication; a replayed segment
             # delivers cases its org no longer owes and is refused below
             payload = decrypt_segment(env, self._delivery_key(env))
+            self.segments_opened[env.org] = self.segments_opened.get(env.org, 0) + 1
             self.budget.charge(len(payload))
             held += len(payload)
             part_rows, part_sizes = parse_segment_payload(payload)

@@ -83,6 +83,29 @@ def test_provisioner_serves_its_refs_until_interrupted(tmp_path):
             proc.kill()
 
 
+def test_provisioner_interrupted_at_its_start_up_line_closes_its_port(tmp_path, monkeypatch):
+    # Ctrl-C may land while the start-up line is printed; the port must close all the same
+    log_path = tmp_path / "H.csv"
+    log_path.write_text(HOSPITAL_CSV, encoding="utf-8")
+    lines = []
+
+    def interrupted_print(*args, **kwargs):
+        lines.append(" ".join(map(str, args)))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("builtins.print", interrupted_print)
+    try:
+        status = main(["provisioner", "--log", str(log_path), "--org", "H", "--port", "0"])
+    except KeyboardInterrupt:  # pytest would take it for the user's own Ctrl-C and stop the run
+        pytest.fail("the interrupt escaped main")
+    assert status == 0
+    (line,) = lines
+    assert line.startswith("provisioner H: 2 cases at http://127.0.0.1:"), line
+    port = int(line.rsplit(":", 1)[1])
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+
 def test_mine_writes_the_net_to_stdout(tmp_path, capsys):
     log_path = tmp_path / "H.csv"
     log_path.write_text(HOSPITAL_CSV, encoding="utf-8")
@@ -124,10 +147,11 @@ def test_scale_writes_its_cells(tmp_path):
     assert main(argv) == 0
     lines = (tmp_path / "scale_cases_cells.csv").read_text().splitlines()
     assert lines[0] == (
-        "x,seg_size,events,status,error,elapsed_ms,peak_bytes,peak_before_compute,final_in_use,converged"
+        "x,seg_size,events,status,error,elapsed_ms,peak_bytes,peak_before_compute,final_in_use,converged,single_segment"
     )
     assert [line.split(",")[0] for line in lines[1:]] == ["8", "16"]
-    assert all(line.endswith(",True") for line in lines[1:])
+    # 8 and 16 cases each fit one 100 KB segment per org
+    assert all(line.endswith(",True,True") for line in lines[1:])
 
 
 def test_registry_round_trips(tmp_path):

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from confine.eventlog import merge_case
 from confine.hminer import (
+    Arc,
     DfStats,
     MinerConfig,
     accumulate,
     and_split_measure,
     build_net,
     dependency_measure,
-    net_from_json,
     serialize_net,
 )
 
@@ -360,11 +360,15 @@ def test_serialize_json_round_trip(hospital_log, pharma_log, clinic_log):
     )
     t711 = merge_case([enclave_rows("711", log.cases["711"]) for log in (hospital_log, pharma_log)])
     stats = accumulate(DfStats(), [t312, t711])
-    net = build_net(stats, MinerConfig(dependency_threshold=0.5))
+    config = MinerConfig(dependency_threshold=0.5)
+    net = build_net(stats, config)
     text = serialize_net(net)
-    assert net_from_json(text) == net
-    assert serialize_net(net_from_json(text)) == text
-    json.loads(text)  # well-formed
+    # canonical: the parsed text writes back byte for byte, and mining again gives it
+    raw = json.loads(text)
+    assert json.dumps(raw, sort_keys=True, indent=2) + "\n" == text
+    assert serialize_net(build_net(stats, config)) == text
+    assert raw["activities"] == list(net.activities)
+    assert [Arc(**arc) for arc in raw["arcs"]] == list(net.arcs)
 
 
 def test_serialize_deterministic_ordering():

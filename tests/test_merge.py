@@ -1,16 +1,17 @@
 """Partial-trace merging, and the session's record of who still owes each case."""
 
 import random
+import sys
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confine.eventlog import EventLog, merge_case, parse_timestamp, partition_by_org
+from confine.eventlog import EventLog, merge_case, parse_csv, parse_timestamp, partition_by_org, serialize_log
 from confine.harness import ScenarioParams, generate_scenario_log, run_protocol, standalone_net
 from confine.hminer import serialize_net
-from confine.miner import LEDGER_ENTRY_BYTES, DeliveryError, IncompleteDeliveryError, MinerSession
+from confine.miner import LEDGER_ENTRY_BYTES, MODES, DeliveryError, IncompleteDeliveryError, MinerSession
 from confine.transport import LoopbackHub
 from confine.wire import KIB, segment_log
 
@@ -86,44 +87,71 @@ def test_merge_random_split_equals_global_sort(records):
 
 
 # -- the protocol equals standalone mining for every split ---------------------
-# Rows are (case, activity, minute, holder) with the org column blank, so
-# two holders can hold records that are equal field for field.
+# A record is ((case, timestamp, org, activity), holder). The org column may
+# be blank, so two holders can hold records that are equal field for field.
+
+_BASE = parse_timestamp("2024-01-01T10:00")
 
 
-def _split_log(rows, holders: int) -> tuple[EventLog, dict[str, EventLog]]:
+def _split_log(records, holders: int) -> tuple[EventLog, dict[str, EventLog]]:
     """The pooled log and each holder's share of it."""
-    base = parse_timestamp("2024-01-01T10:00")
-    records = [((ref, base + timedelta(minutes=minute), "", act), holder) for ref, act, minute, holder in rows]
     parts = {f"org{h}": log_of(rec for rec, holder in records if holder == h) for h in range(holders)}
     return log_of(rec for rec, _ in records), parts
 
 
 def test_identical_records_of_two_holders_match_standalone():
     # X holds c1 A@10:00 and B@11:00, Y holds c1 A@10:00 as well
-    pooled, parts = _split_log([("c1", "A", 0, 0), ("c1", "B", 60, 0), ("c1", "A", 0, 1)], 2)
+    a, b = ("c1", _BASE, "", "A"), ("c1", _BASE + timedelta(hours=1), "", "B")
+    pooled, parts = _split_log([(a, 0), (b, 0), (a, 1)], 2)
     session = run_protocol(parts)
     assert serialize_net(session.net) == serialize_net(standalone_net(pooled))
     assert session.stats.df_count == {("A", "A"): 1, ("A", "B"): 1}
 
 
+# characters a CSV cell must quote, and non-ASCII ones; csv writes NUL only
+# from Python 3.11 on
+_ODD = [",", '"', "\r", "\n", "\r\n", "é", "日"] + (["\x00"] if sys.version_info >= (3, 11) else [])
+
+
+def _names(plain):
+    """A plain name, or one with odd characters inside, which parse_csv does not strip."""
+    odd = st.builds(lambda name, mid: name + mid + name, st.sampled_from(plain), st.sampled_from(_ODD))
+    return st.one_of(st.sampled_from(plain), odd)
+
+
+# minutes apart, each at millisecond or at microsecond precision
+_split_stamps = st.builds(
+    lambda minute, us: _BASE + timedelta(minutes=minute, microseconds=us),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([0, 250_000, 7, 999_999]),
+)
+
+
 @st.composite
-def _split_rows(draw):
-    holders = draw(st.integers(min_value=2, max_value=4))
-    row = st.tuples(
-        st.sampled_from(["c1", "c2", "c3"]),
-        st.sampled_from("ABC"),
-        st.integers(min_value=0, max_value=3),
+def _split_records(draw):
+    holders = draw(st.integers(min_value=1, max_value=4))
+    record = st.tuples(
+        st.tuples(_names(["c1", "c2", "c3"]), _split_stamps, st.one_of(st.just(""), _names(["X", "Y"])),
+                  _names(["A", "B", "C"])),
         st.integers(min_value=0, max_value=holders - 1),
     )
-    return draw(st.lists(row, min_size=1, max_size=12)), holders
+    return draw(st.lists(record, min_size=1, max_size=12)), holders
 
 
 @settings(max_examples=200, deadline=None)
-@given(_split_rows(), st.integers(min_value=1, max_value=200))
-def test_protocol_net_equals_standalone_for_every_split(split, seg_size):
-    rows, holders = split
-    pooled, parts = _split_log(rows, holders)
-    session = run_protocol(parts, seg_size=seg_size)
+@given(
+    _split_records(),
+    st.integers(min_value=1, max_value=200),
+    st.sampled_from(MODES),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+)
+def test_protocol_net_equals_standalone_for_every_split(split, seg_size, mode, batch_cases, round_trip):
+    records, holders = split
+    pooled, parts = _split_log(records, holders)
+    if round_trip:
+        parts = {org: parse_csv(serialize_log(sub)) for org, sub in parts.items()}
+    session = run_protocol(parts, seg_size=seg_size, mode=mode, batch_cases=batch_cases)
     assert serialize_net(session.net) == serialize_net(standalone_net(pooled))
 
 

@@ -537,8 +537,11 @@ def test_envelope_seq_no_bounds():
             wrapped_key=b"k",
             ciphertext=b"c" * 17,
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one case"):
         Segment(org="H", seq_no=0, total=1, case_refs=(), payload=b"x")
+    for seq_no, total in [(-1, 2), (2, 2), (0, 0)]:
+        with pytest.raises(ValueError, match="segment index"):
+            Segment(org="H", seq_no=seq_no, total=total, case_refs=("312",), payload=b"x")
 
 
 # -- message schemas ----------------------------------------------------------
