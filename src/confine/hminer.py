@@ -10,7 +10,9 @@ arcs, so a join is a split of the flipped arcs.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -48,17 +50,27 @@ class DfStats:
 
 
 def accumulate(stats: DfStats, cases: Iterable[Sequence[str]]) -> DfStats:
-    """Fold complete cases, each its activity sequence, into the counters, in place."""
-    for acts in cases:
-        if not acts:
-            raise ValueError("a case needs at least one activity")
-        stats.case_count += 1
-        stats.start_count[acts[0]] = stats.start_count.get(acts[0], 0) + 1
-        stats.end_count[acts[-1]] = stats.end_count.get(acts[-1], 0) + 1
-        for a in acts:
-            stats.activity_count[a] = stats.activity_count.get(a, 0) + 1
-        for a, b in zip(acts, acts[1:]):
-            stats.df_count[(a, b)] = stats.df_count.get((a, b), 0) + 1
+    """Fold complete cases, each its activity sequence, into the counters, in place.
+
+    A batch holding an empty case is refused whole, before anything is folded.
+    """
+    cases = list(cases)
+    if not all(cases):
+        raise ValueError("a case needs at least one activity")
+    # Counter.update counts an iterable in C; the sums go into the plain dicts
+    activities = Counter(chain.from_iterable(cases))
+    pairs = Counter(chain.from_iterable(zip(acts, acts[1:]) for acts in cases))
+    starts = Counter(acts[0] for acts in cases)
+    ends = Counter(acts[-1] for acts in cases)
+    for counts, into in (
+        (activities, stats.activity_count),
+        (pairs, stats.df_count),
+        (starts, stats.start_count),
+        (ends, stats.end_count),
+    ):
+        for key, n in counts.items():
+            into[key] = into.get(key, 0) + n
+    stats.case_count += len(cases)
     return stats
 
 

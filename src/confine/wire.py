@@ -15,6 +15,7 @@ it once and opens each segment with AES-GCM alone.
 from __future__ import annotations
 
 import base64
+import binascii
 import csv
 import functools
 import io
@@ -23,6 +24,7 @@ import os
 import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from datetime import datetime
 from typing import Sequence, get_type_hints
 
 from cryptography.exceptions import InvalidTag
@@ -144,7 +146,8 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[st
     order, and the payload bytes they arrived in: for a payload built by
     ``segment_log`` that is ``len(case_payload(ref, rows))``. Sorting is left to
     ``merge_case``, once per case. Activity names are interned, so a merged
-    case's activity sequence shares one string per distinct name.
+    case's activity sequence shares one string per distinct name. Each
+    distinct stamp text is parsed once per payload.
 
     A plain payload is split directly; any other goes, whole, through
     csv.reader, which raises every error. An error names the payload row
@@ -155,6 +158,21 @@ def parse_segment_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[st
     if parsed is None:
         parsed = _parse_payload_csv(payload)
     return parsed
+
+
+def _read_stamp(stamp: str, read: dict[str, datetime]) -> datetime | None:
+    """``parse_timestamp(stamp)``, kept in ``read`` for the rest of the
+    payload, or None for a bad stamp.
+
+    ``read`` lives for one payload only: a table shared across payloads
+    would hold stamp texts the enclave budget never charges.
+    """
+    try:
+        ts = parse_timestamp(stamp)
+    except LogParseError:
+        return None
+    read[stamp] = ts
+    return ts
 
 
 def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str, int]] | None:
@@ -176,8 +194,11 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str
     if text is None:
         return None
     limit = csv.field_size_limit()
+    # in ASCII text a line's characters are its bytes
+    ascii_only = text.isascii()
     cases: dict[str, list[Row]] = {}
     sizes: dict[str, int] = {}
+    read: dict[str, datetime] = {}
     for line in text.split("\n"):
         if not line:
             continue
@@ -187,14 +208,12 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str
         case_ref, stamp, activity, org = cells
         if not case_ref or not activity:
             return None
-        try:
-            ts = parse_timestamp(stamp)
-        except LogParseError:
-            ts = None
+        ts = read.get(stamp) or _read_stamp(stamp, read)
         if ts is None:
             return None
         cases.setdefault(case_ref, []).append((ts, org, sys.intern(activity)))
-        sizes[case_ref] = sizes.get(case_ref, 0) + len(line.encode("utf-8")) + 1
+        size = len(line) + 1 if ascii_only else len(line.encode("utf-8")) + 1
+        sizes[case_ref] = sizes.get(case_ref, 0) + size
     return cases, sizes
 
 
@@ -218,6 +237,7 @@ def _parse_payload_csv(payload: bytes) -> tuple[dict[str, list[Row]], dict[str, 
 
     cases: dict[str, list[Row]] = {}
     sizes: dict[str, int] = {}
+    read: dict[str, datetime] = {}
     row_start = 0
     # csv.reader pulls lines only until the current record is complete, so
     # after each row `consumed` ends exactly at that row's last line.
@@ -231,10 +251,7 @@ def _parse_payload_csv(payload: bytes) -> tuple[dict[str, list[Row]], dict[str, 
             if len(row) != 4:
                 raise LogParseError(f"payload row {seq}: expected 4 fields, got {len(row)}")
             case_ref, stamp, activity, org = row
-            try:
-                ts = parse_timestamp(stamp)
-            except LogParseError:
-                ts = None
+            ts = read.get(stamp) or _read_stamp(stamp, read)
             if ts is None:
                 raise LogParseError(f"payload row {seq}: bad timestamp")
             if not case_ref:
@@ -306,26 +323,30 @@ def segment_log(log: EventLog, refs: list[str] | set[str], seg_size: int, org: s
 # ---------------------------------------------------------------------------
 # message JSON codec
 
-_B64U_CHARS = re.compile(r"[A-Za-z0-9_-]*")
-
-
 def b64u_encode(data: bytes) -> str:
     """Encode bytes as unpadded base64url text."""
     return base64.urlsafe_b64encode(data).decode("ascii").rstrip("=")
 
 
 def b64u_decode(text: str) -> bytes:
-    """Decode unpadded (or padded) base64url text; rejects foreign characters."""
+    """Decode unpadded (or padded) base64url text; rejects foreign characters.
+
+    A refusal's message is one of two fixed texts and quotes no input.
+    """
     if not isinstance(text, str):
         raise ValueError("base64url field must be a string")
     stripped = text.rstrip("=")
-    if not _B64U_CHARS.fullmatch(stripped):
+    # b64decode reads "+" and "/" beside their altchars, and a str must be ASCII
+    if not stripped.isascii() or "+" in stripped or "/" in stripped:
         raise ValueError("bad base64url field: invalid characters")
-    pad = -len(stripped) % 4
     try:
-        return base64.urlsafe_b64decode(stripped + "=" * pad)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad base64url field: {exc}") from None
+        # one strict C pass on 3.11 and later; 3.10 validates with a regex first
+        return base64.b64decode(stripped + "=" * (-len(stripped) % 4), altchars=b"-_", validate=True)
+    except binascii.Error:
+        pass
+    if len(stripped) % 4 == 1:
+        raise ValueError("bad base64url field: no whole bytes are 4k+1 characters long")
+    raise ValueError("bad base64url field: invalid characters")
 
 
 def _no_constant(name: str):

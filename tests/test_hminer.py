@@ -63,6 +63,22 @@ def test_accumulate_rejects_empty_case():
         accumulate(DfStats(), [()])
 
 
+@pytest.mark.parametrize("batch", [
+    [("A", "B"), ()],
+    [(), ("C",)],
+    [("A", "C", "A"), ("B",), ()],
+], ids=["last", "first", "after-two"])
+def test_batch_with_an_empty_case_leaves_the_stats_as_they_were(batch):
+    stats = accumulate(DfStats(), [("A", "B"), ("B", "A", "B")])
+    before = DfStats(
+        dict(stats.df_count), dict(stats.activity_count),
+        dict(stats.start_count), dict(stats.end_count), stats.case_count,
+    )
+    with pytest.raises(ValueError, match="at least one activity"):
+        accumulate(stats, iter(batch))
+    assert stats == before
+
+
 def test_accumulate_invariants_on_random_cases():
     rng = random.Random(11)
     cases = [

@@ -1,10 +1,13 @@
 """Size parsing, segmentation, hybrid encryption and message schemas."""
 
+import base64
 import csv
 import io
 import json
 import random
+import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import timezone
 
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import confine.eventlog
+import confine.wire
 from confine.attest import AttestationReport, EnclaveIdentity
 from confine.eventlog import (
     EventLog,
@@ -41,6 +45,7 @@ from confine.wire import (
     _HPKE,
     _HPKE_INFO,
     _parse_payload_csv,
+    _parse_plain_payload,
     case_payload,
     decrypt_segment,
     encrypt_segment,
@@ -410,6 +415,63 @@ def test_plain_payloads_use_no_csv_reader_or_writer(hospital_log, monkeypatch):
             assert sum(sizes.values()) == len(seg.payload)
 
 
+_plain_text = st.text("ab:.-+ ", min_size=1, max_size=4)
+_wide_text = st.text("ab:.-+ éßΩ١", min_size=1, max_size=4)
+# a stamp kept to the millisecond is written with three digits, any other with six
+_pool_stamps = st.builds(
+    lambda ts, to_ms: format_timestamp(ts.replace(microsecond=ts.microsecond // 1000 * 1000) if to_ms else ts),
+    st.datetimes(timezones=st.just(timezone.utc)),
+    st.booleans(),
+) | _row_stamps
+
+
+@st.composite
+def _plain_payloads(draw):
+    """A payload the plain path reads, with per-case byte sizes worked out from its lines."""
+    cell = _wide_text if draw(st.booleans()) else _plain_text
+    refs = draw(st.lists(cell, min_size=1, max_size=3, unique=True))
+    stamps = draw(st.lists(_pool_stamps, min_size=1, max_size=4))
+    lines, sizes = [], {}
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        ref = draw(st.sampled_from(refs))
+        line = ",".join([ref, draw(st.sampled_from(stamps)), draw(cell), draw(st.just("") | cell)])
+        lines.append(line + "\n" + ("\n" if draw(st.booleans()) else ""))
+        sizes[ref] = sizes.get(ref, 0) + len(line.encode("utf-8")) + 1
+    return "".join(lines).encode("utf-8"), sizes
+
+
+@settings(max_examples=300)
+@given(_plain_payloads())
+def test_plain_payload_parse_equals_csv_parse(drawn):
+    # the same rows in the same order and the same sizes, ASCII or not
+    payload, sizes = drawn
+    plain = _parse_plain_payload(payload)
+    assert plain is not None
+    assert plain[1] == sizes
+    assert _payload_outcome(lambda _: plain, payload) == _payload_outcome(_parse_payload_csv, payload)
+
+
+@pytest.mark.parametrize("parse", [parse_segment_payload, _parse_payload_csv], ids=["plain", "csv"])
+def test_each_distinct_stamp_is_parsed_once_per_payload(parse, monkeypatch):
+    stamps = ["2022-07-14T10:36:00.000Z", "2022-07-14T10:36:00.000250Z", "2022-07-14T10:37"]
+    rows = [f"c{i % 3},{stamps[i % 3 if i < 6 else 0]},A{i},H\n" for i in range(9)]
+    payload = "".join(rows).encode()
+    calls = Counter()
+    real = confine.wire.parse_timestamp
+
+    def counted(text):
+        calls[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(confine.wire, "parse_timestamp", counted)
+    cases, _ = parse(payload)
+    assert sum(len(part) for part in cases.values()) == 9
+    assert calls == Counter(stamps)
+    # what one payload parsed is not kept for the next
+    parse(payload)
+    assert calls == Counter(stamps * 2)
+
+
 # -- encryption ---------------------------------------------------------------
 
 
@@ -725,3 +787,54 @@ def test_b64u_rejects_a_length_of_one_more_than_a_multiple_of_four():
     # no base64 text of 4k+1 characters encodes whole bytes
     with pytest.raises(ValueError, match="^bad base64url field: "):
         b64u_decode("abcde")
+
+
+# the reference: the decoder as it was, a regex scan before a lenient decode
+_B64U_REFERENCE_CHARS = re.compile(r"[A-Za-z0-9_-]*")
+
+
+def _reference_b64u_decode(text):
+    stripped = text.rstrip("=")
+    if not _B64U_REFERENCE_CHARS.fullmatch(stripped):
+        return None
+    try:
+        return base64.urlsafe_b64decode(stripped + "=" * (-len(stripped) % 4))
+    except ValueError:
+        return None
+
+
+_B64U_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+_B64U_REFUSALS = {
+    "bad base64url field: invalid characters",
+    "bad base64url field: no whole bytes are 4k+1 characters long",
+}
+
+
+# On 3.10, b64decode(validate=True) still runs its own regex before the
+# decode, so the single C pass, and its speed, holds on 3.11 and later only;
+# what is accepted and refused is the same on both.
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(st.sampled_from(_B64U_ALPHABET + "+/= \t\né١\u00a0"), max_size=14),
+    st.text(st.sampled_from(_B64U_ALPHABET + "="), max_size=14),
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda k: st.text(st.sampled_from(_B64U_ALPHABET), min_size=4 * k + 1, max_size=4 * k + 1)
+    ),
+    st.builds(
+        lambda data, pad: base64.urlsafe_b64encode(data).decode().rstrip("=") + "=" * pad,
+        st.binary(max_size=40),
+        st.integers(min_value=0, max_value=3),
+    ),
+))
+def test_b64u_decode_accepts_what_the_reference_accepts(text):
+    from confine.wire import b64u_decode
+
+    expected = _reference_b64u_decode(text)
+    if expected is not None:
+        assert b64u_decode(text) == expected
+        return
+    with pytest.raises(ValueError) as err:
+        b64u_decode(text)
+    # a fixed text, so it quotes nothing of the input, and nothing chained does
+    assert str(err.value) in _B64U_REFUSALS
+    assert err.value.__cause__ is None and err.value.__context__ is None
