@@ -70,9 +70,16 @@ def count_list(text: str) -> tuple[int, ...]:
     return tuple(count(part) for part in text.split(","))
 
 
+def port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise ValueError(f"port must be 0-65535, got {text!r}")
+    return value
+
+
 def _add_host_port(parser: argparse.ArgumentParser, default_port: int) -> None:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument("--port", type=int, default=default_port, help="bind port, 0 for ephemeral")
+    parser.add_argument("--port", type=port, default=default_port, help="bind port, 0 for ephemeral")
 
 
 # Each settings flag, under the object that holds its default. A flag left

@@ -56,8 +56,7 @@ def parse_timestamp(text: str) -> datetime:
     Minute precision and finer is accepted; naive values are taken as UTC,
     zoned values are converted to UTC.
     """
-    # Fast path for the canonical form, which 3.11 reads as it stands;
-    # 3.10 rejects its "Z", so there the general path below reads it.
+    # Fast path: fromisoformat reads a canonical UTC stamp, "Z" and all.
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:
@@ -329,8 +328,7 @@ def format_rows(records: Sequence[tuple[datetime, str, str, str]], stamps: Stamp
     activity)``. A stamp's text is looked up in ``stamps`` and formatted
     only when the table lacks its instant. Each CSV row is built directly;
     only when a cell holds a comma, quote, CR or LF, which must be quoted,
-    or a NUL, which Python 3.10's csv refuses to write, are the rows
-    written by csv.writer.
+    are the rows written by csv.writer.
     """
     known = stamps.get
     text = "".join([f"{ref},{known(ts) or format_timestamp(ts)},{act},{org}\n" for ts, ref, org, act in records])
@@ -339,7 +337,6 @@ def format_rows(records: Sequence[tuple[datetime, str, str, str]], stamps: Stamp
         and text.count("\n") == len(records)
         and '"' not in text
         and "\r" not in text
-        and "\x00" not in text
     ):
         return text
     # csv quotes a cell holding any character of the line terminator, so a

@@ -266,11 +266,12 @@ class JsonServer(ThreadingHTTPServer):
     """
 
     def __init__(self, routes: Routes, max_body: int, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _JsonHandler)
         self.routes = routes
         self.max_body = max_body
         self._open: dict[socket.socket, threading.Thread] = {}
         self._open_lock = threading.Lock()
+        # a failed bind calls server_close, which reads the table above
+        super().__init__((host, port), _JsonHandler)
         self._serving = threading.Thread(target=self.serve_forever, args=(SERVE_POLL_S,), daemon=True)
 
     @property

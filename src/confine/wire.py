@@ -179,13 +179,13 @@ def _parse_plain_payload(payload: bytes) -> tuple[dict[str, list[Row]], dict[str
     """``parse_segment_payload`` of a plain payload, else None; never raises.
 
     A payload is plain when csv.reader would read each of its lines as one
-    record of unquoted cells, split on commas alone: it holds no quote,
-    carriage return or NUL, is UTF-8 and ends in a newline, and no line is
-    longer than the csv field limit. Every non-blank line must also be a
+    record of unquoted cells, split on commas alone: it holds no quote or
+    carriage return, is UTF-8 and ends in a newline, and no line is longer
+    than the csv field limit. Every non-blank line must also be a
     valid row: four cells, a non-empty case ref and activity, and a stamp
     ``parse_timestamp`` accepts. Anything else is left to the csv parser.
     """
-    if not payload.endswith(b"\n") or b'"' in payload or b"\r" in payload or b"\x00" in payload:
+    if not payload.endswith(b"\n") or b'"' in payload or b"\r" in payload:
         return None
     try:
         text = payload.decode("utf-8")
@@ -340,7 +340,7 @@ def b64u_decode(text: str) -> bytes:
     if not stripped.isascii() or "+" in stripped or "/" in stripped:
         raise ValueError("bad base64url field: invalid characters")
     try:
-        # one strict C pass on 3.11 and later; 3.10 validates with a regex first
+        # one strict C pass over the text
         return base64.b64decode(stripped + "=" * (-len(stripped) % 4), altchars=b"-_", validate=True)
     except binascii.Error:
         pass

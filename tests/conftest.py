@@ -8,6 +8,7 @@ company 6 and the specialized clinic 5 (case 312 only).
 import http.client
 import json
 import os
+import socket
 import urllib.parse
 
 import pytest
@@ -170,3 +171,10 @@ def merged_log(hospital_log, pharma_log, clinic_log) -> EventLog:
 @pytest.fixture(scope="session")
 def identity() -> EnclaveIdentity:
     return EnclaveIdentity.generate()
+
+
+@pytest.fixture()
+def held_port():
+    """A loopback port on which another socket is listening."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock.getsockname()[1]

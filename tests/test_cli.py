@@ -106,6 +106,19 @@ def test_provisioner_interrupted_at_its_start_up_line_closes_its_port(tmp_path, 
         socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
 
+@pytest.mark.parametrize("role", ["provisioner", "miner"])
+def test_server_on_a_taken_port_ends_in_one_error_line(tmp_path, capsys, held_port, role):
+    log_path = tmp_path / "H.csv"
+    log_path.write_text(HOSPITAL_CSV, encoding="utf-8")
+    argv = {
+        "provisioner": ["provisioner", "--log", str(log_path), "--org", "H"],
+        "miner": ["miner", "http://127.0.0.1:1"],
+    }[role]
+    assert main([*argv, "--port", str(held_port)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
 def test_mine_writes_the_net_to_stdout(tmp_path, capsys):
     log_path = tmp_path / "H.csv"
     log_path.write_text(HOSPITAL_CSV, encoding="utf-8")
@@ -195,10 +208,12 @@ def test_partition_refuses_a_bad_org_map(tmp_path, capsys, org_map):
         (["converge", "--seg-size", "0"], "--seg-size"),
         (["miner", "http://127.0.0.1:1", "--seg-size", "12XB"], "--seg-size"),
         (["--log-level", "NOPE", "gen", "--cases", "1"], "--log-level"),
+        (["provisioner", "--log", "H.csv", "--org", "H", "--port", "65536"], "--port"),
+        (["miner", "http://127.0.0.1:1", "--port", "-1"], "--port"),
     ],
     ids=["xs-word", "xs-zero", "xs-empty", "seg-sizes-trailing-comma", "mem-seg-sizes-unit",
          "mem-seg-sizes-empty", "mem-capacity-zero", "converge-seg-size-zero", "miner-seg-size-unit",
-         "log-level-unknown"],
+         "log-level-unknown", "provisioner-port-too-high", "miner-port-negative"],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -504,14 +504,8 @@ def test_format_rows_matches_csv_writer(rows):
         )
         return out.getvalue()
 
-    def outcome(write):
-        try:
-            return write()
-        except csv.Error as exc:  # Python 3.10 refuses to write a NUL
-            return type(exc), str(exc)
-
     records = [(ts, ref, org, activity) for ref, ts, activity, org in rows]
-    assert outcome(lambda: format_rows(records)) == outcome(written)
+    assert format_rows(records) == written()
 
 
 @pytest.mark.parametrize("activity", ["A\rB", "A\r\rB"])

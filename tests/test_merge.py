@@ -1,7 +1,6 @@
 """Partial-trace merging, and the session's record of who still owes each case."""
 
 import random
-import sys
 from datetime import timedelta
 
 import pytest
@@ -108,9 +107,8 @@ def test_identical_records_of_two_holders_match_standalone():
     assert session.stats.df_count == {("A", "A"): 1, ("A", "B"): 1}
 
 
-# characters a CSV cell must quote, and non-ASCII ones; csv writes NUL only
-# from Python 3.11 on
-_ODD = [",", '"', "\r", "\n", "\r\n", "é", "日"] + (["\x00"] if sys.version_info >= (3, 11) else [])
+# characters a CSV cell must quote, a NUL, which it need not, and non-ASCII ones
+_ODD = [",", '"', "\r", "\n", "\r\n", "\x00", "é", "日"]
 
 
 def _names(plain):

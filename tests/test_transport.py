@@ -163,6 +163,11 @@ def test_client_refuses_json_constants():
         server.close()
 
 
+def test_server_on_a_taken_port_raises_os_error(held_port):
+    with pytest.raises(OSError):
+        JsonServer({}, 1024, port=held_port)
+
+
 def test_client_refuses_an_unsupported_url_scheme():
     with pytest.raises(TransportError, match="unsupported URL scheme 'ftp'") as err:
         HttpTransport(timeout_s=4).post_cases("ftp://127.0.0.1:21", {})

@@ -340,10 +340,9 @@ def _payload_outcome(parse, payload):
 
 
 _plain_cells = st.text("abzé ß:-.+", max_size=5)
-# cells csv must quote, and any text at all, with a NUL and a lone surrogate
-# for ill-formed UTF-8 (csv.writer on Python 3.10 refuses a NUL, so only
-# joined rows hold one)
-_special_cells = st.text(st.sampled_from('ab é,"\r\n'), max_size=5)
+# cells csv must quote, a NUL, which it writes unquoted, and any text at all,
+# with a lone surrogate for ill-formed UTF-8
+_special_cells = st.text(st.sampled_from('ab é,"\r\n\x00'), max_size=5)
 _any_cells = st.text(st.characters() | st.sampled_from('"\x00\ud800'), max_size=6)
 _row_stamps = st.one_of(
     st.datetimes(timezones=st.just(timezone.utc)).map(format_timestamp),
@@ -810,9 +809,8 @@ _B64U_REFUSALS = {
 }
 
 
-# On 3.10, b64decode(validate=True) still runs its own regex before the
-# decode, so the single C pass, and its speed, holds on 3.11 and later only;
-# what is accepted and refused is the same on both.
+# b64u_decode validates in binascii's one strict pass, where the reference
+# scans with a regex first; both must accept and refuse the same texts.
 @settings(max_examples=500)
 @given(st.one_of(
     st.text(st.sampled_from(_B64U_ALPHABET + "+/= \t\né١\u00a0"), max_size=14),
