@@ -278,7 +278,7 @@ class MinerSession:
     # -- segment intake ------------------------------------------------------
 
     def enqueue(self, raw: dict) -> dict:
-        """Open one pushed envelope now; called by the callback receiver.
+        """Open one pushed envelope now; the receiver calls this once per envelope of a batch.
 
         A refusal names only the exception's class, since every ack leaves
         the enclave. The first refusal is kept without its traceback or
@@ -479,15 +479,19 @@ class MinerSession:
 
 
 class MinerReceiver(JsonServer):
-    """HTTP endpoint where provisioners push segment envelopes.
+    """HTTP endpoint where provisioners push batches of segment envelopes.
 
     Each provisioner pushes its whole delivery over one kept-alive
-    connection, served by that connection's own thread; the session still
-    opens segments one at a time under its intake lock. A client that
-    trickles a request holds only its own thread.
+    connection, served by that connection's own thread, one request per
+    batch; the session still opens and acknowledges segments one at a time
+    under its intake lock. A client that trickles a request holds only its
+    own thread.
     """
 
     def __init__(self, session: MinerSession, host: str = "127.0.0.1", port: int = 0):
-        # an envelope larger than the whole budget in base64 could never be opened
+        # a segment larger than the whole budget in base64 could never be
+        # opened; a batch of smaller ones holds at most the provisioner's
+        # BATCH_PAYLOAD_BYTES of payload, under 0.6 MB of JSON even as
+        # 31-byte one-row segments
         max_body = -(-session.budget.capacity // 3) * 4 + BODY_ALLOWANCE
         super().__init__(segment_routes(session.enqueue), max_body, host, port)

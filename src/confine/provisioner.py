@@ -4,9 +4,10 @@ The service itself is transport-neutral: ``ProvisionerServer`` serves it
 over HTTP and ``LoopbackHub`` in process, both through the one route table
 in ``transport``. Segments are pushed to the miner's callback only after
 the evidence verified, so no case data ever leaves before a trusted
-verdict. Each segment is pushed once before the verdict is answered:
-``trusted`` if the miner acknowledged every one, else ``error`` naming
-the first segment not delivered. The miner opens each segment as it
+verdict. Sealed segments travel in batches, one push per batch, and each
+batch is pushed once before the verdict is answered: ``trusted`` if the
+miner acknowledged every segment, else ``error`` naming the segments of
+the first batch not delivered. The miner opens each segment as it
 arrives, so by the answer it holds everything this org will deliver.
 """
 
@@ -16,7 +17,7 @@ import json
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .attest import AttestationReport, ReferenceRegistry, new_nonce, verify_report
 from .eventlog import EventLog
@@ -26,24 +27,55 @@ from .wire import (
     AttestationChallenge,
     CaseRefResponse,
     CaseRequest,
+    KIB,
     SealingKey,
+    Segment,
     UnknownCaseRefsError,
     encrypt_segment,
     segment_log,
 )
 
-__all__ = ["AccessDeniedError", "ProvisionerService", "ProvisionerServer"]
+__all__ = ["AccessDeniedError", "BATCH_PAYLOAD_BYTES", "ProvisionerService", "ProvisionerServer"]
 
 log = logging.getLogger(__name__)
+
+# payload bytes one push carries at most; a larger segment is pushed alone
+BATCH_PAYLOAD_BYTES = 64 * KIB
 
 
 class AccessDeniedError(PermissionError):
     """The requesting miner id is not on the allow-list."""
 
 
+def _batches(segments: list[Segment]) -> Iterator[list[Segment]]:
+    """Consecutive segments, cut where the next would take the payload past the bound."""
+    batch: list[Segment] = []
+    size = 0
+    for segment in segments:
+        if batch and size + len(segment.payload) > BATCH_PAYLOAD_BYTES:
+            yield batch
+            batch, size = [], 0
+        batch.append(segment)
+        size += len(segment.payload)
+    if batch:
+        yield batch
+
+
+def _span(batch: list[Segment]) -> str:
+    """The batch's segments as a failure names them: ``segment 5/9`` or ``segments 0-3/9``."""
+    first, last = batch[0], batch[-1]
+    if first is last:
+        return f"segment {first.seq_no}/{first.total}"
+    return f"segments {first.seq_no}-{last.seq_no}/{first.total}"
+
+
 @dataclass
 class ProvisionerService:
-    """One organization's provisioner: refs, challenges, sealed segments."""
+    """One organization's provisioner: refs, challenges, sealed segments.
+
+    ``push(callback, body)`` sends one batch, ``{"envelopes": [...]}``, to
+    the miner's callback and returns its ack.
+    """
 
     org_id: str
     log_data: EventLog
@@ -116,12 +148,15 @@ class ProvisionerService:
     # -- stage 3: transmission ---------------------------------------------
 
     def _deliver(self, request: CaseRequest, enc_pub: bytes) -> str | None:
-        """Push each segment once; the reason for the first failure, if any.
+        """Push each batch once; the reason for the first failure, if any.
 
-        There is no retry: a push whose ack was lost may already have been
-        opened, and pushing it again would read as a duplicate segment.
-        The whole delivery is sealed under one key, wrapped once for the
-        enclave and dropped when the loop ends.
+        A batch holds whole sealed segments in order, at most
+        ``BATCH_PAYLOAD_BYTES`` of payload unless one segment alone is
+        larger, and travels as one ``{"envelopes": [...]}`` body. There is
+        no retry: a push whose ack was lost may already have been opened,
+        and pushing it again would read as duplicate segments. The whole
+        delivery is sealed under one key, wrapped once for the enclave and
+        dropped when the loop ends.
         """
         segments = segment_log(self.log_data, list(request.refs), request.seg_size, self.org_id)
         log.info(
@@ -129,17 +164,17 @@ class ProvisionerService:
             self.org_id, len(request.refs), len(segments),
         )
         sealing = SealingKey.for_enclave(enc_pub)
-        for segment in segments:
-            envelope = encrypt_segment(segment, sealing).to_dict()
+        for batch in _batches(segments):
+            body = {"envelopes": [encrypt_segment(segment, sealing).to_dict() for segment in batch]}
             try:
-                ack = Ack.from_dict(self.push(request.callback, envelope))
+                ack = Ack.from_dict(self.push(request.callback, body))
                 if ack.status == "ok":
                     continue
-                failure = f"segment {segment.seq_no}/{segment.total} refused: {ack.reason}"
+                failure = f"{_span(batch)} refused: {ack.reason}"
             except TransportError as exc:
-                failure = f"segment {segment.seq_no}/{segment.total} undelivered: {exc.detail}"
+                failure = f"{_span(batch)} undelivered: {exc.detail}"
             except ValueError as exc:  # an ack outside the protocol
-                failure = f"segment {segment.seq_no}/{segment.total} refused: {exc}"
+                failure = f"{_span(batch)} refused: {exc}"
             log.error("org %s stopped delivery to %s: %s", self.org_id, request.callback, failure)
             return failure
         return None

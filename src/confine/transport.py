@@ -6,6 +6,8 @@ over. ``answer()`` runs a route table and maps service errors to statuses;
 ``JsonServer`` and the hub both answer through it, so an error reads as
 the same status and ``TransportError`` over HTTP and over loopback.
 
+A push carries a batch of whole sealed segments, ``{"envelopes": [...]}``,
+so a delivery takes one request per batch.
 Over HTTP both sides keep connections alive between requests (HTTP/1.1
 persistent connections, RFC 9112 section 9.3): a provisioner pushes a whole
 delivery over one connection, and the server gives each connection its
@@ -168,8 +170,26 @@ def provisioner_routes(service) -> Routes:
 
 
 def segment_routes(receive: Callable[[dict], dict]) -> Routes:
-    """The miner's callback: every pushed envelope goes to ``receive``."""
-    return {("POST", "/segments"): lambda _query, body: receive(body)}
+    """The miner's callback: each pushed batch's envelopes go to ``receive`` in order.
+
+    The host unpacks the batch and hands the enclave one envelope per
+    call, the way an SGX host makes one ECALL per envelope. The first ack
+    that is not ``ok`` answers the push and leaves the rest of the batch
+    unopened; otherwise the last ack does. A body without a non-empty
+    ``envelopes`` list is refused as a whole, before any envelope is opened.
+    """
+
+    def push(_query, body: dict) -> dict:
+        envelopes = body.get("envelopes")
+        if not isinstance(envelopes, list) or not envelopes:
+            raise ValueError("a push body must hold a non-empty envelopes list")
+        for envelope in envelopes:
+            ack = receive(envelope)
+            if ack.get("status") != "ok":
+                break
+        return ack
+
+    return {("POST", "/segments"): push}
 
 
 def answer(
@@ -252,7 +272,9 @@ class _JsonHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def log_message(self, fmt: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), fmt % args)
+        # called for every request: build nothing unless it is logged
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s %s", self.address_string(), fmt % args)
 
 
 class JsonServer(ThreadingHTTPServer):
@@ -321,7 +343,8 @@ class LoopbackHub:
     """In-process transport that keeps experiment sweeps free of socket overhead.
 
     Provisioners register under their base URL, segment receivers under the
-    miner's callback URL, and each URL answers the routes registered there.
+    miner's callback URL, and each URL answers the routes registered there;
+    a pushed batch reaches the receiver through ``segment_routes`` as over HTTP.
     Requests go through ``answer()`` like HTTP ones, so an error status
     becomes the same TransportError.
     """

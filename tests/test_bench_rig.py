@@ -59,3 +59,7 @@ def test_rig_session_succeeds(bench, identity, networked):
     # and the provider side, which the rig times by these names too
     assert result.layers["provisioner.segment_log_s"] > 0
     assert result.layers["eventlog.parse_csv_s"] > 0
+    if networked:
+        # segments travel in batches: fewer requests, the attestation
+        # handshake included, than segments
+        assert result.layers["transport.requests"] < result.layers["provisioner.segments"]

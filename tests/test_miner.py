@@ -1,10 +1,13 @@
 """Miner session tests: budget accounting, staged runs, delivery edge cases."""
 
+import contextlib
 import csv
+import functools
 import gc
 import itertools
 import json
 import random
+import re
 import socket
 import sys
 import threading
@@ -542,22 +545,134 @@ def test_unreachable_callback_fails_fast(hospital_log, identity):
 
 
 def test_lost_ack_ends_with_delivery_error(hospital_log, identity):
-    # the miner opens segment 0, but its ack never reaches the provider
+    # the miner opens both segments of the one batch, but its ack never
+    # reaches the provider
     hub, session = _setup({"H": hospital_log}, identity, seg_size=300)
     pushed = []
 
-    def losing_ack(callback, raw):
-        pushed.append(raw["seq_no"])
-        hub.push_segment(callback, raw)
+    def losing_ack(callback, body):
+        pushed.append([raw["seq_no"] for raw in body["envelopes"]])
+        hub.push_segment(callback, body)
         raise TransportError(callback, "ack lost")
 
     hub.register_provisioner("loop://H", ProvisionerService(
         org_id="H", log_data=hospital_log, registry=ReferenceRegistry.of(identity.measurement),
         allowed_miners={"*"}, push=losing_ack,
     ))
-    with pytest.raises(DeliveryError, match="org 'H' could not deliver: segment 0/2 undelivered: ack lost"):
+    with pytest.raises(DeliveryError, match="org 'H' could not deliver: segments 0-1/2 undelivered: ack lost"):
         session.run()
-    assert pushed == [0]
+    assert pushed == [[0, 1]]
+    assert session.segments_opened == {"H": 2}
+
+
+# ---------------------------------------------------------------------------
+# batched pushes: one request per batch, one opening and one ack per segment
+
+
+@contextlib.contextmanager
+def _relayed(identity, networked, relay, seg_size=KIB):
+    """A session over three orgs whose provisioners push each batch through
+    ``relay(forward, callback, body)``; ``forward`` is the real push."""
+    log_data, org_map = generate_scenario_log(ScenarioParams(cases=30, seed=7))
+    registry = ReferenceRegistry.of(identity.measurement)
+    closers = []
+    transport = HttpTransport(timeout_s=5) if networked else LoopbackHub()
+    forward = HttpTransport(timeout_s=5).push_segment if networked else transport.push_segment
+    try:
+        urls = []
+        for org, part in partition_by_org(log_data, org_map).items():
+            service = ProvisionerService(org_id=org, log_data=part, registry=registry,
+                                         allowed_miners={"*"}, push=functools.partial(relay, forward))
+            if networked:
+                server = ProvisionerServer(service).start()
+                closers.append(server.close)
+                urls.append(server.url)
+            else:
+                urls.append(f"loop://{org}")
+                transport.register_provisioner(urls[-1], service)
+        session = MinerSession(providers=urls, transport=transport, callback_url="loop://miner",
+                               seg_size=seg_size, identity=identity)
+        if networked:
+            receiver = MinerReceiver(session).start()
+            closers.append(receiver.close)
+            session.callback_url = receiver.url
+        else:
+            transport.register_receiver("loop://miner", session.enqueue)
+        yield session, log_data
+    finally:
+        for close in closers:
+            close()
+
+
+@pytest.mark.parametrize("networked", [False, True], ids=["loopback", "http"])
+def test_batched_session_acks_each_opened_segment_once(identity, networked):
+    batches = []
+
+    def counting(forward, callback, body):
+        batches.append(len(body["envelopes"]))
+        return forward(callback, body)
+
+    with _relayed(identity, networked, counting) as (session, log_data):
+        net = session.run()
+    assert serialize_net(net, "json") == serialize_net(standalone_net(log_data), "json")
+    # each org's delivery fits one batch of several segments
+    assert len(batches) == 3 and min(batches) > 1
+    assert sum(session.segments_opened.values()) == sum(batches)
+    assert acks(session) == [{"status": "ok"}] * sum(batches)
+
+
+@pytest.mark.parametrize("networked", [False, True], ids=["loopback", "http"])
+def test_refusal_mid_batch_leaves_the_rest_unopened(identity, networked):
+    # org C's third envelope fails authentication; the envelopes after it
+    # in the same batch are never opened and get no ack
+    batches = []
+
+    def tampering(forward, callback, body):
+        envelopes = body["envelopes"]
+        batches.append(len(envelopes))
+        env = SegmentEnvelope.from_dict(envelopes[2])
+        envelopes[2] = replace(env, ciphertext=bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:]).to_dict()
+        return forward(callback, body)
+
+    with _relayed(identity, networked, tampering) as (session, _log_data):
+        with pytest.raises(IntegrityError, match=r"^org 'C' segment 2/\d+ failed authentication$"):
+            session.run()
+    assert batches[0] > 3 and len(batches) == 1  # orgs deliver in sorted order, C first
+    assert session.segments_opened == {"C": 2}
+    assert acks(session) == [{"status": "ok"}] * 2 + [{"status": "error", "reason": "IntegrityError"}]
+    assert session.budget.in_use == 0
+
+
+@pytest.mark.parametrize("networked", [False, True], ids=["loopback", "http"])
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda envelopes: {"envelopes": envelopes[0]},
+        lambda envelopes: {"envelopes": []},
+        lambda envelopes: {"segments": envelopes},
+    ],
+    ids=["not-a-list", "empty-list", "missing-key"],
+)
+def test_malformed_batch_opens_nothing(identity, networked, wrap):
+    batches = []
+
+    def rewrapping(forward, callback, body):
+        batches.append(len(body["envelopes"]))
+        return forward(callback, wrap(body["envelopes"]))
+
+    with _relayed(identity, networked, rewrapping) as (session, _log_data):
+        with pytest.raises(DeliveryError) as err:
+            session.run()
+    # the provisioner names its batch's segments, the session the org
+    last = batches[0] - 1
+    assert re.fullmatch(
+        rf"org 'C' could not deliver: segments 0-{last}/{last + 1} undelivered: "
+        "a push body must hold a non-empty envelopes list",
+        str(err.value),
+    )
+    assert session.segments_opened == {}
+    assert acks(session) == []
+    assert session.budget.in_use == 0
 
 
 @pytest.mark.parametrize("networked", [False, True], ids=["loopback", "http"])
@@ -887,7 +1002,7 @@ def receiver(identity):
 
 
 def test_receiver_acks_bad_envelope(receiver):
-    status, body = http_request("POST", f"{receiver.url}/segments", b'{"org": "H"}')
+    status, body = http_request("POST", f"{receiver.url}/segments", b'{"envelopes": [{"org": "H"}]}')
     assert status == 200
     assert json.loads(body) == {"status": "error", "reason": "EnvelopeFormatError"}
 
@@ -898,7 +1013,7 @@ def test_receiver_drops_stalled_client(receiver, monkeypatch):
     url = urllib.parse.urlsplit(receiver.url)
     with socket.create_connection((url.hostname, url.port)):
         t0 = time.monotonic()
-        status, _body = http_request("POST", f"{receiver.url}/segments", b'{"org": "H"}')
+        status, _body = http_request("POST", f"{receiver.url}/segments", b'{"envelopes": [{"org": "H"}]}')
         assert status == 200
         assert time.monotonic() - t0 < 4
 
@@ -911,7 +1026,7 @@ def test_receiver_rejects_bad_content_length_at_once(receiver, length):
         sock.sendall(f"POST /segments HTTP/1.0\r\nContent-Length: {length}\r\n\r\n".encode())
         with sock.makefile("rb") as reply:
             assert reply.readline().split()[1] == b"400"
-        status, _body = http_request("POST", f"{receiver.url}/segments", b'{"org": "H"}')
+        status, _body = http_request("POST", f"{receiver.url}/segments", b'{"envelopes": [{"org": "H"}]}')
         assert status == 200
 
 
@@ -943,7 +1058,8 @@ def test_receiver_trickling_client_does_not_block_pushes(hospital_log, identity)
         url = urllib.parse.urlsplit(receiver.url)
         with socket.create_connection((url.hostname, url.port), timeout=4) as slow:
             slow.sendall(b"POST /segments HTTP/1.1\r\nContent-Length: 100000\r\n\r\n{")
-            assert HttpTransport(timeout_s=4).push_segment(receiver.url, env) == {"status": "ok"}
+            body = {"envelopes": [env]}
+            assert HttpTransport(timeout_s=4).push_segment(receiver.url, body) == {"status": "ok"}
     finally:
         receiver.close()
         session.finish()

@@ -9,6 +9,7 @@ import sys
 import threading
 import urllib.parse
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -17,8 +18,13 @@ import pytest
 import confine
 from confine.attest import ReferenceRegistry, compute_measurement, make_report
 from confine.eventlog import parse_csv, serialize_log
-from confine.provisioner import AccessDeniedError, ProvisionerServer, ProvisionerService
-from confine.transport import HttpTransport, LoopbackHub, TransportError, _JsonHandler
+from confine.provisioner import (
+    BATCH_PAYLOAD_BYTES,
+    AccessDeniedError,
+    ProvisionerServer,
+    ProvisionerService,
+)
+from confine.transport import BODY_ALLOWANCE, HttpTransport, LoopbackHub, TransportError, _JsonHandler
 from confine.wire import (
     AttestationChallenge,
     CaseRequest,
@@ -30,23 +36,29 @@ from confine.wire import (
     unwrap_key,
 )
 
-from conftest import http_request
+from conftest import http_request, log_of
 
 
 class PushRecorder:
+    """Answers each push from ``responses``, then ``ok``; keeps what arrived."""
+
     def __init__(self, responses=None):
+        self.bodies: list[dict] = []
         self.envelopes: list[dict] = []
         self.responses = list(responses or [])
 
-    def __call__(self, callback: str, envelope: dict) -> dict:
-        if self.responses:
-            action = self.responses.pop(0)
-            if isinstance(action, Exception):
-                raise action
-            self.envelopes.append(envelope)
-            return action
-        self.envelopes.append(envelope)
-        return {"status": "ok"}
+    def __call__(self, callback: str, body: dict) -> dict:
+        action = self.responses.pop(0) if self.responses else {"status": "ok"}
+        if isinstance(action, Exception):
+            raise action
+        self.bodies.append(body)
+        self.envelopes.extend(body["envelopes"])
+        return action
+
+
+@pytest.fixture()
+def one_segment_per_push(monkeypatch):
+    monkeypatch.setattr("confine.provisioner.BATCH_PAYLOAD_BYTES", 1)
 
 
 def _service(hospital_log, identity, push=None, **kwargs) -> ProvisionerService:
@@ -336,15 +348,41 @@ def _pushed_seq_nos(push):
     return [SegmentEnvelope.from_dict(e).seq_no for e in push.envelopes]
 
 
+def test_batches_are_cut_at_the_payload_bound(identity):
+    # 2,500 one-row cases, one per segment, then a case larger than the bound
+    t0 = datetime(2022, 7, 14, tzinfo=timezone.utc)
+    records = [(f"a{i:04}", t0, "H", "A") for i in range(2500)]
+    records += [("m", t0 + timedelta(seconds=i), "H", "B") for i in range(3000)]
+    records += [("z", t0, "H", "A")]
+    log = log_of(records)
+    push = PushRecorder()
+    service = _service(log, identity, push=push)
+    assert _attested_delivery(service, identity, seg_size=1, refs=log.case_refs()) == {"status": "trusted"}
+    envelopes = [SegmentEnvelope.from_dict(e) for e in push.envelopes]
+    assert [e.seq_no for e in envelopes] == list(range(2502))
+    sealing = unwrap_key(envelopes[0].wrapped_key, identity.enc_priv)
+    sizes = iter(len(decrypt_segment(e, sealing)) for e in envelopes)
+    batches = [[next(sizes) for _ in body["envelopes"]] for body in push.bodies]
+    # the small cases fill two batches; the large case travels alone
+    assert [len(batch) for batch in batches][1:] == [2500 - len(batches[0]), 1, 1]
+    assert batches[2][0] > BATCH_PAYLOAD_BYTES
+    for batch, after in zip(batches, batches[1:]):
+        assert sum(batch) <= BATCH_PAYLOAD_BYTES or len(batch) == 1
+        assert sum(batch) + after[0] > BATCH_PAYLOAD_BYTES  # cut only where the next does not fit
+    # a full batch of the smallest segments still fits a receiver's allowance
+    assert max(len(json.dumps(body)) for body in push.bodies) < BODY_ALLOWANCE
+
+
 def test_push_transport_error_answers_undelivered(hospital_log, identity):
+    # both segments fit one batch, and the reason names the batch's segments
     push = PushRecorder(responses=[TransportError("cb://x", "down")])
     service = _service(hospital_log, identity, push=push)
     ack = _attested_delivery(service, identity, seg_size=300)
-    assert ack == {"status": "error", "reason": "segment 0/2 undelivered: down"}
+    assert ack == {"status": "error", "reason": "segments 0-1/2 undelivered: down"}
     assert push.envelopes == []  # one attempt, no retry
 
 
-def test_push_stops_at_first_undelivered_segment(hospital_log, identity):
+def test_push_stops_at_first_undelivered_segment(hospital_log, identity, one_segment_per_push):
     push = PushRecorder(responses=[{"status": "ok"}, TransportError("cb://x", "reset")])
     service = _service(hospital_log, identity, push=push)
     ack = _attested_delivery(service, identity, seg_size=300)
@@ -352,7 +390,7 @@ def test_push_stops_at_first_undelivered_segment(hospital_log, identity):
     assert _pushed_seq_nos(push) == [0]  # segment 0 is never pushed again
 
 
-def test_push_does_not_retry_on_receiver_refusal(hospital_log, identity):
+def test_push_does_not_retry_on_receiver_refusal(hospital_log, identity, one_segment_per_push):
     push = PushRecorder(responses=[{"status": "error", "reason": "full"}])
     service = _service(hospital_log, identity, push=push)
     ack = _attested_delivery(service, identity, seg_size=300)
@@ -360,7 +398,7 @@ def test_push_does_not_retry_on_receiver_refusal(hospital_log, identity):
     assert _pushed_seq_nos(push) == [0]  # first refused envelope, no retries, abort
 
 
-def test_push_ack_outside_the_protocol_is_a_refusal(hospital_log, identity):
+def test_push_ack_outside_the_protocol_is_a_refusal(hospital_log, identity, one_segment_per_push):
     push = PushRecorder(responses=[{"status": ["ok"]}])
     service = _service(hospital_log, identity, push=push)
     ack = _attested_delivery(service, identity, seg_size=300)

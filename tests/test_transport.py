@@ -1,6 +1,7 @@
 """One route table answers HTTP and loopback: the same status, the same error."""
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -103,7 +104,7 @@ def json_server(request, hospital_log, identity):
         path = "/segments"
 
         def answers() -> bool:
-            return http_request("POST", f"{server.url}/segments", b'{"org": "H"}')[0] == 200
+            return http_request("POST", f"{server.url}/segments", b'{"envelopes": [{"org": "H"}]}')[0] == 200
     try:
         yield server, path, answers
     finally:
@@ -139,7 +140,7 @@ def test_truncated_body_gets_no_answer(json_server):
 
 _CONSTANT_BODIES = {
     "/cases": '{"seg_size": %s, "refs": ["312"], "callback": "cb://x"}',
-    "/segments": '{"org": "H", "seq_no": %s, "total": 1, "wrapped_key": "", "ciphertext": ""}',
+    "/segments": '{"envelopes": [{"org": "H", "seq_no": %s, "total": 1, "wrapped_key": "", "ciphertext": ""}]}',
 }
 
 
@@ -272,6 +273,26 @@ def test_one_client_shared_by_two_threads(accepted):
     for name, got in answers.items():
         assert got == [{"echo": {"who": name, "i": i}} for i in range(50)]
     assert accepted[frozenset({"/cases"})] <= 2  # one connection per thread at most
+
+
+def test_request_log_line_is_built_only_when_logged(monkeypatch, caplog):
+    # every request calls log_message; with DEBUG off it must build nothing
+    built = []
+    address = _JsonHandler.address_string
+    monkeypatch.setattr(_JsonHandler, "address_string", lambda handler: built.append(1) or address(handler))
+    server = _echo_server()
+    client = HttpTransport(timeout_s=4)
+    try:
+        caplog.set_level(logging.INFO, logger="confine.transport")
+        assert client.post_cases(server.url, {"n": 1}) == {"echo": {"n": 1}}
+        assert built == []
+        caplog.set_level(logging.DEBUG, logger="confine.transport")
+        assert client.post_cases(server.url, {"n": 2}) == {"echo": {"n": 2}}
+        assert built == [1]
+        assert '"POST /cases HTTP/1.1" 200' in caplog.text
+    finally:
+        client.close()
+        server.close()
 
 
 def test_sequential_posts_do_not_wait_for_delayed_acks():
